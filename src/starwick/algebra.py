@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 RationalLike = Fraction | int
@@ -69,6 +70,22 @@ class CoeffMonomial:
             if prev is not None and not prev < sym:
                 raise ValueError("symbol entries must be strictly sorted")
             prev = sym
+        # Monomials key every coefficient dict, so the hash is computed once;
+        # __reduce__ makes unpickling recompute it under the new hash seed.
+        object.__setattr__(self, "_hash", hash((self.hbar, self.symbols)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (CoeffMonomial, (self.hbar, self.symbols))
+
+    @classmethod
+    def _raw(cls, hbar: int, symbols: tuple) -> "CoeffMonomial":
+        """A monomial valid by construction, built without the checks."""
+        out = object.__new__(cls)
+        out.__dict__.update(hbar=hbar, symbols=symbols, _hash=hash((hbar, symbols)))
+        return out
 
     @staticmethod
     def make(
@@ -81,10 +98,16 @@ class CoeffMonomial:
         return self.hbar + sum(e for _, e in self.symbols)
 
     def __mul__(self, other: "CoeffMonomial") -> "CoeffMonomial":
+        hbar = self.hbar + other.hbar
+        if not other.symbols:
+            return CoeffMonomial._raw(hbar, self.symbols) if other.hbar else self
+        if not self.symbols:
+            return CoeffMonomial._raw(hbar, other.symbols) if self.hbar else other
         merged = dict(self.symbols)
         for sym, exp in other.symbols:
             merged[sym] = merged.get(sym, 0) + exp
-        return CoeffMonomial.make(self.hbar + other.hbar, merged)
+        items = sorted(merged.items(), key=itemgetter(0))
+        return CoeffMonomial._raw(hbar, tuple(items))
 
     def sort_key(self) -> tuple:
         return (self.degree(), self.hbar, self.symbols)
@@ -179,11 +202,13 @@ class CoeffElement:
         other = _as_element(other)
         out = dict(self._terms)
         for mono, q in other._terms.items():
-            s = out.get(mono, Fraction(0)) + q
-            if s:
+            s = out.get(mono)
+            if s is None:
+                out[mono] = q
+            elif s := s + q:
                 out[mono] = s
             else:
-                out.pop(mono, None)
+                del out[mono]
         return CoeffElement._raw(out)
 
     __radd__ = __add__
@@ -196,16 +221,28 @@ class CoeffElement:
 
     def __mul__(self, other: "CoeffElement | RationalLike") -> "CoeffElement":
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             q = Fraction(other)
             if not q:
                 return CoeffElement.zero()
             return CoeffElement._raw({m: c * q for m, c in self._terms.items()})
         other = _as_element(other)
+        many, single = self._terms, other._terms
+        if len(many) == 1:
+            many, single = single, many
+        if len(single) == 1:
+            # Multiplying by one monomial is injective and nonzero rationals
+            # have nonzero products, so no terms merge and none vanish.
+            ((m2, q2),) = single.items()
+            if q2 == 1:
+                return CoeffElement._raw({m1 * m2: q1 for m1, q1 in many.items()})
+            return CoeffElement._raw({m1 * m2: q1 * q2 for m1, q1 in many.items()})
         out: dict[CoeffMonomial, Fraction] = {}
         for m1, q1 in self._terms.items():
             for m2, q2 in other._terms.items():
                 mono = m1 * m2
-                s = out.get(mono, Fraction(0)) + q1 * q2
+                s = out.get(mono, 0) + q1 * q2
                 if s:
                     out[mono] = s
                 else:

@@ -46,6 +46,12 @@ def _parse_n(text: str) -> tuple[int, ...]:
         raise _UsageError(f"--n expects a comma-separated integer list, got {text!r}")
 
 
+def _order(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _num_text(value) -> str:
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else str(value)
@@ -209,7 +215,7 @@ def _cmd_functional_star(args) -> str:
 def _add_common(sub: argparse.ArgumentParser, *, dim: bool = False, exprs: int = 0) -> None:
     if dim:
         sub.add_argument("--dim", type=int, required=True, help="number of variables")
-    sub.add_argument("--order", type=int, default=None, help="hbar truncation order")
+    sub.add_argument("--order", type=_order, default=None, help="hbar truncation order")
     sub.add_argument("--family", default="K", help="propagator family name")
     sub.add_argument(
         "--sym", action="append", default=[], metavar="FAMILY",
@@ -288,7 +294,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("field-star", help="star product of densities on a grid")
     sub.add_argument("--grid", required=True, metavar="FILE")
-    sub.add_argument("--order", type=int, default=None)
+    sub.add_argument("--order", type=_order, default=None)
     sub.add_argument("--sym", action="append", default=[])
     sub.add_argument("exprs", nargs=2)
     sub.set_defaults(handler=_cmd_field_star)
@@ -301,7 +307,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("functional-star", help="quadrature star product of functionals")
     sub.add_argument("--grid", required=True, metavar="FILE")
     sub.add_argument("--dim", type=int, required=True, help="density arity")
-    sub.add_argument("--order", type=int, default=None)
+    sub.add_argument("--order", type=_order, default=None)
     sub.add_argument("--sym", action="append", default=[])
     sub.add_argument("--nodes", default=None, help="semicolon-separated label tuples")
     sub.add_argument("--weights", default=None, help="comma-separated weights")
@@ -316,10 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         output = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
+    except (_UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:

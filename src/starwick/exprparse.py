@@ -134,6 +134,8 @@ class _Parser:
             if self.peek().kind == "/":
                 self.advance()
                 den = self.expect("int")
+                if int(den.text) == 0:
+                    raise ParseError("zero denominator", den.pos)
                 return Poly.constant(Fraction(num, int(den.text)), self.dim)
             return Poly.constant(Fraction(num), self.dim)
         if tok.kind == "(":

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .algebra import Poly, PropagatorSymbol
 from .star import PropagatorMatrix, poisson_bracket, star2, star_tensor
-from .wick import WickMonomialSpec, expectation_formula
+from .wick import WickMonomialSpec, expectation_formula, _hermite_coefficient
 
 Num = Fraction | float
 
@@ -120,6 +120,7 @@ class KernelGrid:
             "field": [_encode_number(v, self.mode) for v in self.field],
             "hbar": _encode_number(self.hbar, self.mode),
             "mode": self.mode,
+            "symmetric": self.symmetric,
         }
 
     def index(self, label: str) -> int:
@@ -187,10 +188,7 @@ def field_wick_power(index: int, power: int, grid: KernelGrid) -> Num:
     phi = grid.field[index - 1]
     total = 0
     for k in range(power // 2 + 1):
-        c = Fraction(
-            math.factorial(power),
-            2**k * math.factorial(k) * math.factorial(power - 2 * k),
-        )
+        c = _hermite_coefficient(power, k)
         total = total + c * grid.hbar**k * diag**k * phi ** (power - 2 * k)
     return _coerce_result(total, grid.mode)
 

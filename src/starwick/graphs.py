@@ -163,7 +163,11 @@ def kontsevich_apply(
 def star_via_graphs(
     factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None
 ) -> Poly:
-    """Star product assembled from graph operators, layer by hbar layer."""
+    """Star product assembled from graph operators, layer by hbar layer.
+
+    The independent oracle for :func:`starwick.star.star_multi`, which
+    folds the pairwise product instead of summing over adjacency matrices.
+    """
     _check_order(order)
     factors = list(factors)
     if not factors:

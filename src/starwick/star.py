@@ -2,11 +2,11 @@
 
 The product of two block groups applies the truncated exponential of the
 cross operator ``D = sum_ij K_ij d_i(x) d_j(y)``: term ``k`` carries
-``hbar^k / k!`` times ``k`` nested applications of ``D``.  The
-multi-factor product expands the same exponential degree by degree, with
-each hbar layer organized as a sum over adjacency matrices weighted by
-multinomial coefficients; the matrix entry ``m_ij`` counts how often the
-pair operator acts between factors ``i`` and ``j``.
+``hbar^k / k!`` times ``k`` nested applications of ``D``.  The product
+is associative, so the multi-factor product is the pairwise product
+folded left over the factors.  The expansion as a sum over adjacency
+matrices lives only in :mod:`starwick.graphs`, which serves as the
+independent oracle for this fold.
 
 For polynomial inputs every series terminates, so ``order=None`` means
 "run to termination" and yields the exact product; an explicit order
@@ -15,7 +15,6 @@ keeps all hbar degrees up to it, exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,7 +27,6 @@ from .algebra import (
     RationalLike,
     _as_element,
 )
-from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial
 
 
 @dataclass(frozen=True)
@@ -121,10 +119,6 @@ def _hbar_over(k: int) -> CoeffElement:
     return CoeffElement({CoeffMonomial(hbar=1): Fraction(1, k)})
 
 
-def _hbar_layer(k: int) -> CoeffElement:
-    return CoeffElement({CoeffMonomial(hbar=k): Fraction(1, math.factorial(k))})
-
-
 def _derivative_over(p: Poly, blocks: Iterable[int], index: int) -> Poly:
     total = Poly.zero(p.dim)
     for block in blocks:
@@ -205,11 +199,12 @@ def star2(f: Poly, g: Poly, K: PropagatorMatrix, order: int | None = None) -> Po
 def star_multi(
     factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None
 ) -> Poly:
-    """Star product of several ordinary factors.
+    """Star product of several ordinary factors: :func:`star2` folded left.
 
-    Expanded layer by layer: the ``hbar^k`` layer sums, over adjacency
-    matrices of degree ``2k`` on the factor indices, the multinomial
-    multiplicity times the corresponding product of pair operators.
+    Truncating each partial product at ``order`` is exact, because the
+    product never lowers a term's hbar degree.  The graph sum
+    :func:`starwick.graphs.star_via_graphs` computes the same product by
+    an independent route and is the oracle this fold is tested against.
     """
     _check_order(order)
     factors = list(factors)
@@ -217,43 +212,12 @@ def star_multi(
         raise ValueError("star product needs at least one factor")
     _check_ordinary(*factors)
     _check_dims(K, *factors)
-    m = len(factors)
-    if m == 1:
-        out = factors[0]
-        return out.truncate_hbar(order) if order is not None else out
-    tensor = Poly.one(factors[0].dim)
-    for idx, f in enumerate(factors):
-        tensor = tensor * f.relabel_blocks({0: idx})
-    degrees = [f.total_degree() for f in factors]
-    kmax = sum(degrees) // 2
-    if order is not None:
-        kmax = min(kmax, order)
-    result = tensor
-    for k in range(1, kmax + 1):
-        layer = Poly.zero(tensor.dim)
-        for matrix in enumerate_adjacency_by_degree(m, 2 * k, row_caps=degrees):
-            term = _apply_matrix_operator(tensor, matrix, K)
-            if term.is_zero():
-                continue
-            layer = layer + term * multinomial(k, matrix.upper_values())
-        if layer.is_zero():
-            continue
-        result = result + layer * _hbar_layer(k)
-    result = result.merge_blocks()
+    result = factors[0]
     if order is not None:
         result = result.truncate_hbar(order)
+    for f in factors[1:]:
+        result = star2(result, f, K, order)
     return result
-
-
-def _apply_matrix_operator(tensor: Poly, matrix: AdjacencyMatrix, K: PropagatorMatrix) -> Poly:
-    """Apply the pair operator ``m_ij`` times for every edge slot."""
-    out = tensor
-    for i, j, mult in matrix.upper_items():
-        for _ in range(mult):
-            out = apply_bivector(out, K, (i - 1,), (j - 1,))
-            if out.is_zero():
-                return out
-    return out
 
 
 def poisson_bracket(f: Poly, g: Poly, K: PropagatorMatrix) -> Poly:

@@ -28,7 +28,9 @@ from .combinat import (
     enumerate_adjacency_by_rowsums,
     multinomial,
 )
-from .star import PropagatorMatrix, star_multi, _check_dims, _check_ordinary
+from .star import (
+    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_dims, _check_ordinary
+)
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,17 @@ class WickMonomialSpec:
             raise ValueError("propagator dimensions must match the power count")
 
 
-def wick_power(index: int, power: int, K: PropagatorMatrix, dim: int | None = None) -> Poly:
-    """Wick power of ``x_index``: the closed Hermite-type form."""
+def _hermite_coefficient(power: int, k: int) -> Fraction:
+    """``power! / (2^k k! (power - 2k)!)``: the ``hbar^k`` weight of a Wick power."""
+    return Fraction(
+        math.factorial(power), 2**k * math.factorial(k) * math.factorial(power - 2 * k)
+    )
+
+
+def _hermite_terms(
+    index: int, power: int, K: PropagatorMatrix, dim: int | None, sign: int
+) -> list[tuple[CoeffElement, int]]:
+    """Nonzero ``(sign^k * c_k * hbar^k * K_ii^k, power - 2k)`` pairs."""
     d = K.dim if dim is None else dim
     if d != K.dim:
         raise ValueError("dimension must match the propagator matrix")
@@ -63,17 +74,22 @@ def wick_power(index: int, power: int, K: PropagatorMatrix, dim: int | None = No
     if power < 0:
         raise ValueError("power must be non-negative")
     diag = K.entry(index, index)
-    out = Poly.zero(d)
-    x = Poly.variable(index, d)
+    out: list[tuple[CoeffElement, int]] = []
     for k in range(power // 2 + 1):
-        c = Fraction(
-            math.factorial(power),
-            2**k * math.factorial(k) * math.factorial(power - 2 * k),
-        )
+        c = _hermite_coefficient(power, k) * sign**k
         coeff = CoeffElement({CoeffMonomial(hbar=k): c}) * diag**k
-        if coeff.is_zero():
-            continue
-        out = out + x ** (power - 2 * k) * coeff
+        if not coeff.is_zero():
+            out.append((coeff, power - 2 * k))
+    return out
+
+
+def wick_power(index: int, power: int, K: PropagatorMatrix, dim: int | None = None) -> Poly:
+    """Wick power of ``x_index``: the closed Hermite-type form."""
+    terms = _hermite_terms(index, power, K, dim, 1)
+    x = Poly.variable(index, K.dim)
+    out = Poly.zero(K.dim)
+    for coeff, degree in terms:
+        out = out + x**degree * coeff
     return out
 
 
@@ -86,25 +102,7 @@ def wick_unpower(
     ``x_index ** power`` exactly; the coefficients are those of the Wick
     power with hbar negated.
     """
-    d = K.dim if dim is None else dim
-    if d != K.dim:
-        raise ValueError("dimension must match the propagator matrix")
-    if not 1 <= index <= d:
-        raise ValueError(f"variable index {index} out of range 1..{d}")
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    diag = K.entry(index, index)
-    out: list[tuple[CoeffElement, int]] = []
-    for k in range(power // 2 + 1):
-        c = Fraction(
-            math.factorial(power),
-            2**k * math.factorial(k) * math.factorial(power - 2 * k),
-        )
-        coeff = CoeffElement({CoeffMonomial(hbar=k): c * (-1) ** k}) * diag**k
-        if coeff.is_zero():
-            continue
-        out.append((coeff, power - 2 * k))
-    return out
+    return _hermite_terms(index, power, K, dim, -1)
 
 
 def wick_monomial_star(spec: WickMonomialSpec, order: int | None = None) -> Poly:
@@ -127,10 +125,13 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     m = total // 2
     acc = CoeffElement.zero()
     weight = Fraction(1, math.factorial(m))
+    powers: dict[tuple[int, int, int], CoeffElement] = {}
     for matrix in enumerate_adjacency_by_rowsums(spec.powers):
         term = CoeffElement.from_rational(weight * multinomial(m, matrix.upper_values()))
         for i, j, mult in matrix.upper_items():
-            term = term * spec.product.entry(i, j) ** mult
+            if (i, j, mult) not in powers:
+                powers[i, j, mult] = spec.product.entry(i, j) ** mult
+            term = term * powers[i, j, mult]
         acc = acc + term
     return acc
 
@@ -231,27 +232,14 @@ def reexpand_wick(
     K: PropagatorMatrix,
     order: int | None = None,
 ) -> Poly:
-    """Evaluate Wick-theorem terms with star products over ``K``."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("expansion needs at least one factor")
-    total = Poly.zero(factors[0].dim)
-    for term in terms:
-        k = sum(term.orders) // 2
-        derived = []
-        dead = False
-        for idx, (f, alpha) in enumerate(zip(factors, term.orders), start=1):
-            g = f
-            for _ in range(alpha):
-                g = g.derivative(idx)
-            if g.is_zero():
-                dead = True
-                break
-            derived.append(g)
-        if dead:
-            continue
-        inner = None if order is None else max(order - k, 0)
-        total = total + star_multi(derived, K, inner) * term.coeff
-    if order is not None:
-        total = total.truncate_hbar(order)
-    return total
+    """Evaluate Wick-theorem terms with star products over ``K``.
+
+    A term differentiates factor ``i`` only in its own variable ``x_i``,
+    so it is the propagator-change term with that multi-index, and
+    :func:`starwick.star.reexpand` evaluates it.
+    """
+    changes = [
+        PropagatorChangeTerm(t.coeff, tuple((0,) * i + (a,) for i, a in enumerate(t.orders)))
+        for t in terms
+    ]
+    return reexpand(changes, factors, K, order)

@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +73,47 @@ def test_coeff_ring_axioms(a, b, c):
     assert a + CoeffElement.zero() == a
     assert a * CoeffElement.one() == a
     assert a - a == CoeffElement.zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomials, monomials)
+def test_monomial_product_adds_exponents(m1, m2):
+    exps = dict(m1.symbols)
+    for s, e in m2.symbols:
+        exps[s] = exps.get(s, 0) + e
+    expected = CoeffMonomial.make(m1.hbar + m2.hbar, exps)
+    product = m1 * m2
+    assert product == expected and hash(product) == hash(expected)
+    # the product is canonical: the validating constructor accepts it
+    assert CoeffMonomial(product.hbar, product.symbols) == product
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements, monomials, rationals)
+def test_coeff_product_by_one_monomial(a, mono, q):
+    single = CoeffElement({mono: q})
+    expected = CoeffElement.zero()
+    for m1, q1 in a.items():
+        expected = expected + CoeffElement({m1 * mono: q1 * q})
+    assert a * single == expected
+    assert single * a == expected
+
+
+def test_pickled_coefficients_rehash_in_another_process():
+    code = (
+        "import pickle, sys\n"
+        "from starwick import CoeffElement, PropagatorSymbol\n"
+        "c = CoeffElement.hbar() * CoeffElement.from_symbol(PropagatorSymbol('K', 1, 2))\n"
+        "sys.stdout.buffer.write(pickle.dumps(c))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+    loaded = pickle.loads(out)
+    local = CoeffElement.hbar() * CoeffElement.from_symbol(sym("K", 1, 2))
+    assert loaded == local
+    assert loaded + local == local * 2
 
 
 def test_coeff_canonical_form_drops_zeros():

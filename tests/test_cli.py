@@ -206,3 +206,25 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "star", "x1")
         assert code == 1
+
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "star", "--dim", "1", "1/0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--dim", "1", "x1"],
+            ["star-graphs", "--dim", "1", "x1"],
+            ["poisson", "--dim", "1", "x1", "x1"],
+            ["field-star", "--grid", "unused.json", "x1", "x1"],
+            ["functional-star", "--grid", "unused.json", "--dim", "1", "x1", "x1"],
+        ],
+    )
+    def test_negative_order_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--order", "-1")
+        assert code == 1
+        assert out == ""
+        assert "non-negative" in err

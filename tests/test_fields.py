@@ -54,6 +54,12 @@ class TestGridCodec:
         assert data["kernel"][0][0] == "1/2"
         assert data["field"][1] == "-2/3"
         assert KernelGrid.from_json(json.dumps(data)) == grid
+        symmetric = KernelGrid.make(
+            ["a", "b"], [[1, Fraction(1, 3)], [Fraction(1, 3), 2]], [1, 2], 1,
+            symmetric=True,
+        )
+        assert symmetric.to_json()["symmetric"] is True
+        assert KernelGrid.from_json(json.dumps(symmetric.to_json())) == symmetric
 
     def test_json_round_trip_float(self):
         grid = grid2([[0.5, 1.0], [1.0, 0.25]], [3.0, -2.5], hbar=0.5, mode="float")

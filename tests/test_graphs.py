@@ -201,6 +201,13 @@ class TestStarViaGraphs:
             fs = [rand_poly(rng, d, max_degree=2, terms=2) for _ in range(m)]
             order = rng.choice([None, 1, 2, 3])
             assert star_via_graphs(fs, K, order) == star_multi(fs, K, order)
+        # The shape the ``star`` command runs: a symbolic family matrix.
+        d = 3
+        for symmetric in (False, True):
+            K = PropagatorMatrix.family("K", d, symmetric=symmetric)
+            for order in (None, 2):
+                fs = [rand_poly(rng, d, max_degree=3, terms=3) for _ in range(3)]
+                assert star_via_graphs(fs, K, order) == star_multi(fs, K, order)
 
 
 class TestFeynmanBijection:
