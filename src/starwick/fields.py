@@ -66,6 +66,12 @@ class KernelGrid:
             raise ValueError("kernel must be square over the sample points")
         if len(self.field) != d:
             raise ValueError("one field value per sample point is required")
+        values = list(itertools.chain((self.hbar,), self.field, *self.kernel))
+        if self.mode == "float":
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError("float grid values must be finite")
+        elif any(isinstance(v, bool) or not isinstance(v, (int, Fraction)) for v in values):
+            raise ValueError("rational grid values must be integers or fractions")
         if self.symmetric:
             for i in range(d):
                 for j in range(d):
@@ -132,6 +138,18 @@ class KernelGrid:
 
 def _coerce_result(value, mode: str) -> Num:
     return float(value) if mode == "float" else Fraction(value)
+
+
+def _over_common_denominator(values: Sequence[Num], mode: str) -> tuple[list, int]:
+    """Rational values as integer numerators over their least common denominator.
+
+    Float mode returns the values as floats over 1, so exact and float
+    quadrature share one loop of plain products and sums.
+    """
+    if mode == "float":
+        return [float(v) for v in values], 1
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def specialize(
@@ -253,7 +271,11 @@ def functional_star(
 
     For nodes ``s`` and ``t`` the integrand couples the factors through
     the cross-sampled kernel ``K(s_i, t_j)``, with the field evaluated at
-    ``s`` inside ``f`` and at ``t`` inside ``g``.
+    ``s`` inside ``f`` and at ``t`` inside ``g``.  The symbolic integrand
+    is lowered once into flat rows that every node pair evaluates with
+    plain products and sums; a rational grid runs them on integers over
+    common denominators, so the result is exact.  Weights are read in
+    the grid's number type.
     """
     if f.dim != g.dim:
         raise ValueError("densities must share a dimension")
@@ -263,18 +285,60 @@ def functional_star(
         )
     K = PropagatorMatrix.family("K", f.dim)
     symbolic = star_tensor(f, g.relabel_blocks({0: 1}), K, order)
-    node_indices = [tuple(grid.index(lbl) for lbl in node) for node in rule.nodes]
+    mode = grid.mode
+    nodes = [tuple(grid.index(lbl) for lbl in node) for node in rule.nodes]
+    weights, w_den = _over_common_denominator(
+        [_decode_number(w, mode) for w in rule.weights], mode
+    )
+    flat, k_den = _over_common_denominator([v for row in grid.kernel for v in row], mode)
+    d = grid.size
+    kernel = [flat[i * d : (i + 1) * d] for i in range(d)]
+    field, f_den = _over_common_denominator(grid.field, mode)
+
+    # Lower the integrand once into rows: a constant (hbar^h over the kernel
+    # and field scales of the row's degrees), kernel factors (row, col, exp)
+    # and the field factors (index, exp) sampled at the left and right node.
+    consts, kernel_factors, left_factors, right_factors = [], [], [], []
+    for vm, ce in symbolic.items():
+        left = tuple((i - 1, e) for (block, i), e in vm.items if block == 0)
+        right = tuple((i - 1, e) for (block, i), e in vm.items if block != 0)
+        for mono, q in ce.items():
+            for s, _ in mono.symbols:
+                if max(s.row, s.col) > rule.arity:
+                    raise ValueError(f"symbol {s.text()} exceeds the node arity {rule.arity}")
+            factors = tuple((s.row - 1, s.col - 1, e) for s, e in mono.symbols)
+            k_deg = sum(e for _, _, e in factors)
+            consts.append(
+                q * grid.hbar**mono.hbar / (k_den**k_deg * f_den ** vm.degree())
+            )
+            kernel_factors.append(factors)
+            left_factors.append(left)
+            right_factors.append(right)
+    consts, c_den = _over_common_denominator(consts, mode)
+
+    # Per node, every row's field product times the node weight; the left
+    # table also carries the row constants.
+    def sampled(at, w, rows, scales):
+        out = []
+        for factors, c in zip(rows, scales):
+            v = c * w
+            for i, e in factors:
+                v *= field[at[i]] ** e
+            out.append(v)
+        return out
+
+    lefts = [sampled(at, w, left_factors, consts) for at, w in zip(nodes, weights)]
+    ones = itertools.repeat(1)
+    rights = [sampled(at, w, right_factors, ones) for at, w in zip(nodes, weights)]
     total = 0
-    for ia, wa in zip(node_indices, rule.weights):
-        for ib, wb in zip(node_indices, rule.weights):
-
-            def sym_value(sym: PropagatorSymbol):
-                return grid.kernel[ia[sym.row - 1]][ib[sym.col - 1]]
-
-            def var_value(block: int, index: int):
-                at = ia if block == 0 else ib
-                return grid.field[at[index - 1]]
-
-            value = symbolic.evaluate(var_value, sym_value, grid.hbar)
-            total = total + wa * wb * value
-    return _coerce_result(total, grid.mode)
+    for ia, xs in zip(nodes, lefts):
+        rows_a = [kernel[i] for i in ia]
+        for ib, ys in zip(nodes, rights):
+            for factors, x, y in zip(kernel_factors, xs, ys):
+                v = x * y
+                for r, c, e in factors:
+                    v *= rows_a[r][ib[c]] ** e
+                total += v
+    if mode == "float":
+        return float(total)
+    return Fraction(total, c_den * w_den * w_den)

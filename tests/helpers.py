@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from starwick import CoeffElement, Poly, PropagatorMatrix
+from starwick import CoeffElement, Poly, PropagatorMatrix, star_tensor
 
 
 def rand_rational(rng: random.Random, span: int = 3, den: int = 3) -> Fraction:
@@ -62,3 +62,40 @@ def all_pairings(items: list) -> list[list[tuple]]:
 
 def poly_from_coeff(value: CoeffElement, dim: int) -> Poly:
     return Poly.constant(value, dim)
+
+
+def functional_star_oracle(f: Poly, g: Poly, rule, grid, order=None, absolute=False):
+    """Independent oracle for ``fields.functional_star``.
+
+    Builds the same two-block ``star_tensor`` integrand, then walks it
+    through the generic ``Poly.evaluate`` once per node pair, with the
+    kernel cross-sampled at ``K(s_i, t_j)`` and the field read at ``s`` in
+    block 0 and at ``t`` in every other block.  The weights are used as
+    given, so the caller passes them in the grid's number type.  With
+    ``absolute`` every coefficient, sample, hbar and weight enters by its
+    absolute value, which gives the sum of the absolute summands: the
+    scale of a float tolerance.
+    """
+    K = PropagatorMatrix.family("K", f.dim)
+    symbolic = star_tensor(f, g.relabel_blocks({0: 1}), K, order)
+    mag = abs if absolute else (lambda v: v)
+    if absolute:
+        symbolic = Poly(
+            symbolic.dim,
+            {vm: CoeffElement({m: abs(q) for m, q in ce.items()}) for vm, ce in symbolic.items()},
+        )
+    node_indices = [tuple(grid.index(lbl) for lbl in node) for node in rule.nodes]
+    total = 0
+    for ia, wa in zip(node_indices, rule.weights):
+        for ib, wb in zip(node_indices, rule.weights):
+
+            def sym_value(sym):
+                return mag(grid.kernel[ia[sym.row - 1]][ib[sym.col - 1]])
+
+            def var_value(block, index):
+                at = ia if block == 0 else ib
+                return mag(grid.field[at[index - 1]])
+
+            value = symbolic.evaluate(var_value, sym_value, mag(grid.hbar))
+            total = total + mag(wa) * mag(wb) * value
+    return float(total) if grid.mode == "float" else Fraction(total)

@@ -192,6 +192,21 @@ class TestFieldCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", '"nan"', '"-inf"'])
+    def test_non_finite_grid_is_computation_error(self, capsys, tmp_path, bad):
+        # raw JSON text, so the NaN/Infinity literals reach the loader
+        path = tmp_path / "grid.json"
+        path.write_text(
+            '{"points": ["a", "b"], "kernel": [[1, %s], [0.5, 0]],'
+            ' "field": [1, 2], "hbar": 0.5, "mode": "float"}' % bad
+        )
+        code, out, err = run(
+            capsys, "functional-star", "--grid", str(path), "--dim", "1", "x1", "x1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):

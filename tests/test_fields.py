@@ -24,7 +24,7 @@ from starwick import (
     wick_power,
 )
 
-from helpers import rand_poly, rand_rational
+from helpers import functional_star_oracle, rand_poly, rand_rational
 
 
 def x(i, d):
@@ -34,6 +34,18 @@ def x(i, d):
 def grid2(kernel, field, hbar=1, mode="rational"):
     points = [f"p{i}" for i in range(1, len(field) + 1)]
     return KernelGrid.make(points, kernel, field, hbar, mode)
+
+
+def rand_density(rng, dim):
+    """Random density whose coefficients carry hbar and two symbol families."""
+    out = rand_poly(rng, dim, max_degree=2)
+    for family in ("A", "B"):
+        sym = PropagatorSymbol(family, rng.randint(1, dim), rng.randint(1, dim))
+        coeff = CoeffElement.from_symbol(sym, rng.randint(1, 2)) * rand_rational(rng)
+        if rng.random() < 0.5:
+            coeff = coeff * CoeffElement.hbar()
+        out = out + rand_poly(rng, dim, max_degree=2, terms=1) * coeff
+    return out
 
 
 def rand_grid(rng, d, mode="rational"):
@@ -80,6 +92,29 @@ class TestGridCodec:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             KernelGrid.make(["a", "a"], [[0, 1], [1, 0]], [1, 1], 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "nan", "-Infinity"])
+    @pytest.mark.parametrize("where", ["kernel", "field", "hbar"])
+    def test_float_mode_rejects_non_finite(self, bad, where):
+        data = {"kernel": [[0.5, 1.0], [1.0, 0.25]], "field": [3.0, -2.5], "hbar": 0.5}
+        if where == "kernel":
+            data["kernel"][1][0] = bad
+        elif where == "field":
+            data["field"][0] = bad
+        else:
+            data["hbar"] = bad
+        with pytest.raises(ValueError, match="finite"):
+            grid2(data["kernel"], data["field"], data["hbar"], mode="float")
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2"])
+    def test_rational_constructor_checks_number_types(self, bad):
+        with pytest.raises(ValueError, match="integers or fractions"):
+            KernelGrid(("a",), ((bad,),), (Fraction(1),), Fraction(1))
+
+    def test_non_finite_json_literal_rejected(self):
+        text = '{"points": ["a"], "kernel": [[NaN]], "field": [1.0], "mode": "float"}'
+        with pytest.raises(ValueError, match="finite"):
+            KernelGrid.from_json(text)
 
 
 class TestSpecialize:
@@ -240,6 +275,69 @@ class TestFunctionalStar:
         rule = QuadratureRule.all_tuples(grid, 1)
         with pytest.raises(ValueError, match="arity"):
             functional_star(x(1, 2), x(2, 2), rule, grid)
+
+    def test_symbol_beyond_arity_rejected(self):
+        grid = grid2([[0, 1], [1, 0]], [1, 2])
+        rule = QuadratureRule.all_tuples(grid, 1)
+        f = Poly.constant(CoeffElement.from_symbol(PropagatorSymbol("A", 1, 2)), 1)
+        with pytest.raises(ValueError, match="arity"):
+            functional_star(f, x(1, 1), rule, grid)
+
+    def test_float_weights_refused_on_rational_grid(self):
+        grid = grid2([[0, 1], [1, 0]], [1, 2])
+        rule = QuadratureRule((("p1",), ("p2",)), (0.5, Fraction(1)))
+        with pytest.raises(ValueError, match="rational mode cannot hold"):
+            functional_star(x(1, 1), x(1, 1), rule, grid)
+
+    def test_fraction_weights_become_floats_on_float_grid(self):
+        grid = grid2([[0.5, 1.0], [-1.0, 0.25]], [3.0, -2.5], hbar=0.5, mode="float")
+        nodes = (("p1",), ("p2",))
+        exact = QuadratureRule(nodes, (Fraction(1, 3), Fraction(2, 7)))
+        floats = QuadratureRule(nodes, (1 / 3, 2 / 7))
+        f = x(1, 1) * x(1, 1)
+        value = functional_star(f, x(1, 1), exact, grid)
+        assert isinstance(value, float)
+        assert value == functional_star(f, x(1, 1), floats, grid)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_oracle(self, seed):
+        rng = random.Random(9000 + seed)
+        dim = 1 + seed % 3
+        order = (None, 0, 1)[seed // 3 % 3]
+        symmetric = seed % 2 == 0
+        f, g = rand_density(rng, dim), rand_density(rng, dim)
+        size = dim + rng.randint(0, 2)
+        points = [f"p{i}" for i in range(size)]
+        kernel = [[rand_rational(rng) for _ in range(size)] for _ in range(size)]
+        if symmetric:
+            kernel = [[kernel[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+        field = [rand_rational(rng) for _ in range(size)]
+        hbar = rand_rational(rng, span=2, den=3)
+        # explicit nodes, one repeating a label; weights over distinct denominators
+        nodes = [tuple(rng.choice(points) for _ in range(dim)) for _ in range(rng.randint(2, 4))]
+        nodes[0] = (points[-1],) * dim
+        dens = rng.sample([1, 2, 3, 5, 7], len(nodes))
+        weights = tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), q) for q in dens)
+
+        exact = KernelGrid.make(points, kernel, field, hbar, "rational", symmetric)
+        rule = QuadratureRule(tuple(nodes), weights)
+        assert functional_star(f, g, rule, exact, order) == functional_star_oracle(
+            f, g, rule, exact, order
+        )
+
+        approx = KernelGrid.make(
+            points,
+            [[float(v) for v in row] for row in kernel],
+            [float(v) for v in field],
+            float(hbar),
+            "float",
+            symmetric,
+        )
+        float_rule = QuadratureRule(tuple(nodes), tuple(float(w) for w in weights))
+        value = functional_star(f, g, float_rule, approx, order)
+        scale = functional_star_oracle(f, g, float_rule, approx, order, absolute=True)
+        expected = functional_star_oracle(f, g, float_rule, approx, order)
+        assert abs(value - expected) <= 1e-12 * scale
 
 
 class TestCommutingDiagram:
