@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .algebra import Poly
@@ -52,19 +53,26 @@ def _order(text: str) -> int:
     return int(text)
 
 
+def _weights(text: str) -> tuple[Fraction, ...]:
+    try:
+        return tuple(Fraction(w) for w in text.split(",")) if text else ()
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
+
+
 def _num_text(value) -> str:
     if isinstance(value, Fraction):
         return str(value.numerator) if value.denominator == 1 else str(value)
     return repr(value)
 
 
-def _family_matrix(args, dim: int) -> PropagatorMatrix:
-    symmetric = args.family in set(args.sym or [])
-    return PropagatorMatrix.family(args.family, dim, symmetric=symmetric)
+def _family_matrix(args) -> PropagatorMatrix:
+    symmetric = args.family in args.sym
+    return PropagatorMatrix.family(args.family, args.dim, symmetric=symmetric)
 
 
 def _parse_exprs(args, dim: int) -> list[Poly]:
-    return [parse(text, dim, set(args.sym or [])) for text in args.exprs]
+    return [parse(text, dim, set(args.sym)) for text in args.exprs]
 
 
 def _load_grid(path: str) -> KernelGrid:
@@ -72,36 +80,22 @@ def _load_grid(path: str) -> KernelGrid:
         return KernelGrid.from_json(handle.read())
 
 
-def _matrix_lines(matrix: AdjacencyMatrix) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in matrix.rows)
-
-
-def _cmd_star(args) -> str:
+def _cmd_star(engine, args) -> str:
     factors = _parse_exprs(args, args.dim)
-    K = _family_matrix(args, args.dim)
-    return str(star_multi(factors, K, args.order))
-
-
-def _cmd_star_graphs(args) -> str:
-    factors = _parse_exprs(args, args.dim)
-    K = _family_matrix(args, args.dim)
-    return str(star_via_graphs(factors, K, args.order))
+    return str(engine(factors, _family_matrix(args), args.order))
 
 
 def _cmd_poisson(args) -> str:
     f, g = _parse_exprs(args, args.dim)
-    K = _family_matrix(args, args.dim)
-    return str(poisson_bracket(f, g, K))
+    return str(poisson_bracket(f, g, _family_matrix(args)))
 
 
 def _cmd_wick_power(args) -> str:
-    K = _family_matrix(args, args.dim)
-    return str(wick_power(args.index, args.power, K, args.dim))
+    return str(wick_power(args.index, args.power, _family_matrix(args), args.dim))
 
 
 def _cmd_wick_invert(args) -> str:
-    K = _family_matrix(args, args.dim)
-    terms = wick_unpower(args.index, args.power, K, args.dim)
+    terms = wick_unpower(args.index, args.power, _family_matrix(args), args.dim)
     if args.json:
         return json.dumps(
             [{"degree": deg, "coeff": str(coeff)} for coeff, deg in terms]
@@ -109,23 +103,15 @@ def _cmd_wick_invert(args) -> str:
     return "\n".join(f"{deg} {coeff}" for coeff, deg in terms)
 
 
-def _wick_spec(args, powers: tuple[int, ...]) -> WickMonomialSpec:
+def _cmd_expect(engine, args) -> str:
+    powers = _parse_n(args.n)
     d = len(powers)
-    return WickMonomialSpec(
+    spec = WickMonomialSpec(
         powers,
         PropagatorMatrix.family(args.family, d, zero_diagonal=True),
         PropagatorMatrix.family(args.family, d),
     )
-
-
-def _cmd_expect(args) -> str:
-    powers = _parse_n(args.n)
-    return str(expectation_formula(_wick_spec(args, powers)))
-
-
-def _cmd_expect_oracle(args) -> str:
-    powers = _parse_n(args.n)
-    return str(expectation_oracle(_wick_spec(args, powers)))
+    return str(engine(spec))
 
 
 def _cmd_enum_adj(args) -> str:
@@ -149,7 +135,7 @@ def _cmd_witness(args) -> str:
     matrix = admissible_witness(_parse_n(args.n))
     if args.json:
         return json.dumps(matrix.tolist(), separators=(",", ":"))
-    return _matrix_lines(matrix)
+    return str(matrix)
 
 
 def _cmd_ssyt(args) -> str:
@@ -179,8 +165,7 @@ def _cmd_feynman(args) -> str | None:
 
 def _cmd_field_star(args) -> str:
     grid = _load_grid(args.grid)
-    f = parse(args.exprs[0], grid.size, set(args.sym or []))
-    g = parse(args.exprs[1], grid.size, set(args.sym or []))
+    f, g = _parse_exprs(args, grid.size)
     return _num_text(field_star(f, g, grid, args.order))
 
 
@@ -191,129 +176,91 @@ def _cmd_field_expect(args) -> str:
 
 def _cmd_functional_star(args) -> str:
     grid = _load_grid(args.grid)
-    f = parse(args.exprs[0], args.dim, set(args.sym or []))
-    g = parse(args.exprs[1], args.dim, set(args.sym or []))
+    f, g = _parse_exprs(args, args.dim)
     if args.nodes:
         nodes = tuple(
             tuple(label.strip() for label in chunk.split(","))
             for chunk in args.nodes.split(";")
         )
-        if args.weights:
-            weights = tuple(Fraction(w) for w in args.weights.split(","))
-            if len(weights) != len(nodes):
-                raise _UsageError("--weights must list one weight per node")
-        else:
-            weights = tuple(Fraction(1) for _ in nodes)
+        weights = args.weights or (Fraction(1),) * len(nodes)
+        if len(weights) != len(nodes):
+            raise _UsageError("--weights must list one weight per node")
         rule = QuadratureRule(nodes, weights)
+    elif args.weights:
+        raise _UsageError("--weights requires --nodes")
     else:
-        if args.weights:
-            raise _UsageError("--weights requires --nodes")
         rule = QuadratureRule.all_tuples(grid, args.dim)
     return _num_text(functional_star(f, g, rule, grid, args.order))
 
 
-def _add_common(sub: argparse.ArgumentParser, *, dim: bool = False, exprs: int = 0) -> None:
-    if dim:
-        sub.add_argument("--dim", type=int, required=True, help="number of variables")
-    sub.add_argument("--order", type=_order, default=None, help="hbar truncation order")
-    sub.add_argument("--family", default="K", help="propagator family name")
-    sub.add_argument(
-        "--sym", action="append", default=[], metavar="FAMILY",
-        help="declare a family symmetric (repeatable)",
-    )
-    if exprs:
-        nargs = "+" if exprs < 0 else exprs
-        sub.add_argument("exprs", nargs=nargs, help="polynomial expressions")
+# Arguments shared between subcommands, each declared once: name -> (flag, options).
+_ARGS = {
+    "dim": ("--dim", dict(type=int, required=True, help="number of variables")),
+    "order": ("--order", dict(type=_order, help="hbar truncation order")),
+    "family": ("--family", dict(default="K", help="propagator family name")),
+    "sym": ("--sym", dict(action="append", default=[], metavar="FAMILY",
+                          help="declare a family symmetric (repeatable)")),
+    "exprs": ("exprs", dict(nargs="+", help="polynomial expressions")),
+    "exprs2": ("exprs", dict(nargs=2, help="two polynomial expressions")),
+    "index": ("index", dict(type=int, help="variable index (1-based)")),
+    "power": ("power", dict(type=int, help="power")),
+    "n": ("--n", dict(required=True, help="comma-separated integers")),
+    "grid": ("--grid", dict(required=True, metavar="FILE", help="kernel grid JSON file")),
+    "json": ("--json", dict(action="store_true", help="print JSON")),
+}
+
+# One row per subcommand: name, help, handler, and its arguments, each a
+# key of _ARGS or a one-off (flag, options) pair.
+_COMMANDS = (
+    ("star", "multi-factor star product", partial(_cmd_star, star_multi),
+     ("dim", "order", "family", "sym", "exprs")),
+    ("star-graphs", "star product assembled from graphs", partial(_cmd_star, star_via_graphs),
+     ("dim", "order", "family", "sym", "exprs")),
+    ("poisson", "Poisson bracket of two polynomials", _cmd_poisson,
+     ("dim", "family", "sym", "exprs2")),
+    ("wick-power", "Wick power of one coordinate", _cmd_wick_power,
+     ("dim", "family", "sym", "index", "power")),
+    ("wick-invert", "expand a plain power in Wick powers", _cmd_wick_invert,
+     ("dim", "family", "sym", "index", "power", "json")),
+    ("expect", "combinatorial Wick-monomial expectation",
+     partial(_cmd_expect, expectation_formula), ("n", "family")),
+    ("expect-oracle", "brute-force Wick-monomial expectation",
+     partial(_cmd_expect, expectation_oracle), ("n", "family")),
+    ("enum-adj", "enumerate adjacency matrices", _cmd_enum_adj, (
+        ("--dim", dict(type=int, default=2, help="matrix size")),
+        ("--deg", dict(type=int, help="total degree")),
+        ("--n", dict(help="prescribed row sums")),
+        "json",
+    )),
+    ("admissible", "closed-form admissibility test", _cmd_admissible, ("n",)),
+    ("witness", "adjacency matrix realizing row sums", _cmd_witness, ("n", "json")),
+    ("ssyt", "two-row tableau of an admissible sequence", _cmd_ssyt, ("n", "json")),
+    ("feynman", "DOT export of the multigraph of a matrix", _cmd_feynman, (
+        ("matrix", dict(help="adjacency matrix as JSON rows")),
+        ("--dot", dict(metavar="PATH", help="write DOT here")),
+        "json",
+    )),
+    ("field-star", "star product of densities on a grid", _cmd_field_star,
+     ("grid", "order", "sym", "exprs2")),
+    ("field-expect", "field expectation on a grid", _cmd_field_expect, ("grid", "n")),
+    ("functional-star", "quadrature star product of functionals", _cmd_functional_star, (
+        "grid", "dim", "order", "sym",
+        ("--nodes", dict(help="semicolon-separated label tuples")),
+        ("--weights", dict(type=_weights, help="comma-separated rationals, one per node")),
+        "exprs2",
+    )),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="starwick", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subs.add_parser("star", help="multi-factor star product")
-    _add_common(sub, dim=True, exprs=-1)
-    sub.set_defaults(handler=_cmd_star)
-
-    sub = subs.add_parser("star-graphs", help="star product assembled from graphs")
-    _add_common(sub, dim=True, exprs=-1)
-    sub.set_defaults(handler=_cmd_star_graphs)
-
-    sub = subs.add_parser("poisson", help="Poisson bracket of two polynomials")
-    _add_common(sub, dim=True, exprs=2)
-    sub.set_defaults(handler=_cmd_poisson)
-
-    sub = subs.add_parser("wick-power", help="Wick power of one coordinate")
-    _add_common(sub, dim=True)
-    sub.add_argument("index", type=int, help="variable index (1-based)")
-    sub.add_argument("power", type=int, help="power")
-    sub.set_defaults(handler=_cmd_wick_power)
-
-    sub = subs.add_parser("wick-invert", help="expand a plain power in Wick powers")
-    _add_common(sub, dim=True)
-    sub.add_argument("index", type=int)
-    sub.add_argument("power", type=int)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_wick_invert)
-
-    sub = subs.add_parser("expect", help="combinatorial Wick-monomial expectation")
-    sub.add_argument("--n", required=True, help="comma-separated powers")
-    sub.add_argument("--family", default="K")
-    sub.set_defaults(handler=_cmd_expect)
-
-    sub = subs.add_parser("expect-oracle", help="brute-force Wick-monomial expectation")
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--family", default="K")
-    sub.set_defaults(handler=_cmd_expect_oracle)
-
-    sub = subs.add_parser("enum-adj", help="enumerate adjacency matrices")
-    sub.add_argument("--dim", type=int, default=2)
-    sub.add_argument("--deg", type=int, default=None, help="total degree")
-    sub.add_argument("--n", default=None, help="prescribed row sums")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_enum_adj)
-
-    sub = subs.add_parser("admissible", help="closed-form admissibility test")
-    sub.add_argument("--n", required=True)
-    sub.set_defaults(handler=_cmd_admissible)
-
-    sub = subs.add_parser("witness", help="adjacency matrix realizing row sums")
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_witness)
-
-    sub = subs.add_parser("ssyt", help="two-row tableau of an admissible sequence")
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_ssyt)
-
-    sub = subs.add_parser("feynman", help="DOT export of the multigraph of a matrix")
-    sub.add_argument("matrix", help="adjacency matrix as JSON rows")
-    sub.add_argument("--dot", metavar="PATH", default=None, help="write DOT here")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_feynman)
-
-    sub = subs.add_parser("field-star", help="star product of densities on a grid")
-    sub.add_argument("--grid", required=True, metavar="FILE")
-    sub.add_argument("--order", type=_order, default=None)
-    sub.add_argument("--sym", action="append", default=[])
-    sub.add_argument("exprs", nargs=2)
-    sub.set_defaults(handler=_cmd_field_star)
-
-    sub = subs.add_parser("field-expect", help="field expectation on a grid")
-    sub.add_argument("--grid", required=True, metavar="FILE")
-    sub.add_argument("--n", required=True)
-    sub.set_defaults(handler=_cmd_field_expect)
-
-    sub = subs.add_parser("functional-star", help="quadrature star product of functionals")
-    sub.add_argument("--grid", required=True, metavar="FILE")
-    sub.add_argument("--dim", type=int, required=True, help="density arity")
-    sub.add_argument("--order", type=_order, default=None)
-    sub.add_argument("--sym", action="append", default=[])
-    sub.add_argument("--nodes", default=None, help="semicolon-separated label tuples")
-    sub.add_argument("--weights", default=None, help="comma-separated weights")
-    sub.add_argument("exprs", nargs=2)
-    sub.set_defaults(handler=_cmd_functional_star)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for argument in arguments:
+            flag, options = _ARGS[argument] if isinstance(argument, str) else argument
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 

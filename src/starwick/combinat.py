@@ -32,6 +32,13 @@ class AdjacencyMatrix:
                     raise ValueError("matrix must be symmetric")
 
     @classmethod
+    def _raw(cls, rows: tuple[tuple[int, ...], ...]) -> "AdjacencyMatrix":
+        """A matrix valid by construction, built without the checks."""
+        out = object.__new__(cls)
+        out.__dict__["rows"] = rows
+        return out
+
+    @classmethod
     def zero(cls, size: int) -> "AdjacencyMatrix":
         return cls(tuple((0,) * size for _ in range(size)))
 
@@ -98,6 +105,16 @@ def _upper_slots(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
 
 
+def _from_slots(d: int, slots: list[tuple[int, int]], values: list[int]) -> AdjacencyMatrix:
+    """The matrix with ``values[s]`` at upper slot ``slots[s]`` and at its
+    mirror.  The walks only write non-negative values, so the result is a
+    valid adjacency matrix and is built without the checks."""
+    grid = [[0] * d for _ in range(d)]
+    for (i, j), v in zip(slots, values):
+        grid[i][j] = grid[j][i] = v
+    return AdjacencyMatrix._raw(tuple(map(tuple, grid)))
+
+
 def enumerate_adjacency_by_degree(
     d: int, degree: int, row_caps: Sequence[int] | None = None
 ) -> list[AdjacencyMatrix]:
@@ -126,11 +143,7 @@ def enumerate_adjacency_by_degree(
     def walk(idx: int, remaining: int) -> None:
         if idx == len(slots):
             if remaining == 0:
-                out.append(
-                    AdjacencyMatrix.from_upper(
-                        d, {slots[s]: values[s] for s in range(len(slots)) if values[s]}
-                    )
-                )
+                out.append(_from_slots(d, slots, values))
             return
         if caps is not None:
             headroom = sum(max(free(i), 0) for i in range(d)) // 2
@@ -172,11 +185,7 @@ def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
             return
         if idx == len(slots):
             if all(v == 0 for v in rem):
-                out.append(
-                    AdjacencyMatrix.from_upper(
-                        d, {slots[s]: values[s] for s in range(len(slots)) if values[s]}
-                    )
-                )
+                out.append(_from_slots(d, slots, values))
             return
         i, j = slots[idx]
         for v in range(min(rem[i], rem[j]) + 1):
@@ -184,9 +193,7 @@ def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
             rem[i] -= v
             rem[j] -= v
             # row i is final once its last slot (i, d-1) has been assigned
-            if j == d - 1 and rem[i] != 0:
-                pass
-            else:
+            if j < d - 1 or rem[i] == 0:
                 walk(idx + 1)
             rem[i] += v
             rem[j] += v

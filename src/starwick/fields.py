@@ -34,7 +34,10 @@ def _decode_number(value, mode: str) -> Num:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"rational mode cannot hold {value!r}; use 'p/q' strings")
 
 

@@ -16,7 +16,6 @@ forms are checked against it rather than trusted.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -147,7 +146,6 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
         raise ValueError("ordering propagator must have a zero diagonal")
     total = sum(spec.powers)
     if total % 2:
-        warnings.warn("odd total power: expectation vanishes by convention")
         return CoeffElement.zero()
     m = total // 2
     product = wick_monomial_star(spec, order=m)

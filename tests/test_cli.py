@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from starwick.cli import main
+from starwick.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -47,6 +48,14 @@ class TestWickCommands:
         assert code == 0
         assert out.splitlines() == ["2 1", "0 -hbar*K[K;1,1]"]
 
+    def test_wick_invert_json(self, capsys):
+        code, out, _ = run(capsys, "wick-invert", "--dim", "1", "1", "2", "--json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"degree": 2, "coeff": "1"},
+            {"degree": 0, "coeff": "-hbar*K[K;1,1]"},
+        ]
+
     def test_expect_isserlis(self, capsys):
         code, out, _ = run(capsys, "expect", "--n", "1,1,1,1", "--family", "K")
         assert code == 0
@@ -58,6 +67,16 @@ class TestWickCommands:
         _, formula, _ = run(capsys, "expect", "--n", "1,1,1,1")
         _, oracle, _ = run(capsys, "expect-oracle", "--n", "1,1,1,1")
         assert formula == oracle
+
+    def test_expect_family(self, capsys):
+        code, out, _ = run(capsys, "expect", "--n", "1,1", "--family", "P")
+        assert code == 0
+        assert out == "K[P;1,2]\n"
+
+    @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside pytest
+    @pytest.mark.parametrize("command", ["expect", "expect-oracle"])
+    def test_odd_total_is_silent_zero(self, capsys, command):
+        assert run(capsys, command, "--n", "3") == (0, "0\n", "")
 
 
 class TestCombinatCommands:
@@ -94,6 +113,11 @@ class TestCombinatCommands:
         code, out, _ = run(capsys, "witness", "--n", "2,2")
         assert code == 0
         assert out == "0 2\n2 0\n"
+
+    def test_witness_json(self, capsys):
+        code, out, _ = run(capsys, "witness", "--n", "2,2", "--json")
+        assert code == 0
+        assert out == "[[0,2],[2,0]]\n"
 
     def test_witness_inadmissible_is_computation_error(self, capsys):
         code, _, err = run(capsys, "witness", "--n", "3,1")
@@ -155,6 +179,11 @@ class TestFieldCommands:
         assert code == 0
         assert out == "3\n"
 
+    def test_field_star_sym(self, capsys, grid_file):
+        code, out, _ = run(capsys, "field-star", "--grid", grid_file, "--sym", "K", "x1", "x2")
+        assert code == 0
+        assert out == "3\n"
+
     def test_field_expect(self, capsys, grid_file):
         code, out, _ = run(capsys, "field-expect", "--grid", grid_file, "--n", "1,1")
         assert code == 0
@@ -166,6 +195,14 @@ class TestFieldCommands:
         )
         assert code == 0
         assert out == "24\n"  # 2 * 3 * (1 + 1)^2
+
+    def test_functional_star_order_zero(self, capsys, grid_file):
+        code, out, _ = run(
+            capsys, "functional-star", "--grid", grid_file, "--dim", "1", "--order", "0",
+            "x1", "x1",
+        )
+        assert code == 0
+        assert out == "9\n"  # (phi(a) + phi(b))^2, no hbar term
 
     def test_functional_star_explicit_nodes(self, capsys, grid_file):
         code, out, _ = run(
@@ -184,6 +221,24 @@ class TestFieldCommands:
         )
         assert code == 0
         assert out == "3/2\n"  # phi(a)^2 + hbar * K(a, a)
+
+    @pytest.mark.parametrize("weights", ["1/0", "abc"])
+    def test_bad_weights_are_usage_errors(self, capsys, grid_file, weights):
+        code, out, err = run(
+            capsys, "functional-star", "--grid", grid_file, "--dim", "1",
+            "--nodes", "a", "--weights", weights, "x1", "x1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--weights" in err
+
+    def test_zero_denominator_grid_is_computation_error(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"points": ["a"], "kernel": [["1/0"]], "field": [1]}))
+        code, out, err = run(capsys, "field-star", "--grid", str(path), "x1", "x1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "zero denominator" in err
 
     def test_missing_grid_file_is_computation_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -233,7 +288,6 @@ class TestExitCodes:
         [
             ["star", "--dim", "1", "x1"],
             ["star-graphs", "--dim", "1", "x1"],
-            ["poisson", "--dim", "1", "x1", "x1"],
             ["field-star", "--grid", "unused.json", "x1", "x1"],
             ["functional-star", "--grid", "unused.json", "--dim", "1", "x1", "x1"],
         ],
@@ -243,3 +297,54 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "non-negative" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poisson", "--dim", "1", "--order", "1", "x1", "x1"],
+            ["wick-power", "--dim", "1", "--order", "0", "1", "4"],
+            ["wick-invert", "--dim", "1", "--order", "0", "1", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_order_is_usage_error_where_unused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+# Option strings (without -h/--help) and positionals of every subcommand.
+SURFACE = {
+    "star": (["--dim", "--family", "--order", "--sym"], ["exprs"]),
+    "star-graphs": (["--dim", "--family", "--order", "--sym"], ["exprs"]),
+    "poisson": (["--dim", "--family", "--sym"], ["exprs"]),
+    "wick-power": (["--dim", "--family", "--sym"], ["index", "power"]),
+    "wick-invert": (["--dim", "--family", "--json", "--sym"], ["index", "power"]),
+    "expect": (["--family", "--n"], []),
+    "expect-oracle": (["--family", "--n"], []),
+    "enum-adj": (["--deg", "--dim", "--json", "--n"], []),
+    "admissible": (["--n"], []),
+    "witness": (["--json", "--n"], []),
+    "ssyt": (["--json", "--n"], []),
+    "feynman": (["--dot", "--json"], ["matrix"]),
+    "field-star": (["--grid", "--order", "--sym"], ["exprs"]),
+    "field-expect": (["--grid", "--n"], []),
+    "functional-star": (
+        ["--dim", "--grid", "--nodes", "--order", "--sym", "--weights"],
+        ["exprs"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_cli_surface(command):
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subs.choices) == list(SURFACE)
+    actions = subs.choices[command]._actions
+    options = sorted(
+        s for a in actions for s in a.option_strings if s not in ("-h", "--help")
+    )
+    positionals = [a.dest for a in actions if not a.option_strings]
+    assert (options, positionals) == SURFACE[command]

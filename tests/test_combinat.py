@@ -99,6 +99,20 @@ class TestEnumerateByRowsums:
         assert uppers == sorted(uppers)
 
 
+def test_enumerated_matrices_equal_checked_construction():
+    runs = [enumerate_adjacency_by_degree(d, deg) for d in range(1, 5) for deg in (0, 2, 4, 6)]
+    runs += [
+        enumerate_adjacency_by_degree(4, 4, row_caps=caps)
+        for caps in ([1, 1, 1, 1], [2, 0, 1, 3], [4, 4, 4, 4])
+    ]
+    runs += [enumerate_adjacency_by_rowsums(n) for n in positive_sequences(6, 4)]
+    runs += [enumerate_adjacency_by_rowsums(n) for n in [(0, 0), (2, 2, 0), (3, 3, 2, 2)]]
+    assert sum(len(run) for run in runs) > 100
+    for run in runs:
+        for m in run:
+            assert m == AdjacencyMatrix.from_rows(m.tolist())
+
+
 class TestAdmissibility:
     def test_examples(self):
         assert is_admissible((1, 1, 1)) is False

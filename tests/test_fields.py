@@ -116,6 +116,11 @@ class TestGridCodec:
         with pytest.raises(ValueError, match="finite"):
             KernelGrid.from_json(text)
 
+    def test_zero_denominator_entry_rejected(self):
+        text = '{"points": ["a"], "kernel": [["1/0"]], "field": [1]}'
+        with pytest.raises(ValueError, match="zero denominator"):
+            KernelGrid.from_json(text)
+
 
 class TestSpecialize:
     def test_first_order_example(self):
