@@ -348,6 +348,13 @@ class VarMonomial:
                 raise ValueError("variable entries must be strictly sorted")
             prev = (block, index)
 
+    @classmethod
+    def _raw(cls, items: tuple) -> "VarMonomial":
+        """A monomial valid by construction, built without the checks."""
+        out = object.__new__(cls)
+        out.__dict__["items"] = items
+        return out
+
     @staticmethod
     def make(exps: Mapping[tuple[int, int], int]) -> "VarMonomial":
         return VarMonomial(tuple(sorted((k, e) for k, e in exps.items() if e != 0)))
@@ -546,22 +553,19 @@ class Poly:
         key = (block, index)
         out: dict[VarMonomial, CoeffElement] = {}
         for vm, ce in self._terms.items():
-            exps = dict(vm.items)
-            e = exps.get(key)
-            if not e:
+            items = vm.items
+            for pos, (k, e) in enumerate(items):
+                if k == key:
+                    break
+            else:
                 continue
-            if e == 1:
-                del exps[key]
-            else:
-                exps[key] = e - 1
-            nvm = VarMonomial.make(exps)
-            c = ce * e
-            s = out.get(nvm)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(nvm, None)
-            else:
-                out[nvm] = s
+            # Lowering one exponent keeps the items sorted and maps distinct
+            # monomials to distinct ones, so nothing merges or cancels.
+            rest = items[pos + 1 :]
+            lowered = items[:pos] + (((key, e - 1),) + rest if e > 1 else rest)
+            out[VarMonomial._raw(lowered)] = ce if e == 1 else CoeffElement._raw(
+                {m: q * e for m, q in ce.items()}
+            )
         return Poly._raw(self._dim, out)
 
     def derivative_multi(self, orders: Iterable[int], block: int = 0) -> "Poly":

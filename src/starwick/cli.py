@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from .algebra import Poly
@@ -44,7 +44,7 @@ def _parse_n(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--n expects a comma-separated integer list, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _order(text: str) -> int:
@@ -55,9 +55,17 @@ def _order(text: str) -> int:
 
 def _weights(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(w) for w in text.split(",")) if text else ()
+        return tuple(Fraction(w) for w in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
+
+
+def _nodes(text: str) -> tuple[tuple[str, ...], ...]:
+    if not text:
+        raise argparse.ArgumentTypeError("expected semicolon-separated label tuples, got ''")
+    return tuple(
+        tuple(label.strip() for label in chunk.split(",")) for chunk in text.split(";")
+    )
 
 
 def _num_text(value) -> str:
@@ -104,10 +112,9 @@ def _cmd_wick_invert(args) -> str:
 
 
 def _cmd_expect(engine, args) -> str:
-    powers = _parse_n(args.n)
-    d = len(powers)
+    d = len(args.n)
     spec = WickMonomialSpec(
-        powers,
+        args.n,
         PropagatorMatrix.family(args.family, d, zero_diagonal=True),
         PropagatorMatrix.family(args.family, d),
     )
@@ -120,7 +127,7 @@ def _cmd_enum_adj(args) -> str:
     if args.deg is not None:
         matrices = enumerate_adjacency_by_degree(args.dim, args.deg)
     else:
-        matrices = enumerate_adjacency_by_rowsums(_parse_n(args.n))
+        matrices = enumerate_adjacency_by_rowsums(args.n)
     rows = [m.tolist() for m in matrices]
     if args.json:
         return json.dumps(rows, separators=(",", ":"))
@@ -128,18 +135,18 @@ def _cmd_enum_adj(args) -> str:
 
 
 def _cmd_admissible(args) -> str:
-    return "true" if is_admissible(_parse_n(args.n)) else "false"
+    return "true" if is_admissible(args.n) else "false"
 
 
 def _cmd_witness(args) -> str:
-    matrix = admissible_witness(_parse_n(args.n))
+    matrix = admissible_witness(args.n)
     if args.json:
         return json.dumps(matrix.tolist(), separators=(",", ":"))
     return str(matrix)
 
 
 def _cmd_ssyt(args) -> str:
-    tableau = ssyt_two_row(_parse_n(args.n))
+    tableau = ssyt_two_row(args.n)
     if args.json:
         return json.dumps(tableau.to_json(), separators=(",", ":"))
     return "\n".join(
@@ -171,22 +178,18 @@ def _cmd_field_star(args) -> str:
 
 def _cmd_field_expect(args) -> str:
     grid = _load_grid(args.grid)
-    return _num_text(field_expectation(_parse_n(args.n), grid))
+    return _num_text(field_expectation(args.n, grid))
 
 
 def _cmd_functional_star(args) -> str:
     grid = _load_grid(args.grid)
     f, g = _parse_exprs(args, args.dim)
-    if args.nodes:
-        nodes = tuple(
-            tuple(label.strip() for label in chunk.split(","))
-            for chunk in args.nodes.split(";")
-        )
-        weights = args.weights or (Fraction(1),) * len(nodes)
-        if len(weights) != len(nodes):
+    if args.nodes is not None:
+        weights = args.weights or (Fraction(1),) * len(args.nodes)
+        if len(weights) != len(args.nodes):
             raise _UsageError("--weights must list one weight per node")
-        rule = QuadratureRule(nodes, weights)
-    elif args.weights:
+        rule = QuadratureRule(args.nodes, weights)
+    elif args.weights is not None:
         raise _UsageError("--weights requires --nodes")
     else:
         rule = QuadratureRule.all_tuples(grid, args.dim)
@@ -204,17 +207,20 @@ _ARGS = {
     "exprs2": ("exprs", dict(nargs=2, help="two polynomial expressions")),
     "index": ("index", dict(type=int, help="variable index (1-based)")),
     "power": ("power", dict(type=int, help="power")),
-    "n": ("--n", dict(required=True, help="comma-separated integers")),
+    "n": ("--n", dict(type=_parse_n, required=True, help="comma-separated integers")),
     "grid": ("--grid", dict(required=True, metavar="FILE", help="kernel grid JSON file")),
     "json": ("--json", dict(action="store_true", help="print JSON")),
 }
 
 # One row per subcommand: name, help, handler, and its arguments, each a
-# key of _ARGS or a one-off (flag, options) pair.
+# key of _ARGS or a one-off (flag, options) pair.  A shared handler is given
+# its engine through a lambda that reads the module attribute at call time,
+# so a wrapper later installed on that attribute (a tracer) sees the call.
 _COMMANDS = (
-    ("star", "multi-factor star product", partial(_cmd_star, star_multi),
-     ("dim", "order", "family", "sym", "exprs")),
-    ("star-graphs", "star product assembled from graphs", partial(_cmd_star, star_via_graphs),
+    ("star", "multi-factor star product",
+     partial(_cmd_star, lambda *a: star_multi(*a)), ("dim", "order", "family", "sym", "exprs")),
+    ("star-graphs", "star product assembled from graphs",
+     partial(_cmd_star, lambda *a: star_via_graphs(*a)),
      ("dim", "order", "family", "sym", "exprs")),
     ("poisson", "Poisson bracket of two polynomials", _cmd_poisson,
      ("dim", "family", "sym", "exprs2")),
@@ -223,13 +229,13 @@ _COMMANDS = (
     ("wick-invert", "expand a plain power in Wick powers", _cmd_wick_invert,
      ("dim", "family", "sym", "index", "power", "json")),
     ("expect", "combinatorial Wick-monomial expectation",
-     partial(_cmd_expect, expectation_formula), ("n", "family")),
+     partial(_cmd_expect, lambda spec: expectation_formula(spec)), ("n", "family")),
     ("expect-oracle", "brute-force Wick-monomial expectation",
-     partial(_cmd_expect, expectation_oracle), ("n", "family")),
+     partial(_cmd_expect, lambda spec: expectation_oracle(spec)), ("n", "family")),
     ("enum-adj", "enumerate adjacency matrices", _cmd_enum_adj, (
         ("--dim", dict(type=int, default=2, help="matrix size")),
         ("--deg", dict(type=int, help="total degree")),
-        ("--n", dict(help="prescribed row sums")),
+        ("--n", dict(type=_parse_n, help="prescribed row sums")),
         "json",
     )),
     ("admissible", "closed-form admissibility test", _cmd_admissible, ("n",)),
@@ -245,7 +251,7 @@ _COMMANDS = (
     ("field-expect", "field expectation on a grid", _cmd_field_expect, ("grid", "n")),
     ("functional-star", "quadrature star product of functionals", _cmd_functional_star, (
         "grid", "dim", "order", "sym",
-        ("--nodes", dict(help="semicolon-separated label tuples")),
+        ("--nodes", dict(type=_nodes, help="semicolon-separated label tuples")),
         ("--weights", dict(type=_weights, help="comma-separated rationals, one per node")),
         "exprs2",
     )),
@@ -264,10 +270,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser, built on first use and reused by every later ``main`` call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         output = args.handler(args)
     except (_UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

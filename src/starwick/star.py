@@ -1,11 +1,17 @@
 """Star products generated by a matrix of abstract propagator coefficients.
 
-The product of two block groups applies the truncated exponential of the
-cross operator ``D = sum_ij K_ij d_i(x) d_j(y)``: term ``k`` carries
-``hbar^k / k!`` times ``k`` nested applications of ``D``.  The product
-is associative, so the multi-factor product is the pairwise product
-folded left over the factors.  The expansion as a sum over adjacency
-matrices lives only in :mod:`starwick.graphs`, which serves as the
+The product of two block groups is the closed-form sum
+
+    f * g = sum_M hbar^|M| prod_ij K_ij^M_ij / M_ij! * D^r f * D^c g
+
+over the ``d x d`` non-negative integer matrices ``M``, where ``r`` and
+``c`` are the row and column sums of ``M`` and ``D_i`` differentiates in
+``x_i`` over one factor's blocks.  It is the exponential of the cross
+operator ``sum_ij K_ij d_i(f) d_j(g)`` written out index by index.  The
+product is associative, so the multi-factor product is the pairwise
+product folded left over the factors.  The graph sum
+:func:`starwick.graphs.star_via_graphs`, which applies the cross operator
+through :func:`apply_bivector` once per internal vertex, is the
 independent oracle for this fold.
 
 For polynomial inputs every series terminates, so ``order=None`` means
@@ -15,6 +21,7 @@ keeps all hbar degrees up to it, exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +31,7 @@ from .algebra import (
     CoeffMonomial,
     Poly,
     PropagatorSymbol,
+    VarMonomial,
     RationalLike,
     _as_element,
 )
@@ -162,38 +170,220 @@ def _check_ordinary(*polys: Poly) -> None:
             raise ValueError("expected an ordinary (single-block) polynomial")
 
 
+class _Packing:
+    """Monomials as packed integers, one fixed-width field per exponent.
+
+    Field 0 holds the hbar exponent, then come one field per propagator
+    symbol and one per block-tagged variable, each group in sorted order.
+    The width holds ``bound``, the largest exponent a product may reach,
+    so adding two keys multiplies their monomials and subtracting one unit
+    lowers an exponent, with no carry or borrow between fields.
+    """
+
+    def __init__(self, symbols: list, variables: list, bound: int) -> None:
+        self.width = width = bound.bit_length()
+        self.mask = (1 << width) - 1
+        self.symbols = symbols
+        self.variables = variables
+        self.sym_shift = {s: width * n for n, s in enumerate(symbols, start=1)}
+        self.coeff_bits = width * (1 + len(symbols))
+        self.var_shift = {v: self.coeff_bits + width * n for n, v in enumerate(variables)}
+        self._coeff_keys: dict[CoeffMonomial, int] = {}
+
+    def coeff_key(self, m: CoeffMonomial) -> int:
+        key = self._coeff_keys.get(m)
+        if key is None:
+            key = m.hbar + sum(e << self.sym_shift[s] for s, e in m.symbols)
+            self._coeff_keys[m] = key
+        return key
+
+    def pack(self, p: Poly) -> tuple[list[tuple[int, int]], int]:
+        """The terms of ``p`` as (key, numerator) pairs, and their denominator."""
+        terms = []
+        for vm, ce in p.items():
+            vkey = sum(e << self.var_shift[v] for v, e in vm.items)
+            terms.extend((vkey + self.coeff_key(m), q) for m, q in ce.items())
+        den = math.lcm(*(q.denominator for _, q in terms))
+        return [(key, q.numerator * (den // q.denominator)) for key, q in terms], den
+
+    def shifts(self, blocks: set[int], d: int) -> list[list[int]]:
+        """Per variable index, the fields that ``D_i`` over ``blocks`` lowers."""
+        return [
+            [self.var_shift[(b, i)] for b in blocks if (b, i) in self.var_shift]
+            for i in range(1, d + 1)
+        ]
+
+    def unpack(self, total: dict[int, int], den: int, order: int | None, dim: int) -> Poly:
+        """The polynomial ``sum key * numerator / den``, cut above hbar^order."""
+        width, mask, coeff_mask = self.width, self.mask, (1 << self.coeff_bits) - 1
+        monos: dict[int, CoeffMonomial] = {}
+        grouped: dict[int, dict[CoeffMonomial, Fraction]] = {}
+        for key, num in total.items():
+            ck = key & coeff_mask
+            if not num or (order is not None and ck & mask > order):
+                continue
+            mono = monos.get(ck)
+            if mono is None:
+                symbols = self._fields(ck >> width, self.symbols)
+                mono = monos[ck] = CoeffMonomial._raw(ck & mask, symbols)
+            terms = grouped.get(key >> self.coeff_bits)
+            if terms is None:
+                terms = grouped[key >> self.coeff_bits] = {}
+            terms[mono] = Fraction(num, den)
+        return Poly._raw(dim, {
+            VarMonomial._raw(self._fields(vk, self.variables)): CoeffElement._raw(terms)
+            for vk, terms in grouped.items()
+        })
+
+    def _fields(self, packed: int, names: list) -> tuple:
+        """The nonzero fields of ``packed`` as sorted (name, exponent) items."""
+        items = []
+        for name in names:
+            if not packed:
+                break
+            if packed & self.mask:
+                items.append((name, packed & self.mask))
+            packed >>= self.width
+        return tuple(items)
+
+
+def _derivative_table(terms: list, shifts: list[list[int]], mask: int, d: int):
+    """Lazy map ``r -> D^r p`` over packed terms, each entry derived once."""
+    memo = {(0,) * d: terms}
+
+    def at(r: tuple[int, ...]) -> list[tuple[int, int]]:
+        out = memo.get(r)
+        if out is None:
+            i = max(n for n in range(d) if r[n])
+            acc: dict[int, int] = {}
+            for key, num in at(r[:i] + (r[i] - 1,) + r[i + 1 :]):
+                for shift in shifts[i]:
+                    e = (key >> shift) & mask
+                    if e:
+                        k = key - (1 << shift)
+                        acc[k] = acc.get(k, 0) + num * e
+            out = memo[r] = [(k, v) for k, v in acc.items() if v]
+        return out
+
+    return at
+
+
+def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, left_at, right_at):
+    """Weights ``W(r, c)`` as packed integer terms over the returned denominator.
+
+    ``W(r, c)`` sums ``hbar^|M| prod_ij K_ij^M_ij / M_ij!`` over the
+    matrices ``M`` on the nonzero ``cells`` with ``|M| <= kmax``, row sums
+    ``r`` and column sums ``c``.  Every node of the walk is one matrix.  A
+    derivative table that vanishes at ``r`` vanishes at every larger
+    ``r``, so the walk stops growing a cell there.  With ``scale`` the
+    common denominator of the entries, a matrix is brought to the common
+    denominator ``kmax! * scale^kmax`` by its spare budget ``kmax - |M|``.
+    """
+    scale = math.lcm(*(q.denominator for *_, e in cells for _, q in e.items()))
+    # Each entry as packed terms of hbar * scale * K_ij, all integers.
+    entries = [
+        (i, j, [(packing.coeff_key(m) + 1, q.numerator * (scale // q.denominator))
+                for m, q in e.items()])
+        for i, j, e in cells
+    ]
+    top = math.factorial(kmax)
+    weights: dict[tuple, dict[int, int]] = {}
+
+    def walk(start: int, budget: int, w: list, fact: int, rs: tuple, cs: tuple) -> None:
+        acc = weights.setdefault((rs, cs), {})
+        factor = top // fact * scale**budget
+        for k, n in w:
+            acc[k] = acc.get(k, 0) + n * factor
+        for t in range(start, len(entries)):
+            i, j, entry = entries[t]
+            wm, fm, r2, c2 = w, fact, rs, cs
+            for m in range(1, budget + 1):
+                r2 = r2[:i] + (r2[i] + 1,) + r2[i + 1 :]
+                c2 = c2[:j] + (c2[j] + 1,) + c2[j + 1 :]
+                if not left_at(r2) or not right_at(c2):
+                    break
+                prod: dict[int, int] = {}
+                for k1, n1 in wm:
+                    for k2, n2 in entry:
+                        prod[k1 + k2] = prod.get(k1 + k2, 0) + n1 * n2
+                wm = list(prod.items())
+                fm *= m
+                walk(t + 1, budget - m, wm, fm, r2, c2)
+
+    walk(0, kmax, [(0, 1)], 1, (0,) * d, (0,) * d)
+    return weights, top * scale**kmax
+
+
+def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) -> Poly:
+    """The closed-form product of two block groups.
+
+    Sums ``hbar^|M| prod_ij K_ij^M_ij / M_ij! * D^r left * D^c right`` over
+    the non-negative integer matrices ``M`` on the nonzero cells of ``K``,
+    where ``r`` and ``c`` are the row and column sums of ``M`` and ``D_i``
+    is the derivative in ``x_i`` summed over one side's blocks.  Monomials
+    are packed integers (:class:`_Packing`) and coefficients are integer
+    numerators over one common denominator; one ``Fraction`` is built per
+    output term.
+    """
+    d = K.dim
+    cells = [(i, j, e) for i, row in enumerate(K.entries) for j, e in enumerate(row) if e]
+    # |M| derivatives fall on each side, so the smaller total degree bounds it.
+    kmax = min(left.total_degree(), right.total_degree()) if cells else 0
+    if order is not None:
+        kmax = min(kmax, order)
+
+    def widest(elements) -> int:
+        return max((m.degree() for ce in elements for m, _ in ce.items()), default=0)
+
+    sides = (left, right)
+    packing = _Packing(
+        sorted(set().union(*(p.symbols() for p in sides), *(e.symbols() for *_, e in cells))),
+        sorted({v for p in sides for vm, _ in p.items() for v, _ in vm.items}),
+        sum(max(p.total_degree(), widest(ce for _, ce in p.items())) for p in sides)
+        + kmax * (1 + widest(e for *_, e in cells)),
+    )
+    (left_terms, left_den), (right_terms, right_den) = packing.pack(left), packing.pack(right)
+    left_at = _derivative_table(left_terms, packing.shifts(left.blocks(), d), packing.mask, d)
+    right_at = _derivative_table(right_terms, packing.shifts(right.blocks(), d), packing.mask, d)
+    weights, weight_den = _moyal_weights(cells, packing, kmax, d, left_at, right_at)
+
+    # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
+    absorbed: dict[tuple[int, ...], dict[int, int]] = {}
+    for (rs, cs), w in weights.items():
+        acc = absorbed.setdefault(cs, {})
+        lower = left_at(rs)
+        for kw, nw in w.items():
+            if nw:
+                for kl, nl in lower:
+                    acc[kw + kl] = acc.get(kw + kl, 0) + nw * nl
+    total: dict[int, int] = {}
+    for cs, acc in absorbed.items():
+        upper = right_at(cs)
+        for ka, na in acc.items():
+            if na:
+                for kr, nr in upper:
+                    total[ka + kr] = total.get(ka + kr, 0) + na * nr
+    return packing.unpack(total, left_den * right_den * weight_den, order, left.dim)
+
+
 def star_tensor(
     left: Poly, right: Poly, K: PropagatorMatrix, order: int | None = None
 ) -> Poly:
     """Star product of two block groups, keeping all blocks separate."""
     _check_order(order)
     _check_dims(K, left, right)
-    lb, rb = left.blocks(), right.blocks()
-    overlap = lb & rb
+    overlap = left.blocks() & right.blocks()
     if overlap:
         raise ValueError(f"overlapping block tags between factors: {sorted(overlap)}")
-    cur = left * right
-    result = cur
-    k = 0
-    while not cur.is_zero():
-        k += 1
-        if order is not None and k > order:
-            break
-        cur = apply_bivector(cur, K, lb, rb)
-        if cur.is_zero():
-            break
-        cur = cur * _hbar_over(k)
-        result = result + cur
-    if order is not None:
-        result = result.truncate_hbar(order)
-    return result
+    return _moyal_sum(left, right, K, order)
 
 
 def star2(f: Poly, g: Poly, K: PropagatorMatrix, order: int | None = None) -> Poly:
     """Star product of two ordinary polynomials on the same variables."""
     _check_ordinary(f, g)
-    shifted = g.relabel_blocks({0: 1})
-    return star_tensor(f, shifted, K, order).merge_blocks()
+    _check_order(order)
+    _check_dims(K, f, g)
+    return _moyal_sum(f, g, K, order)
 
 
 def star_multi(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from starwick import CoeffElement, Poly, PropagatorMatrix, star_tensor
+from starwick import CoeffElement, CoeffMonomial, Poly, PropagatorMatrix, apply_bivector
 
 
 def rand_rational(rng: random.Random, span: int = 3, den: int = 3) -> Fraction:
@@ -64,20 +64,44 @@ def poly_from_coeff(value: CoeffElement, dim: int) -> Poly:
     return Poly.constant(value, dim)
 
 
+def star_tensor_oracle(left: Poly, right: Poly, K: PropagatorMatrix, order=None) -> Poly:
+    """Independent oracle for ``star.star_tensor``.
+
+    Applies the truncated exponential of ``D = sum_ij K_ij d_i(left) d_j(right)``
+    to the tensor ``left * right`` by iteration: term ``k`` is ``hbar^k / k!``
+    times ``k`` nested ``apply_bivector`` calls.  ``star2(f, g)`` is this
+    product with ``g`` moved to block 1, then merged back onto block 0.
+    """
+    lb, rb = left.blocks(), right.blocks()
+    cur = left * right
+    result = cur
+    k = 0
+    while not cur.is_zero():
+        k += 1
+        if order is not None and k > order:
+            break
+        cur = apply_bivector(cur, K, lb, rb)
+        cur = cur * CoeffElement({CoeffMonomial(hbar=1): Fraction(1, k)})
+        result = result + cur
+    if order is not None:
+        result = result.truncate_hbar(order)
+    return result
+
+
 def functional_star_oracle(f: Poly, g: Poly, rule, grid, order=None, absolute=False):
     """Independent oracle for ``fields.functional_star``.
 
-    Builds the same two-block ``star_tensor`` integrand, then walks it
-    through the generic ``Poly.evaluate`` once per node pair, with the
-    kernel cross-sampled at ``K(s_i, t_j)`` and the field read at ``s`` in
-    block 0 and at ``t`` in every other block.  The weights are used as
-    given, so the caller passes them in the grid's number type.  With
-    ``absolute`` every coefficient, sample, hbar and weight enters by its
-    absolute value, which gives the sum of the absolute summands: the
-    scale of a float tolerance.
+    Builds the same two-block integrand through ``star_tensor_oracle``,
+    then walks it through the generic ``Poly.evaluate`` once per node
+    pair, with the kernel cross-sampled at ``K(s_i, t_j)`` and the field
+    read at ``s`` in block 0 and at ``t`` in every other block.  The
+    weights are used as given, so the caller passes them in the grid's
+    number type.  With ``absolute`` every coefficient, sample, hbar and
+    weight enters by its absolute value, which gives the sum of the
+    absolute summands: the scale of a float tolerance.
     """
     K = PropagatorMatrix.family("K", f.dim)
-    symbolic = star_tensor(f, g.relabel_blocks({0: 1}), K, order)
+    symbolic = star_tensor_oracle(f, g.relabel_blocks({0: 1}), K, order)
     mag = abs if absolute else (lambda v: v)
     if absolute:
         symbolic = Poly(

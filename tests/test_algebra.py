@@ -184,6 +184,23 @@ def test_derivative_index_out_of_range():
 
 
 @settings(max_examples=60, deadline=None)
+@given(polys(dim=3, blocks=(0, 1, 2)), st.integers(1, 3), st.sampled_from([0, 1, 2]))
+def test_derivative_monomials_match_checked_construction(p, index, block):
+    expected = Poly.zero(3)
+    for vm, ce in p.items():
+        exps = dict(vm.items)
+        e = exps.get((block, index), 0)
+        if e:
+            exps[(block, index)] = e - 1
+            expected = expected + Poly(3, {VarMonomial.make(exps): ce * e})
+    derived = p.derivative(index, block=block)
+    assert derived == expected
+    for vm, _ in derived.items():
+        checked = VarMonomial.make(dict(vm.items))
+        assert vm.items == checked.items and hash(vm) == hash(checked)
+
+
+@settings(max_examples=60, deadline=None)
 @given(polys(), polys())
 def test_leibniz_rule(p, q):
     lhs = (p * q).derivative(1)

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,15 +226,23 @@ class TestFieldCommands:
         assert code == 0
         assert out == "3/2\n"  # phi(a)^2 + hbar * K(a, a)
 
-    @pytest.mark.parametrize("weights", ["1/0", "abc"])
-    def test_bad_weights_are_usage_errors(self, capsys, grid_file, weights):
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            ("--nodes", "a", "--weights", "1/0"),
+            ("--nodes", "a", "--weights", "abc"),
+            ("--nodes", "a", "--weights", ""),
+            ("--nodes", ""),
+        ],
+        ids=["1/0", "abc", "empty-weights", "empty-nodes"],
+    )
+    def test_bad_weights_are_usage_errors(self, capsys, grid_file, rule):
         code, out, err = run(
-            capsys, "functional-star", "--grid", grid_file, "--dim", "1",
-            "--nodes", "a", "--weights", weights, "x1", "x1",
+            capsys, "functional-star", "--grid", grid_file, "--dim", "1", *rule, "x1", "x1",
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "--weights" in err
+        assert err.startswith("error: ") and rule[-2] in err
 
     def test_zero_denominator_grid_is_computation_error(self, capsys, tmp_path):
         path = tmp_path / "grid.json"
@@ -276,6 +288,14 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "star", "x1")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["field-expect", "expect"])
+    def test_bad_n_is_usage_error_before_any_file_is_read(self, capsys, tmp_path, command):
+        grid = ["--grid", str(tmp_path / "missing.json")] if command == "field-expect" else []
+        code, out, err = run(capsys, command, *grid, "--n", "x")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--n" in err
 
     def test_zero_denominator_is_usage_error(self, capsys):
         code, out, err = run(capsys, "star", "--dim", "1", "1/0")
@@ -348,3 +368,27 @@ def test_cli_surface(command):
     )
     positionals = [a.dest for a in actions if not a.option_strings]
     assert (options, positionals) == SURFACE[command]
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # main reuses one parser; no call may leave state behind for the next,
+    # such as a --sym list that keeps the family of an earlier call.
+    argvs = [
+        ["admissible", "--n", "1,1"],
+        ["expect", "--n", "x"],
+        ["witness", "--n", "3,1"],
+        ["star", "--dim", "2", "--sym", "K", "x2", "x1"],
+        ["star", "--dim", "2", "x2", "x1"],
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in argvs]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "starwick.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 1, 2, 0, 0]
+    assert fresh[3][1] != fresh[4][1]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,14 @@ from starwick import (
     star_tensor,
 )
 
-from helpers import all_pairings, rand_asymmetric_matrix, rand_matrix, rand_poly
+from helpers import (
+    all_pairings,
+    rand_asymmetric_matrix,
+    rand_matrix,
+    rand_poly,
+    rand_rational,
+    star_tensor_oracle,
+)
 
 
 def x(i, d, block=0):
@@ -48,6 +56,49 @@ class TestPropagatorMatrix:
         K = PropagatorMatrix.family("K", 2)
         Kp = PropagatorMatrix.family("P", 2)
         assert (K - Kp).entry(1, 2) == K_sym(1, 2) - K_sym(1, 2, "P")
+
+
+def rand_entry(rng, i, j):
+    """A rational, zero, negative or multi-term entry (some carry hbar)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rand_rational(rng)
+    if kind == 1:
+        return 0
+    if kind == 2:
+        return -Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    return (
+        K_sym(i, j, "P") * rand_rational(rng)
+        + hbar_times(K_sym(j, i, "P")) * Fraction(-2, 3)
+        + Fraction(1, 2)
+    )
+
+
+def oracle_matrices(rng, d):
+    yield PropagatorMatrix.family("K", d)
+    yield PropagatorMatrix.family("K", d, symmetric=True)
+    yield PropagatorMatrix.family("K", d, zero_diagonal=True)
+    for _ in range(2):
+        yield PropagatorMatrix.from_entries(
+            [[rand_entry(rng, i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
+        )
+
+
+@pytest.mark.parametrize("order", [None, 0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_closed_form_matches_iterated_oracle(d, order):
+    rng = random.Random(7919 * d + (5 if order is None else order))
+    # Coefficients carrying symbols and hbar, as partial products of a fold do.
+    weight = CoeffElement.one() + hbar_times(K_sym(1, 1, "Q")) * Fraction(3, 2)
+    for K in oracle_matrices(rng, d):
+        f = rand_poly(rng, d) + rand_poly(rng, d) * weight
+        g = rand_poly(rng, d, max_degree=2)
+        expected = star_tensor_oracle(f, g.relabel_blocks({0: 1}), K, order).merge_blocks()
+        assert star2(f, g, K, order) == expected
+        left = rand_poly(rng, d, max_degree=2) * rand_poly(rng, d, max_degree=2, block=2)
+        left = left + rand_poly(rng, d, block=2) * weight
+        right = rand_poly(rng, d, block=1)
+        assert star_tensor(left, right, K, order) == star_tensor_oracle(left, right, K, order)
 
 
 class TestStarTensor:
