@@ -39,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        """As argparse's, but an unknown option is named alone: argparse
+        hands the value after it to the positionals, so the other left-over
+        tokens are not part of the mistake."""
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            options = [a.split("=", 1)[0] for a in extras if a.startswith("-")]
+            self.error("unrecognized arguments: " + " ".join(options or extras))
+        return parsed
+
 
 def _parse_n(text: str) -> tuple[int, ...]:
     try:

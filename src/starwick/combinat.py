@@ -164,6 +164,65 @@ def enumerate_adjacency_by_degree(
     return out
 
 
+def _rowsum_walk(n: IntSequence) -> Iterator[list[int]]:
+    """Upper-triangle values, row-major, of every adjacency matrix with row
+    sums ``n``, in ascending lexicographic order.
+
+    One list is yielded and rewritten in place, so a caller that keeps a
+    matrix copies it.  A branch is cut as soon as one remaining row sum
+    exceeds the rest (the total stays even once it starts even), and the
+    last slot ``(i, d-1)`` of row ``i`` takes exactly what row ``i`` still
+    needs.
+    """
+    d = len(n)
+    slots = _upper_slots(d)
+    rem = list(n)
+    left = sum(rem)
+    values = [0] * len(slots)
+    tops = [0] * len(slots)
+    if left % 2 or 2 * max(rem) > left:
+        return
+    if not slots:
+        if not left:
+            yield values
+        return
+    # A slot is entered from above at its lowest value; otherwise its value
+    # goes up by one or, past its top, is undone and the walk backs up.
+    last = len(slots) - 1
+    idx, entering = 0, True
+    while idx >= 0:
+        i, j = slots[idx]
+        if entering:
+            v = rem[i] if j == d - 1 else 0
+            top = min(rem[i], rem[j])
+            if v > top:
+                idx, entering = idx - 1, False
+                continue
+            tops[idx] = top
+            values[idx] = v
+            rem[i] -= v
+            rem[j] -= v
+            left -= 2 * v
+        elif values[idx] < tops[idx]:
+            values[idx] += 1
+            rem[i] -= 1
+            rem[j] -= 1
+            left -= 2
+        else:
+            v = values[idx]
+            rem[i] += v
+            rem[j] += v
+            left += 2 * v
+            idx, entering = idx - 1, False
+            continue
+        entering = False
+        if 2 * max(rem) <= left:
+            if idx < last:
+                idx, entering = idx + 1, True
+            elif not left:
+                yield values
+
+
 def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
     """All adjacency matrices with the prescribed row sums, ascending
     row-major lexicographic order; empty when none exist."""
@@ -172,35 +231,7 @@ def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
     if d < 1 or any(v < 0 for v in n):
         return []
     slots = _upper_slots(d)
-    rem = list(n)
-    values = [0] * len(slots)
-    out: list[AdjacencyMatrix] = []
-
-    def feasible() -> bool:
-        total = sum(rem)
-        return total % 2 == 0 and (not rem or 2 * max(rem) <= total)
-
-    def walk(idx: int) -> None:
-        if not feasible():
-            return
-        if idx == len(slots):
-            if all(v == 0 for v in rem):
-                out.append(_from_slots(d, slots, values))
-            return
-        i, j = slots[idx]
-        for v in range(min(rem[i], rem[j]) + 1):
-            values[idx] = v
-            rem[i] -= v
-            rem[j] -= v
-            # row i is final once its last slot (i, d-1) has been assigned
-            if j < d - 1 or rem[i] == 0:
-                walk(idx + 1)
-            rem[i] += v
-            rem[j] += v
-        values[idx] = 0
-
-    walk(0)
-    return out
+    return [_from_slots(d, slots, values) for values in _rowsum_walk(n)]
 
 
 def is_admissible(n: Sequence[int]) -> bool:

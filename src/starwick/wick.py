@@ -6,11 +6,19 @@ form it is the Hermite-type sum
     sum_k  l! / (2^k k! (l-2k)!) * hbar^k * K_ii^k * x_i^(l-2k).
 
 A Wick monomial star-multiplies Wick powers of distinct coordinates
-under a second propagator.  Its expectation is a purely combinatorial
-functional: a weighted sum of propagator products over the adjacency
-matrices whose row sums match the exponents.  The ground truth for every
-identity in this module is the star-product engine itself; the closed
-forms are checked against it rather than trusted.
+under a second propagator ``K``.  Its expectation is a purely
+combinatorial functional, the Isserlis sum
+
+    sum_m  prod_{i<j} K_ij^{m_ij} / m_ij!
+
+over the adjacency matrices ``m`` whose row sums are the exponents.
+:func:`expectation_formula` adds each matrix's term as integer
+numerators on packed monomials.  The ground truth for every
+identity in this module is the star-product engine itself:
+:func:`expectation_oracle` reads the expectation off the star product,
+and the tests add Kan's moment formula (``kan_moment``) as a third,
+enumeration-free route.  The closed forms are checked against them
+rather than trusted.
 """
 
 from __future__ import annotations
@@ -22,13 +30,11 @@ from typing import Sequence
 
 from .algebra import CoeffElement, CoeffMonomial, Poly
 from .combinat import (
-    AdjacencyMatrix,
-    enumerate_adjacency_by_degree,
-    enumerate_adjacency_by_rowsums,
-    multinomial,
+    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _rowsum_walk, _upper_slots
 )
 from .star import (
-    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_dims, _check_ordinary
+    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_dims, _check_ordinary,
+    _Packing,
 )
 
 
@@ -112,27 +118,57 @@ def wick_monomial_star(spec: WickMonomialSpec, order: int | None = None) -> Poly
 
 
 def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
-    """Combinatorial expectation: sum over matrices with prescribed row sums.
+    """Combinatorial expectation: a sum over the adjacency matrices ``m``
+    with row sums ``spec.powers``.
 
-    Each matrix contributes ``(1/m!) * multinomial * prod K_ij^{m_ij}``
-    in the product propagator, with ``m`` half the total power; sequences
-    realized by no matrix give zero.
+    The result is ``sum_m prod_{i<j} K_ij^{m_ij} / m_ij!`` with ``K`` the
+    product propagator; it is zero when no matrix exists.  Monomials are
+    packed integers (:class:`starwick.star._Packing`) and every matrix adds
+    integer numerators over the common denominator ``h! * scale^h``, where
+    ``h`` is half the total power and ``scale`` the common denominator of
+    the entries.  :func:`expectation_oracle` and the tests' ``kan_moment``
+    are the oracles.
     """
-    total = sum(spec.powers)
+    n = spec.powers
+    total = sum(n)
     if total % 2:
         return CoeffElement.zero()
-    m = total // 2
-    acc = CoeffElement.zero()
-    weight = Fraction(1, math.factorial(m))
-    powers: dict[tuple[int, int, int], CoeffElement] = {}
-    for matrix in enumerate_adjacency_by_rowsums(spec.powers):
-        term = CoeffElement.from_rational(weight * multinomial(m, matrix.upper_values()))
-        for i, j, mult in matrix.upper_items():
-            if (i, j, mult) not in powers:
-                powers[i, j, mult] = spec.product.entry(i, j) ** mult
-            term = term * powers[i, j, mult]
-        acc = acc + term
-    return acc
+    h = total // 2
+    slots = _upper_slots(len(n))
+    entries = [spec.product.entries[i][j] for i, j in slots]
+    widest = max((mono.degree() for e in entries for mono, _ in e.items()), default=0)
+    packing = _Packing(sorted(set().union(*(e.symbols() for e in entries))), [], h * widest)
+    scale = math.lcm(*(q.denominator for e in entries for _, q in e.items()))
+    # tables[s][v] lists the packed terms of (scale * K_ij)^v for slot s = (i, j).
+    tables = []
+    for (i, j), e in zip(slots, entries):
+        base = [(packing.coeff_key(mono), q.numerator * (scale // q.denominator))
+                for mono, q in e.items()]
+        table = [[(0, 1)]]
+        for _ in range(min(n[i], n[j])):
+            prod: dict[int, int] = {}
+            for k1, n1 in table[-1]:
+                for k2, n2 in base:
+                    prod[k1 + k2] = prod.get(k1 + k2, 0) + n1 * n2
+            table.append([(k, v) for k, v in prod.items() if v])
+        tables.append(table)
+    fact = [math.factorial(v) for v in range(h + 1)]
+    acc: dict[int, int] = {}
+    for values in _rowsum_walk(n):
+        terms, weight = [(0, 1)], 1
+        for s, v in enumerate(values):
+            if v:
+                weight *= fact[v]
+                terms = [(k1 + k2, n1 * n2) for k1, n1 in terms for k2, n2 in tables[s][v]]
+        weight = fact[h] // weight
+        for k, num in terms:
+            acc[k] = acc.get(k, 0) + num * weight
+    den = fact[h] * scale**h
+    return CoeffElement._raw({
+        CoeffMonomial._raw(k & packing.mask, packing._fields(k >> packing.width, packing.symbols)):
+            Fraction(num, den)
+        for k, num in acc.items() if num
+    })
 
 
 def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
-from starwick import CoeffElement, CoeffMonomial, Poly, PropagatorMatrix, apply_bivector
+from starwick import (
+    CoeffElement,
+    CoeffMonomial,
+    Poly,
+    PropagatorMatrix,
+    PropagatorSymbol,
+    apply_bivector,
+)
 
 
 def rand_rational(rng: random.Random, span: int = 3, den: int = 3) -> Fraction:
@@ -39,6 +48,23 @@ def rand_matrix(
     return PropagatorMatrix.from_entries(rows, symmetric=symmetric)
 
 
+def rand_entry(rng: random.Random, i: int, j: int, hbar: bool = True) -> CoeffElement | Fraction:
+    """A rational, zero, negative or multi-term entry; with ``hbar`` the
+    multi-term kind carries an ``hbar`` term too."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rand_rational(rng)
+    if kind == 1:
+        return Fraction(0)
+    if kind == 2:
+        return -Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    entry = CoeffElement.from_symbol(PropagatorSymbol("P", i, j)) * rand_rational(rng)
+    if hbar:
+        carried = CoeffElement.hbar() * CoeffElement.from_symbol(PropagatorSymbol("P", j, i))
+        entry = entry + carried * Fraction(-2, 3)
+    return entry + Fraction(1, 2)
+
+
 def rand_asymmetric_matrix(rng: random.Random, dim: int) -> PropagatorMatrix:
     """Random matrix guaranteed to have entry(1,2) != entry(2,1)."""
     while True:
@@ -58,6 +84,31 @@ def all_pairings(items: list) -> list[list[tuple]]:
         for sub in all_pairings(rest[:pick] + rest[pick + 1 :]):
             out.append([pair] + sub)
     return out
+
+
+def kan_moment(n, S) -> Fraction:
+    """``E[prod_i x_i^n_i]`` for a centred Gaussian vector with covariance ``S``.
+
+    Kan's formula (R. Kan, J. Multivariate Anal. 2008), exact over
+    ``Fraction``: the sum over ``0 <= v <= n`` of
+    ``(-1)^|v| prod_i C(n_i, v_i) (h^T S h / 2)^(s/2) / (s/2)!`` with
+    ``h = n/2 - v`` and ``s = |n|``.  It is a polynomial identity in the
+    entries of a symmetric ``S``, so ``S`` need not be a covariance.  It
+    shares no code with the adjacency-matrix enumeration, which makes it
+    an independent oracle for ``expectation_formula``: on a zero diagonal
+    it equals ``prod_i n_i!`` times that sum.
+    """
+    s = sum(n)
+    if s % 2:
+        return Fraction(0)
+    d = len(n)
+    total = Fraction(0)
+    for v in itertools.product(*(range(k + 1) for k in n)):
+        h = [Fraction(k, 2) - vk for k, vk in zip(n, v)]
+        quad = sum(h[a] * S[a][b] * h[b] for a in range(d) for b in range(d)) / 2
+        weight = math.prod(math.comb(k, vk) for k, vk in zip(n, v))
+        total += (-1) ** sum(v) * weight * quad ** (s // 2) / math.factorial(s // 2)
+    return total
 
 
 def poly_from_coeff(value: CoeffElement, dim: int) -> Poly:

@@ -333,6 +333,21 @@ class TestExitCodes:
         assert out == ""
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["poisson", "--dim", "1", "--order", "1", "x1", "x1"], "--order"),
+            (["poisson", "--dim", "1", "x1", "x1", "--order=1"], "--order"),
+            (["expect", "--n", "1,1", "extra"], "extra"),
+        ],
+        ids=["option-then-value", "option-equals-value", "positional"],
+    )
+    def test_unrecognized_argument_is_named(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: unrecognized arguments: {named}\n"
+
 
 # Option strings (without -h/--help) and positionals of every subcommand.
 SURFACE = {

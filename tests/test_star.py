@@ -19,6 +19,7 @@ from starwick import (
 from helpers import (
     all_pairings,
     rand_asymmetric_matrix,
+    rand_entry,
     rand_matrix,
     rand_poly,
     rand_rational,
@@ -56,22 +57,6 @@ class TestPropagatorMatrix:
         K = PropagatorMatrix.family("K", 2)
         Kp = PropagatorMatrix.family("P", 2)
         assert (K - Kp).entry(1, 2) == K_sym(1, 2) - K_sym(1, 2, "P")
-
-
-def rand_entry(rng, i, j):
-    """A rational, zero, negative or multi-term entry (some carry hbar)."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        return rand_rational(rng)
-    if kind == 1:
-        return 0
-    if kind == 2:
-        return -Fraction(rng.randint(1, 3), rng.randint(1, 3))
-    return (
-        K_sym(i, j, "P") * rand_rational(rng)
-        + hbar_times(K_sym(j, i, "P")) * Fraction(-2, 3)
-        + Fraction(1, 2)
-    )
 
 
 def oracle_matrices(rng, d):

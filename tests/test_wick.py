@@ -13,6 +13,7 @@ from starwick import (
     PropagatorSymbol,
     WickMonomialSpec,
     change_propagator,
+    enumerate_adjacency_by_rowsums,
     expectation_formula,
     expectation_oracle,
     is_admissible,
@@ -25,7 +26,7 @@ from starwick import (
     wick_unpower,
 )
 
-from helpers import rand_matrix
+from helpers import kan_moment, rand_entry, rand_matrix
 
 from test_combinat import positive_sequences
 
@@ -158,6 +159,100 @@ class TestExpectation:
         for n in positive_sequences(8, 4):
             nonzero = not expectation_formula(spec_for(n)).is_zero()
             assert nonzero == is_admissible(n), n
+
+
+def general_spec(rng, n, hbar, symmetric=False):
+    """Powers ``n`` under a ``from_entries`` product matrix whose entries
+    each add two random entries, so most have several terms."""
+    d = len(n)
+    rows = [
+        [rand_entry(rng, i, j, hbar) + rand_entry(rng, j, i, hbar) for j in range(1, d + 1)]
+        for i in range(1, d + 1)
+    ]
+    if symmetric:
+        for i in range(d):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return WickMonomialSpec(
+        tuple(n),
+        PropagatorMatrix.family("K", d, zero_diagonal=True),
+        PropagatorMatrix.from_entries(rows, symmetric=symmetric),
+    )
+
+
+def nonzero_rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3))
+
+
+class TestExpectationGeneralEntries:
+    @pytest.mark.parametrize(
+        "n",
+        [(0,), (2,), (3,), (1, 1), (2, 2), (0, 2, 0), (2, 1, 1), (1, 1, 1), (3, 1, 2),
+         (1, 0, 1, 2), (2, 2, 2, 2), (1, 1, 1, 1, 2), (0, 1, 2, 1, 0, 2)],
+        ids=str,
+    )
+    def test_matches_kan_moment(self, n):
+        """Kan's formula is the only route that checks hbar-carrying entries."""
+        rng = random.Random(str(n))
+        for symmetric in (False, True):
+            spec = general_spec(rng, n, hbar=True, symmetric=symmetric)
+            d = len(n)
+            upper = [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+            symbols = set().union(*(spec.product.entry(i, j).symbols() for i, j in upper))
+            values = {sym: nonzero_rational(rng) for sym in sorted(symbols)}
+            hbar = nonzero_rational(rng)
+            S = [[Fraction(0)] * d for _ in range(d)]
+            for i, j in upper:
+                S[i - 1][j - 1] = S[j - 1][i - 1] = spec.product.entry(i, j).substitute(values, hbar)
+            scale = math.prod(math.factorial(v) for v in n)
+            got = expectation_formula(spec).substitute(values, hbar) * scale
+            assert got == kan_moment(n, S), (n, symmetric)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        while True:
+            n = tuple(rng.randint(0, 3) for _ in range(rng.randint(2, 5)))
+            if 0 < sum(n) <= 6 and sum(n) % 2 == 0 and 2 * max(n) <= sum(n):
+                break
+        spec = general_spec(rng, n, hbar=False, symmetric=seed % 2 == 0)
+        scale = math.prod(math.factorial(v) for v in n)
+        assert expectation_oracle(spec) == expectation_formula(spec) * scale, n
+
+    def test_cancelling_terms_are_dropped(self):
+        # K12 K34 + K13 K24 + K14 K23 with K12 = K13 = K34 = A, K24 = -A, K14 = K23 = 0
+        A = K_sym(1, 2, "A")
+        z = Fraction(0)
+        rows = [[z, A, A, z], [A, z, z, -A], [A, z, z, A], [z, -A, A, z]]
+        spec = WickMonomialSpec(
+            (1, 1, 1, 1),
+            PropagatorMatrix.family("K", 4, zero_diagonal=True),
+            PropagatorMatrix.from_entries(rows, symmetric=True),
+        )
+        assert expectation_formula(spec).is_zero()
+        assert expectation_oracle(spec).is_zero()
+
+    @pytest.mark.parametrize("n", [(1, 1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 1, 2, 2), (1, 2, 2, 2, 3)])
+    def test_family_terms_are_the_matrices(self, n):
+        expected = {}
+        for matrix in enumerate_adjacency_by_rowsums(n):
+            items = list(matrix.upper_items())
+            mono = CoeffMonomial.make(0, {PropagatorSymbol("P", i, j): v for i, j, v in items})
+            expected[mono] = Fraction(1, math.prod(math.factorial(v) for *_, v in items))
+        assert dict(expectation_formula(spec_for(n)).items()) == expected
+
+    def test_multiplies_no_coefficient_elements(self, monkeypatch):
+        n = (1, 2, 2, 2, 3, 3, 3)
+        spec = spec_for(n)
+
+        def refuse(*args):
+            raise AssertionError("coefficient arithmetic inside expectation_formula")
+
+        for name in ("__add__", "__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(CoeffElement, name, refuse)
+        value = expectation_formula(spec)
+        monkeypatch.undo()
+        assert len(dict(value.items())) == len(enumerate_adjacency_by_rowsums(n))
 
 
 class TestExpectationOracle:
