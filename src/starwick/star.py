@@ -14,6 +14,12 @@ product folded left over the factors.  The graph sum
 through :func:`apply_bivector` once per internal vertex, is the
 independent oracle for this fold.
 
+Changing the propagator from ``K`` to ``K'`` is the same exponential over
+every pair of factors ``a < b``, with ``K - K'`` as the matrix.  One walk
+over the cell multiplicities, :func:`_moyal_weights`, yields the weights
+of both, so it serves :func:`star2`, :func:`star_tensor` and
+:func:`change_propagator`.
+
 For polynomial inputs every series terminates, so ``order=None`` means
 "run to termination" and yields the exact product; an explicit order
 keeps all hbar degrees up to it, exactly.
@@ -123,10 +129,6 @@ def _check_order(order: int | None) -> None:
         raise ValueError("truncation order must be non-negative")
 
 
-def _hbar_over(k: int) -> CoeffElement:
-    return CoeffElement({CoeffMonomial(hbar=1): Fraction(1, k)})
-
-
 def _derivative_over(p: Poly, blocks: Iterable[int], index: int) -> Poly:
     total = Poly.zero(p.dim)
     for block in blocks:
@@ -189,6 +191,7 @@ class _Packing:
         self.coeff_bits = width * (1 + len(symbols))
         self.var_shift = {v: self.coeff_bits + width * n for n, v in enumerate(variables)}
         self._coeff_keys: dict[CoeffMonomial, int] = {}
+        self._monomials: dict[int, CoeffMonomial] = {}
 
     def coeff_key(self, m: CoeffMonomial) -> int:
         key = self._coeff_keys.get(m)
@@ -206,34 +209,58 @@ class _Packing:
         den = math.lcm(*(q.denominator for _, q in terms))
         return [(key, q.numerator * (den // q.denominator)) for key, q in terms], den
 
-    def shifts(self, blocks: set[int], d: int) -> list[list[int]]:
-        """Per variable index, the fields that ``D_i`` over ``blocks`` lowers."""
-        return [
-            [self.var_shift[(b, i)] for b in blocks if (b, i) in self.var_shift]
-            for i in range(1, d + 1)
-        ]
+    def derivatives(self, terms: list, blocks: set[int], d: int):
+        """Lazy map ``r -> D^r p`` over the packed terms of ``p``, each entry derived once.
+
+        ``D_i`` lowers the field of ``x_i`` in every one of ``blocks``.
+        """
+        mask, memo = self.mask, {(0,) * d: terms}
+        shifts = [[self.var_shift[(b, i)] for b in blocks if (b, i) in self.var_shift]
+                  for i in range(1, d + 1)]
+
+        def at(r: tuple[int, ...]) -> list[tuple[int, int]]:
+            out = memo.get(r)
+            if out is None:
+                i = max(n for n in range(d) if r[n])
+                acc: dict[int, int] = {}
+                for key, num in at(r[:i] + (r[i] - 1,) + r[i + 1 :]):
+                    for shift in shifts[i]:
+                        e = (key >> shift) & mask
+                        if e:
+                            k = key - (1 << shift)
+                            acc[k] = acc.get(k, 0) + num * e
+                out = memo[r] = [(k, v) for k, v in acc.items() if v]
+            return out
+
+        return at
 
     def unpack(self, total: dict[int, int], den: int, order: int | None, dim: int) -> Poly:
         """The polynomial ``sum key * numerator / den``, cut above hbar^order."""
-        width, mask, coeff_mask = self.width, self.mask, (1 << self.coeff_bits) - 1
-        monos: dict[int, CoeffMonomial] = {}
-        grouped: dict[int, dict[CoeffMonomial, Fraction]] = {}
+        mask, bits = self.mask, self.coeff_bits
+        coeff_mask = (1 << bits) - 1
+        grouped: dict[int, list[tuple[int, int]]] = {}
         for key, num in total.items():
-            ck = key & coeff_mask
-            if not num or (order is not None and ck & mask > order):
-                continue
-            mono = monos.get(ck)
-            if mono is None:
-                symbols = self._fields(ck >> width, self.symbols)
-                mono = monos[ck] = CoeffMonomial._raw(ck & mask, symbols)
-            terms = grouped.get(key >> self.coeff_bits)
-            if terms is None:
-                terms = grouped[key >> self.coeff_bits] = {}
-            terms[mono] = Fraction(num, den)
+            if num and (order is None or key & mask <= order):
+                terms = grouped.get(key >> bits)
+                if terms is None:
+                    terms = grouped[key >> bits] = []
+                terms.append((key & coeff_mask, num))
         return Poly._raw(dim, {
-            VarMonomial._raw(self._fields(vk, self.variables)): CoeffElement._raw(terms)
+            VarMonomial._raw(self._fields(vk, self.variables)): self.coeff_element(terms, den)
             for vk, terms in grouped.items()
         })
+
+    def coeff_element(self, terms: Iterable[tuple[int, int]], den: int) -> CoeffElement:
+        """The coefficient ``sum key * numerator / den`` over packed coefficient keys."""
+        monos, out = self._monomials, {}
+        for key, num in terms:
+            if num:
+                mono = monos.get(key)
+                if mono is None:
+                    symbols = self._fields(key >> self.width, self.symbols)
+                    mono = monos[key] = CoeffMonomial._raw(key & self.mask, symbols)
+                out[mono] = Fraction(num, den)
+        return CoeffElement._raw(out)
 
     def _fields(self, packed: int, names: list) -> tuple:
         """The nonzero fields of ``packed`` as sorted (name, exponent) items."""
@@ -247,70 +274,60 @@ class _Packing:
         return tuple(items)
 
 
-def _derivative_table(terms: list, shifts: list[list[int]], mask: int, d: int):
-    """Lazy map ``r -> D^r p`` over packed terms, each entry derived once."""
-    memo = {(0,) * d: terms}
-
-    def at(r: tuple[int, ...]) -> list[tuple[int, int]]:
-        out = memo.get(r)
-        if out is None:
-            i = max(n for n in range(d) if r[n])
-            acc: dict[int, int] = {}
-            for key, num in at(r[:i] + (r[i] - 1,) + r[i + 1 :]):
-                for shift in shifts[i]:
-                    e = (key >> shift) & mask
-                    if e:
-                        k = key - (1 << shift)
-                        acc[k] = acc.get(k, 0) + num * e
-            out = memo[r] = [(k, v) for k, v in acc.items() if v]
-        return out
-
-    return at
+def _packed_product(left: list, right: list) -> list[tuple[int, int]]:
+    """The product of two packed term lists, with like terms collected."""
+    prod: dict[int, int] = {}
+    for k1, n1 in left:
+        for k2, n2 in right:
+            prod[k1 + k2] = prod.get(k1 + k2, 0) + n1 * n2
+    return [(k, v) for k, v in prod.items() if v]
 
 
-def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, left_at, right_at):
-    """Weights ``W(r, c)`` as packed integer terms over the returned denominator.
+def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, alive: Sequence):
+    """Weights ``W(r)`` as packed integer terms over the returned denominator.
 
-    ``W(r, c)`` sums ``hbar^|M| prod_ij K_ij^M_ij / M_ij!`` over the
-    matrices ``M`` on the nonzero ``cells`` with ``|M| <= kmax``, row sums
-    ``r`` and column sums ``c``.  Every node of the walk is one matrix.  A
-    derivative table that vanishes at ``r`` vanishes at every larger
-    ``r``, so the walk stops growing a cell there.  With ``scale`` the
-    common denominator of the entries, a matrix is brought to the common
-    denominator ``kmax! * scale^kmax`` by its spare budget ``kmax - |M|``.
+    A cell ``(a, i, b, j, K_ij)`` with ``a < b`` links ``x_i`` of factor
+    ``a`` to ``x_j`` of factor ``b``.  ``W(r)`` sums
+    ``hbar^|M| prod K^M / M!`` over the multiplicity maps ``M`` on the
+    ``cells`` with ``|M| <= kmax``, where ``r[a]`` is the derivative
+    multi-index that ``M`` puts on factor ``a``.  Every node of the walk is
+    one ``M``.  ``alive[a](r[a])`` is false once ``D^r[a]`` kills factor
+    ``a``, and then it is false at every larger ``r[a]``, so the walk stops
+    growing a cell there.  With ``scale`` the common denominator of the
+    entries, each ``M`` is brought to the common denominator
+    ``kmax! * scale^kmax`` by its spare budget ``kmax - |M|``.
+    :func:`_moyal_sum` passes the cells of one factor pair,
+    :func:`change_propagator` those of every pair.
     """
     scale = math.lcm(*(q.denominator for *_, e in cells for _, q in e.items()))
     # Each entry as packed terms of hbar * scale * K_ij, all integers.
     entries = [
-        (i, j, [(packing.coeff_key(m) + 1, q.numerator * (scale // q.denominator))
-                for m, q in e.items()])
-        for i, j, e in cells
+        (a, i, b, j, [(packing.coeff_key(m) + 1, q.numerator * (scale // q.denominator))
+                      for m, q in e.items()])
+        for a, i, b, j, e in cells
     ]
     top = math.factorial(kmax)
     weights: dict[tuple, dict[int, int]] = {}
 
-    def walk(start: int, budget: int, w: list, fact: int, rs: tuple, cs: tuple) -> None:
-        acc = weights.setdefault((rs, cs), {})
+    def walk(start: int, budget: int, w: list, fact: int, orders: tuple) -> None:
+        acc = weights.setdefault(orders, {})
         factor = top // fact * scale**budget
         for k, n in w:
             acc[k] = acc.get(k, 0) + n * factor
         for t in range(start, len(entries)):
-            i, j, entry = entries[t]
-            wm, fm, r2, c2 = w, fact, rs, cs
+            a, i, b, j, entry = entries[t]
+            wm, fm, ra, rb = w, fact, orders[a], orders[b]
             for m in range(1, budget + 1):
-                r2 = r2[:i] + (r2[i] + 1,) + r2[i + 1 :]
-                c2 = c2[:j] + (c2[j] + 1,) + c2[j + 1 :]
-                if not left_at(r2) or not right_at(c2):
+                ra = ra[:i] + (ra[i] + 1,) + ra[i + 1 :]
+                rb = rb[:j] + (rb[j] + 1,) + rb[j + 1 :]
+                if not alive[a](ra) or not alive[b](rb):
                     break
-                prod: dict[int, int] = {}
-                for k1, n1 in wm:
-                    for k2, n2 in entry:
-                        prod[k1 + k2] = prod.get(k1 + k2, 0) + n1 * n2
-                wm = list(prod.items())
+                wm = _packed_product(wm, entry)
                 fm *= m
-                walk(t + 1, budget - m, wm, fm, r2, c2)
+                walk(t + 1, budget - m, wm, fm,
+                     orders[:a] + (ra,) + orders[a + 1 : b] + (rb,) + orders[b + 1 :])
 
-    walk(0, kmax, [(0, 1)], 1, (0,) * d, (0,) * d)
+    walk(0, kmax, [(0, 1)], 1, tuple((0,) * d for _ in alive))
     return weights, top * scale**kmax
 
 
@@ -326,7 +343,7 @@ def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) 
     output term.
     """
     d = K.dim
-    cells = [(i, j, e) for i, row in enumerate(K.entries) for j, e in enumerate(row) if e]
+    cells = [(0, i, 1, j, e) for i, row in enumerate(K.entries) for j, e in enumerate(row) if e]
     # |M| derivatives fall on each side, so the smaller total degree bounds it.
     kmax = min(left.total_degree(), right.total_degree()) if cells else 0
     if order is not None:
@@ -343,9 +360,9 @@ def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) 
         + kmax * (1 + widest(e for *_, e in cells)),
     )
     (left_terms, left_den), (right_terms, right_den) = packing.pack(left), packing.pack(right)
-    left_at = _derivative_table(left_terms, packing.shifts(left.blocks(), d), packing.mask, d)
-    right_at = _derivative_table(right_terms, packing.shifts(right.blocks(), d), packing.mask, d)
-    weights, weight_den = _moyal_weights(cells, packing, kmax, d, left_at, right_at)
+    left_at = packing.derivatives(left_terms, left.blocks(), d)
+    right_at = packing.derivatives(right_terms, right.blocks(), d)
+    weights, weight_den = _moyal_weights(cells, packing, kmax, d, (left_at, right_at))
 
     # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
     absorbed: dict[tuple[int, ...], dict[int, int]] = {}
@@ -445,26 +462,10 @@ class PropagatorChangeTerm:
     orders: tuple[tuple[int, ...], ...]
 
 
-def _derivative_supports(f: Poly) -> set[tuple[int, ...]]:
-    """Multi-indices whose derivative of ``f`` is nonzero (downward closure)."""
-    out: set[tuple[int, ...]] = set()
-    d = f.dim
-    for vm, _ in f.items():
-        dense = [0] * d
-        for (_, index), exp in vm.items:
-            dense[index - 1] = exp
-        stack = [tuple(dense)]
-        while stack:
-            t = stack.pop()
-            if t in out:
-                continue
-            out.add(t)
-            for pos in range(d):
-                if t[pos]:
-                    lower = list(t)
-                    lower[pos] -= 1
-                    stack.append(tuple(lower))
-    return out
+def _dominated_by(f: Poly):
+    """The test ``r -> D^r f != 0``: some monomial of ``f`` has every exponent >= ``r``."""
+    exponents = [dict(vm.items) for vm, _ in f.items()]
+    return lambda r: any(all(e.get((0, i), 0) >= k for i, k in enumerate(r, 1)) for e in exponents)
 
 
 def change_propagator(
@@ -479,6 +480,11 @@ def change_propagator(
     the per-factor derivatives reproduces ``star_multi(factors, old)``
     exactly; see :func:`reexpand`.  Terms whose derivatives annihilate a
     factor are dropped.
+
+    The coefficients are the weights of :func:`star2`'s walk
+    (:func:`_moyal_weights`) over every factor pair with ``old - new`` as the
+    matrix, sorted by total order, then by ``orders``.  The tests'
+    ``change_propagator_oracle`` builds them one hbar layer at a time.
     """
     _check_order(order)
     factors = list(factors)
@@ -488,54 +494,21 @@ def change_propagator(
     _check_dims(old, *factors)
     if old.dim != new.dim:
         raise ValueError("propagator matrices must share a dimension")
-    d = old.dim
-    m = len(factors)
-    diff = [[old.entries[i][j] - new.entries[i][j] for j in range(d)] for i in range(d)]
-    supports = [_derivative_supports(f) for f in factors]
-    start = tuple((0,) * d for _ in range(m))
-    collected: dict[tuple[tuple[int, ...], ...], CoeffElement] = {start: CoeffElement.one()}
-    current = dict(collected)
-    k = 0
-    while current:
-        k += 1
-        if order is not None and k > order:
-            break
-        step = _hbar_over(k)
-        nxt: dict[tuple[tuple[int, ...], ...], CoeffElement] = {}
-        for orders, coeff in current.items():
-            scaled = coeff * step
-            for a in range(m):
-                for b in range(a + 1, m):
-                    for mu in range(d):
-                        oa = list(orders[a])
-                        oa[mu] += 1
-                        bumped_a = tuple(oa)
-                        if bumped_a not in supports[a]:
-                            continue
-                        for nu in range(d):
-                            entry = diff[mu][nu]
-                            if entry.is_zero():
-                                continue
-                            ob = list(orders[b])
-                            ob[nu] += 1
-                            bumped_b = tuple(ob)
-                            if bumped_b not in supports[b]:
-                                continue
-                            key = tuple(
-                                bumped_a if idx == a else bumped_b if idx == b else o
-                                for idx, o in enumerate(orders)
-                            )
-                            add = scaled * entry
-                            prev = nxt.get(key)
-                            total = add if prev is None else prev + add
-                            if total.is_zero():
-                                nxt.pop(key, None)
-                            else:
-                                nxt[key] = total
-        current = nxt
-        collected.update(nxt)
-    ordered = sorted(collected.items(), key=lambda kv: (sum(map(sum, kv[0])), kv[0]))
-    return [PropagatorChangeTerm(coeff, orders) for orders, coeff in ordered]
+    diff, m = old - new, len(factors)
+    cells = [(a, i, b, j, e) for a in range(m) for b in range(a + 1, m)
+             for i, row in enumerate(diff.entries) for j, e in enumerate(row) if e]
+    # Each factor pair takes one derivative per side, so half the total degree bounds |M|.
+    kmax = sum(f.total_degree() for f in factors) // 2
+    if order is not None:
+        kmax = min(kmax, order)
+    widest = max((mono.degree() for *_, e in cells for mono, _ in e.items()), default=0)
+    packing = _Packing(sorted(set().union(*(e.symbols() for *_, e in cells))), [],
+                       kmax * (1 + widest))
+    alive = [_dominated_by(f) for f in factors]
+    weights, den = _moyal_weights(cells, packing, kmax, old.dim, alive)
+    terms = [PropagatorChangeTerm(coeff, orders) for orders, w in weights.items()
+             if (coeff := packing.coeff_element(w.items(), den))]
+    return sorted(terms, key=lambda t: (sum(map(sum, t.orders)), t.orders))
 
 
 def reexpand(
@@ -544,22 +517,22 @@ def reexpand(
     K: PropagatorMatrix,
     order: int | None = None,
 ) -> Poly:
-    """Evaluate a propagator-change expansion with star products over ``K``."""
+    """Evaluate a propagator-change expansion with star products over ``K``.
+
+    Every term must carry exactly one length-``dim`` multi-index per factor.
+    """
+    _check_order(order)
     factors = list(factors)
     if not factors:
         raise ValueError("expansion needs at least one factor")
-    total = Poly.zero(factors[0].dim)
+    d = factors[0].dim
+    if any(len(t.orders) != len(factors) or any(len(o) != d for o in t.orders) for t in terms):
+        raise ValueError(f"each term needs one length-{d} multi-index per factor")
+    total = Poly.zero(d)
     for term in terms:
         k = sum(sum(o) for o in term.orders) // 2
-        derived = []
-        dead = False
-        for f, alpha in zip(factors, term.orders):
-            g = f.derivative_multi(alpha)
-            if g.is_zero():
-                dead = True
-                break
-            derived.append(g)
-        if dead:
+        derived = [f.derivative_multi(alpha) for f, alpha in zip(factors, term.orders)]
+        if any(g.is_zero() for g in derived):
             continue
         inner = None if order is None else max(order - k, 0)
         total = total + star_multi(derived, K, inner) * term.coeff

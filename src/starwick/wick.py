@@ -33,8 +33,8 @@ from .combinat import (
     AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _rowsum_walk, _upper_slots
 )
 from .star import (
-    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_dims, _check_ordinary,
-    _Packing,
+    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_dims, _check_order,
+    _check_ordinary, _Packing, _packed_product,
 )
 
 
@@ -146,11 +146,7 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
                 for mono, q in e.items()]
         table = [[(0, 1)]]
         for _ in range(min(n[i], n[j])):
-            prod: dict[int, int] = {}
-            for k1, n1 in table[-1]:
-                for k2, n2 in base:
-                    prod[k1 + k2] = prod.get(k1 + k2, 0) + n1 * n2
-            table.append([(k, v) for k, v in prod.items() if v])
+            table.append(_packed_product(table[-1], base))
         tables.append(table)
     fact = [math.factorial(v) for v in range(h + 1)]
     acc: dict[int, int] = {}
@@ -163,12 +159,7 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
         weight = fact[h] // weight
         for k, num in terms:
             acc[k] = acc.get(k, 0) + num * weight
-    den = fact[h] * scale**h
-    return CoeffElement._raw({
-        CoeffMonomial._raw(k & packing.mask, packing._fields(k >> packing.width, packing.symbols)):
-            Fraction(num, den)
-        for k, num in acc.items() if num
-    })
+    return packing.coeff_element(acc.items(), fact[h] * scale**h)
 
 
 def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
@@ -228,6 +219,7 @@ def wick_theorem_expand(
     lets each term keep its adjacency matrix.  Re-expansion with
     :func:`reexpand_wick` reproduces ``star_multi(factors, K)`` exactly.
     """
+    _check_order(order)
     factors = list(factors)
     if not factors:
         raise ValueError("expansion needs at least one factor")
@@ -273,7 +265,10 @@ def reexpand_wick(
     :func:`starwick.star.reexpand` evaluates it.
     """
     changes = [
-        PropagatorChangeTerm(t.coeff, tuple((0,) * i + (a,) for i, a in enumerate(t.orders)))
+        PropagatorChangeTerm(
+            t.coeff, tuple(tuple(a if k == i else 0 for k in range(len(t.orders)))
+                           for i, a in enumerate(t.orders))
+        )
         for t in terms
     ]
     return reexpand(changes, factors, K, order)

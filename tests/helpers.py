@@ -11,6 +11,7 @@ from starwick import (
     CoeffElement,
     CoeffMonomial,
     Poly,
+    PropagatorChangeTerm,
     PropagatorMatrix,
     PropagatorSymbol,
     apply_bivector,
@@ -174,3 +175,82 @@ def functional_star_oracle(f: Poly, g: Poly, rule, grid, order=None, absolute=Fa
             value = symbolic.evaluate(var_value, sym_value, mag(grid.hbar))
             total = total + mag(wa) * mag(wb) * value
     return float(total) if grid.mode == "float" else Fraction(total)
+
+
+def derivative_supports(f: Poly) -> set[tuple[int, ...]]:
+    """Multi-indices whose derivative of ``f`` is nonzero (downward closure)."""
+    out: set[tuple[int, ...]] = set()
+    d = f.dim
+    for vm, _ in f.items():
+        dense = [0] * d
+        for (_, index), exp in vm.items:
+            dense[index - 1] = exp
+        stack = [tuple(dense)]
+        while stack:
+            t = stack.pop()
+            if t in out:
+                continue
+            out.add(t)
+            for pos in range(d):
+                if t[pos]:
+                    lower = list(t)
+                    lower[pos] -= 1
+                    stack.append(tuple(lower))
+    return out
+
+
+def change_propagator_oracle(factors, old: PropagatorMatrix, new: PropagatorMatrix, order=None):
+    """Independent oracle for ``star.change_propagator``.
+
+    Builds the exponential of ``sum_{a<b} sum_ij (old - new)_ij d_i(a) d_j(b)``
+    one hbar layer at a time on ``CoeffElement`` arithmetic: layer ``k``
+    applies one more cell to every term of layer ``k - 1`` with weight
+    ``hbar / k``, and keeps a bumped multi-index only while it stays in
+    the factor's derivative support (:func:`derivative_supports`).  It
+    shares neither the packed weight walk nor its exponent-dominance test.
+    """
+    d, m = old.dim, len(factors)
+    diff = [[old.entries[i][j] - new.entries[i][j] for j in range(d)] for i in range(d)]
+    supports = [derivative_supports(f) for f in factors]
+    start = tuple((0,) * d for _ in range(m))
+    collected = {start: CoeffElement.one()}
+    current = dict(collected)
+    k = 0
+    while current:
+        k += 1
+        if order is not None and k > order:
+            break
+        step = CoeffElement({CoeffMonomial(hbar=1): Fraction(1, k)})
+        nxt = {}
+        for orders, coeff in current.items():
+            scaled = coeff * step
+            for a in range(m):
+                for b in range(a + 1, m):
+                    for mu in range(d):
+                        oa = list(orders[a])
+                        oa[mu] += 1
+                        bumped_a = tuple(oa)
+                        if bumped_a not in supports[a]:
+                            continue
+                        for nu in range(d):
+                            entry = diff[mu][nu]
+                            if entry.is_zero():
+                                continue
+                            ob = list(orders[b])
+                            ob[nu] += 1
+                            bumped_b = tuple(ob)
+                            if bumped_b not in supports[b]:
+                                continue
+                            key = tuple(
+                                bumped_a if idx == a else bumped_b if idx == b else o
+                                for idx, o in enumerate(orders)
+                            )
+                            total = nxt.get(key, CoeffElement.zero()) + scaled * entry
+                            if total.is_zero():
+                                nxt.pop(key, None)
+                            else:
+                                nxt[key] = total
+        current = nxt
+        collected.update(nxt)
+    ordered = sorted(collected.items(), key=lambda kv: (sum(map(sum, kv[0])), kv[0]))
+    return [PropagatorChangeTerm(coeff, orders) for orders, coeff in ordered]

@@ -34,6 +34,14 @@ class TestStarCommands:
         assert code == 0
         assert out == "K[K;1,2] - K[K;2,1]\n"
 
+    def test_poisson_on_hbar_carrying_input(self, capsys):
+        # the hbar^1 part of star2(f,g) - star2(g,f) would drop the x1^2 terms
+        code, out, _ = run(capsys, "poisson", "--dim", "2", "hbar*x1^2+x2", "x1*x2")
+        assert code == 0
+        assert out == (
+            "2*hbar*K[K;1,2]*x1^2 - 2*hbar*K[K;2,1]*x1^2 - K[K;1,2]*x2 + K[K;2,1]*x2\n"
+        )
+
     def test_determinism(self, capsys):
         argv = ["star", "--dim", "3", "x1+x2", "x2*x3"]
         first = run(capsys, *argv)

@@ -6,6 +6,7 @@ import pytest
 from starwick import (
     CoeffElement,
     Poly,
+    PropagatorChangeTerm,
     PropagatorMatrix,
     PropagatorSymbol,
     change_propagator,
@@ -18,6 +19,7 @@ from starwick import (
 
 from helpers import (
     all_pairings,
+    change_propagator_oracle,
     rand_asymmetric_matrix,
     rand_entry,
     rand_matrix,
@@ -274,6 +276,33 @@ class TestPoissonBracket:
             assert commutator.hbar_coefficient(1) == poisson_bracket(f, g, K)
 
 
+def change_case(rng):
+    """Factors, two matrices and an order for a propagator change.
+
+    ``d`` is 1 to 3, there are 1 to 4 factors and ``order`` is None or 0 to
+    3.  The matrices are random rationals, symmetric or non-symmetric symbol
+    families, or ``from_entries`` grids whose entries may carry ``hbar``.
+    """
+    d, m = rng.randint(1, 3), rng.randint(1, 4)
+    order = rng.choice([None, 0, 1, 2, 3])
+    kind = rng.randrange(4)
+    if kind == 0:
+        old, new = rand_matrix(rng, d), rand_matrix(rng, d)
+    elif kind < 3:
+        symmetric = kind == 1
+        old = PropagatorMatrix.family("K", d, symmetric)
+        new = PropagatorMatrix.family("P", d, symmetric)
+    else:
+        old, new = (
+            PropagatorMatrix.from_entries(
+                [[rand_entry(rng, i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
+            )
+            for _ in range(2)
+        )
+    fs = [rand_poly(rng, d, max_degree=3 if m < 4 else 2, terms=2) for _ in range(m)]
+    return fs, old, new, order
+
+
 class TestChangePropagator:
     def test_identity_when_matrices_agree(self):
         d = 2
@@ -312,3 +341,44 @@ class TestChangePropagator:
             fs = [rand_poly(rng, d, max_degree=2, terms=2) for _ in range(2)]
             terms = change_propagator(fs, K, Kp)
             assert reexpand(terms, fs, Kp) == star_multi(fs, K)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_oracle(self, seed):
+        rng = random.Random(2100 + seed)
+        for _ in range(50):
+            fs, old, new, order = change_case(rng)
+            assert change_propagator(fs, old, new, order) == change_propagator_oracle(
+                fs, old, new, order
+            )
+
+    def test_multiplies_no_coefficient_elements(self, monkeypatch):
+        d = 3
+        fs = [x(1, d) ** 2 * x(2, d) + x(3, d), x(2, d) ** 2 - x(1, d) * x(3, d), x(3, d) ** 3]
+        old = PropagatorMatrix.family("K", d)
+        new = PropagatorMatrix.family("P", d, symmetric=True)
+
+        def refuse(*args):
+            raise AssertionError("coefficient product inside change_propagator")
+
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(CoeffElement, name, refuse)
+        terms = change_propagator(fs, old, new)
+        monkeypatch.undo()
+        assert terms == change_propagator_oracle(fs, old, new)
+
+    def test_reexpand_refuses_negative_order(self):
+        d = 2
+        K = PropagatorMatrix.family("K", d)
+        terms = change_propagator([x(1, d), x(2, d)], K, K)
+        with pytest.raises(ValueError, match="non-negative"):
+            reexpand(terms, [x(1, d), x(2, d)], K, order=-1)
+
+    def test_reexpand_refuses_mismatched_terms(self):
+        d = 2
+        K, P = PropagatorMatrix.family("K", d), PropagatorMatrix.family("P", d)
+        terms = change_propagator([x(1, d), x(2, d)], K, P)
+        with pytest.raises(ValueError, match="multi-index per factor"):
+            reexpand(terms, [x(1, d) * x(2, d)], P)
+        short = [PropagatorChangeTerm(CoeffElement.one(), ((0,), (0,)))]
+        with pytest.raises(ValueError, match="multi-index per factor"):
+            reexpand(short, [x(1, d), x(2, d)], P)

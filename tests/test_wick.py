@@ -393,3 +393,15 @@ class TestWickTheoremExpand:
         lhs = reexpand_wick(wick_terms, factors, Kp)
         rhs = reexpand(generic_terms, factors, Kp)
         assert lhs == rhs == star_multi(factors, K)
+
+    def test_negative_order_is_refused(self):
+        K = PropagatorMatrix.family("K", 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            wick_theorem_expand([x(1, 2), x(2, 2)], K, K, order=-1)
+
+    def test_reexpand_wick_refuses_negative_order(self):
+        K = PropagatorMatrix.family("K", 2)
+        factors = [x(1, 2), x(2, 2)]
+        terms = wick_theorem_expand(factors, K, K)
+        with pytest.raises(ValueError, match="non-negative"):
+            reexpand_wick(terms, factors, K, order=-1)
