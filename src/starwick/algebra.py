@@ -35,6 +35,17 @@ def _rat_text(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _add_terms(out: dict, items: Iterable[tuple]) -> None:
+    """Add ``(key, value)`` terms into the term map ``out`` in place, dropping zero sums."""
+    for key, value in items:
+        s = out.get(key)
+        s = value if s is None else s + value
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+
+
 @dataclass(frozen=True, order=True)
 class PropagatorSymbol:
     """Abstract propagator entry, totally ordered by (family, row, col)."""
@@ -201,14 +212,7 @@ class CoeffElement:
     def __add__(self, other: "CoeffElement | RationalLike") -> "CoeffElement":
         other = _as_element(other)
         out = dict(self._terms)
-        for mono, q in other._terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = q
-            elif s := s + q:
-                out[mono] = s
-            else:
-                del out[mono]
+        _add_terms(out, other._terms.items())
         return CoeffElement._raw(out)
 
     __radd__ = __add__
@@ -229,7 +233,7 @@ class CoeffElement:
             return CoeffElement._raw({m: c * q for m, c in self._terms.items()})
         other = _as_element(other)
         many, single = self._terms, other._terms
-        if len(many) == 1:
+        if len(many) == 1 and len(single) != 1:
             many, single = single, many
         if len(single) == 1:
             # Multiplying by one monomial is injective and nonzero rationals
@@ -239,14 +243,8 @@ class CoeffElement:
                 return CoeffElement._raw({m1 * m2: q1 for m1, q1 in many.items()})
             return CoeffElement._raw({m1 * m2: q1 * q2 for m1, q1 in many.items()})
         out: dict[CoeffMonomial, Fraction] = {}
-        for m1, q1 in self._terms.items():
-            for m2, q2 in other._terms.items():
-                mono = m1 * m2
-                s = out.get(mono, 0) + q1 * q2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+        _add_terms(out, ((m1 * m2, q1 * q2) for m1, q1 in self._terms.items()
+                         for m2, q2 in other._terms.items()))
         return CoeffElement._raw(out)
 
     __rmul__ = __mul__
@@ -369,7 +367,8 @@ class VarMonomial:
         merged = dict(self.items)
         for key, exp in other.items:
             merged[key] = merged.get(key, 0) + exp
-        return VarMonomial.make(merged)
+        # Sums of positive exponents on valid keys: valid once sorted.
+        return VarMonomial._raw(tuple(sorted(merged.items())))
 
     def text_parts(self) -> list[str]:
         parts = []
@@ -492,13 +491,7 @@ class Poly:
             other = Poly.constant(_as_element(other), self._dim)
         self._check_dim(other)
         out = dict(self._terms)
-        for vm, ce in other._terms.items():
-            s = out.get(vm)
-            s = ce if s is None else s + ce
-            if s.is_zero():
-                out.pop(vm, None)
-            else:
-                out[vm] = s
+        _add_terms(out, other._terms.items())
         return Poly._raw(self._dim, out)
 
     __radd__ = __add__
@@ -513,27 +506,19 @@ class Poly:
 
     def __mul__(self, other: "Poly | CoeffElement | RationalLike") -> "Poly":
         if not isinstance(other, Poly):
-            scalar = _as_element(other)
-            if scalar.is_zero():
+            scalar = other if isinstance(other, (int, Fraction)) else _as_element(other)
+            if not scalar:
                 return Poly.zero(self._dim)
             out = {}
             for vm, ce in self._terms.items():
                 p = ce * scalar
-                if not p.is_zero():
+                if p:
                     out[vm] = p
             return Poly._raw(self._dim, out)
         self._check_dim(other)
         out: dict[VarMonomial, CoeffElement] = {}
-        for vm1, ce1 in self._terms.items():
-            for vm2, ce2 in other._terms.items():
-                vm = vm1 * vm2
-                ce = ce1 * ce2
-                s = out.get(vm)
-                s = ce if s is None else s + ce
-                if s.is_zero():
-                    out.pop(vm, None)
-                else:
-                    out[vm] = s
+        _add_terms(out, ((vm1 * vm2, ce1 * ce2) for vm1, ce1 in self._terms.items()
+                         for vm2, ce2 in other._terms.items()))
         return Poly._raw(self._dim, out)
 
     __rmul__ = __mul__
@@ -580,19 +565,15 @@ class Poly:
 
     def merge_blocks(self) -> "Poly":
         """Collapse every block onto block 0, identifying equal variable indices."""
-        out: dict[VarMonomial, CoeffElement] = {}
-        for vm, ce in self._terms.items():
-            exps: dict[tuple[int, int], int] = {}
+
+        def merged(vm: VarMonomial) -> VarMonomial:
+            exps: dict[int, int] = {}
             for (_, index), e in vm.items:
-                key = (0, index)
-                exps[key] = exps.get(key, 0) + e
-            nvm = VarMonomial.make(exps)
-            s = out.get(nvm)
-            s = ce if s is None else s + ce
-            if s.is_zero():
-                out.pop(nvm, None)
-            else:
-                out[nvm] = s
+                exps[index] = exps.get(index, 0) + e
+            return VarMonomial._raw(tuple(((0, i), e) for i, e in sorted(exps.items())))
+
+        out: dict[VarMonomial, CoeffElement] = {}
+        _add_terms(out, ((merged(vm), ce) for vm, ce in self._terms.items()))
         return Poly._raw(self._dim, out)
 
     def relabel_blocks(self, mapping: Mapping[int, int]) -> "Poly":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 IntSequence = tuple[int, ...]
 
@@ -43,8 +43,14 @@ class AdjacencyMatrix:
         return cls(tuple((0,) * size for _ in range(size)))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "AdjacencyMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+    def from_rows(cls, rows: list[list[int]]) -> "AdjacencyMatrix":
+        """Build from a list of rows, each a list of ints (bools are refused)."""
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+            for row in rows
+        ):
+            raise ValueError("matrix must be a list of rows of integers")
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def from_upper(cls, size: int, upper: Mapping[tuple[int, int], int]) -> "AdjacencyMatrix":

@@ -8,6 +8,11 @@ so the whole graph acts as a poly-differential operator; multiplying
 graphs adds their matrices.  Forgetting the internal vertices and
 keeping one edge per internal vertex yields a loop-free multigraph on
 the boundary, and that assignment is a bijection.
+
+:func:`star_via_graphs` sums the graph operators layer by hbar layer.  It
+builds the block tensor of the factors once per call, and it reaches each
+matrix from its prefix, the matrix without its last internal vertex, so a
+shared prefix is applied once.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CoeffElement, CoeffMonomial, Poly
+from .algebra import CoeffElement, CoeffMonomial, Poly, _add_terms
 from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial
 from .star import PropagatorMatrix, apply_bivector, _check_dims, _check_order, _check_ordinary
 
@@ -134,6 +139,14 @@ def embed_graph(
     return BernoulliGraph(new_boundary, AdjacencyMatrix.from_upper(new_boundary, upper))
 
 
+def _block_tensor(factors: Sequence[Poly]) -> Poly:
+    """The tensor ``f_1@0 * ... * f_m@(m-1)``: factor ``a`` on block ``a``."""
+    tensor = Poly.one(factors[0].dim)
+    for idx, f in enumerate(factors):
+        tensor = tensor * f.relabel_blocks({0: idx})
+    return tensor
+
+
 def kontsevich_apply(
     g: BernoulliGraph, factors: Sequence[Poly], K: PropagatorMatrix
 ) -> Poly:
@@ -150,9 +163,7 @@ def kontsevich_apply(
         )
     _check_ordinary(*factors)
     _check_dims(K, *factors)
-    tensor = Poly.one(factors[0].dim)
-    for idx, f in enumerate(factors):
-        tensor = tensor * f.relabel_blocks({0: idx})
+    tensor = _block_tensor(factors)
     for i, j in g.internal_targets():
         tensor = apply_bivector(tensor, K, (i - 1,), (j - 1,))
         if tensor.is_zero():
@@ -164,6 +175,13 @@ def star_via_graphs(
     factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None
 ) -> Poly:
     """Star product assembled from graph operators, layer by hbar layer.
+
+    Layer ``k`` is ``hbar^k / k!`` times the sum of
+    ``multinomial(k, M) * kontsevich_apply(M)`` over the matrices ``M``
+    with ``k`` internal vertices.  Before its blocks merge, the image of
+    ``M`` is one :func:`apply_bivector` on the image of its prefix ``M'``
+    (``M`` without its last internal vertex), kept from the previous layer.
+    Zero images are not kept, and the walk stops at a layer with none.
 
     The independent oracle for :func:`starwick.star.star_multi`, which
     folds the pairwise product instead of summing over adjacency matrices.
@@ -179,18 +197,31 @@ def star_via_graphs(
     kmax = sum(degrees) // 2
     if order is not None:
         kmax = min(kmax, order)
-    result = Poly.zero(factors[0].dim)
-    for k in range(kmax + 1):
-        layer = Poly.zero(factors[0].dim)
+    slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    tensor = _block_tensor(factors)
+    result = tensor.merge_blocks()
+    # Images keyed by the matrix's upper-triangle values, row-major.
+    images = {(0,) * len(slots): tensor}
+    for k in range(1, kmax + 1):
+        layer: dict = {}
+        prev, images = images, {}
         for matrix in enumerate_adjacency_by_degree(m, 2 * k, row_caps=degrees):
-            value = kontsevich_apply(graph_from_matrix(matrix), factors, K)
-            if value.is_zero():
+            values = tuple(matrix.upper_values())
+            # The last internal vertex sits at the last nonzero slot.
+            last = max(s for s, v in enumerate(values) if v)
+            base = prev.get(values[:last] + (values[last] - 1,) + values[last + 1 :])
+            if base is None:
                 continue
-            layer = layer + value * multinomial(k, matrix.upper_values())
-        if layer.is_zero():
-            continue
+            i, j = slots[last]
+            image = apply_bivector(base, K, (i,), (j,))
+            if image:
+                images[values] = image
+                c = multinomial(k, values)
+                _add_terms(layer, ((vm, ce * c) for vm, ce in image.items()))
+        if not images:
+            break
         weight = CoeffElement({CoeffMonomial(hbar=k): Fraction(1, math.factorial(k))})
-        result = result + layer * weight
+        result = result + Poly._raw(result.dim, layer).merge_blocks() * weight
     if order is not None:
         result = result.truncate_hbar(order)
     return result

@@ -10,9 +10,9 @@ over the ``d x d`` non-negative integer matrices ``M``, where ``r`` and
 operator ``sum_ij K_ij d_i(f) d_j(g)`` written out index by index.  The
 product is associative, so the multi-factor product is the pairwise
 product folded left over the factors.  The graph sum
-:func:`starwick.graphs.star_via_graphs`, which applies the cross operator
-through :func:`apply_bivector` once per internal vertex, is the
-independent oracle for this fold.
+:func:`starwick.graphs.star_via_graphs`, which adds one internal vertex
+at a time through :func:`apply_bivector`, is the independent oracle for
+this fold.
 
 Changing the propagator from ``K`` to ``K'`` is the same exponential over
 every pair of factors ``a < b``, with ``K - K'`` as the matrix.  One walk
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -39,6 +40,7 @@ from .algebra import (
     PropagatorSymbol,
     VarMonomial,
     RationalLike,
+    _add_terms,
     _as_element,
 )
 
@@ -129,11 +131,13 @@ def _check_order(order: int | None) -> None:
         raise ValueError("truncation order must be non-negative")
 
 
-def _derivative_over(p: Poly, blocks: Iterable[int], index: int) -> Poly:
-    total = Poly.zero(p.dim)
+def _derivative_over(p: Poly, blocks: tuple[int, ...], index: int) -> Poly:
+    if len(blocks) == 1:
+        return p.derivative(index, block=blocks[0])
+    total: dict = {}
     for block in blocks:
-        total = total + p.derivative(index, block=block)
-    return total
+        _add_terms(total, p.derivative(index, block=block).items())
+    return Poly._raw(p.dim, total)
 
 
 def apply_bivector(
@@ -142,20 +146,16 @@ def apply_bivector(
     """One application of ``sum_ij K_ij d_i(left) d_j(right)``."""
     left = tuple(left_blocks)
     right = tuple(right_blocks)
-    acc = Poly.zero(p.dim)
+    acc: dict = {}
     for j in range(1, K.dim + 1):
         dg = _derivative_over(p, right, j)
         if dg.is_zero():
             continue
         for i in range(1, K.dim + 1):
             e = K.entries[i - 1][j - 1]
-            if e.is_zero():
-                continue
-            df = _derivative_over(dg, left, i)
-            if df.is_zero():
-                continue
-            acc = acc + df * e
-    return acc
+            if e:
+                _add_terms(acc, ((vm, ce * e) for vm, ce in _derivative_over(dg, left, i).items()))
+    return Poly._raw(p.dim, acc)
 
 
 def _check_dims(K: PropagatorMatrix, *polys: Poly) -> None:
@@ -463,9 +463,13 @@ class PropagatorChangeTerm:
 
 
 def _dominated_by(f: Poly):
-    """The test ``r -> D^r f != 0``: some monomial of ``f`` has every exponent >= ``r``."""
+    """The test ``r -> D^r f != 0``: some monomial of ``f`` has every exponent >= ``r``.
+
+    The walk reaches a multi-index many times, so each answer is cached.
+    """
     exponents = [dict(vm.items) for vm, _ in f.items()]
-    return lambda r: any(all(e.get((0, i), 0) >= k for i, k in enumerate(r, 1)) for e in exponents)
+    return cache(lambda r: any(all(e.get((0, i), 0) >= k for i, k in enumerate(r, 1))
+                               for e in exponents))
 
 
 def change_propagator(

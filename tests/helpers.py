@@ -15,6 +15,10 @@ from starwick import (
     PropagatorMatrix,
     PropagatorSymbol,
     apply_bivector,
+    enumerate_adjacency_by_degree,
+    graph_from_matrix,
+    kontsevich_apply,
+    multinomial,
 )
 
 
@@ -197,6 +201,26 @@ def derivative_supports(f: Poly) -> set[tuple[int, ...]]:
                     lower[pos] -= 1
                     stack.append(tuple(lower))
     return out
+
+
+def graph_sum_oracle(factors, K: PropagatorMatrix, order=None) -> Poly:
+    """The graph sum spelled out graph by graph.
+
+    ``sum_k hbar^k / k! * sum_M multinomial(k, M) * kontsevich_apply(M)``
+    over every adjacency matrix ``M`` of degree ``2k`` on the factors, with
+    no pruning and each graph's operator applied from the block tensor.
+    """
+    factors = list(factors)
+    kmax = sum(f.total_degree() for f in factors) // 2
+    if order is not None:
+        kmax = min(kmax, order)
+    total = Poly.zero(factors[0].dim)
+    for k in range(kmax + 1):
+        weight = CoeffElement.hbar(k) * Fraction(1, math.factorial(k))
+        for matrix in enumerate_adjacency_by_degree(len(factors), 2 * k):
+            image = kontsevich_apply(graph_from_matrix(matrix), factors, K)
+            total = total + image * (weight * multinomial(k, matrix.upper_values()))
+    return total if order is None else total.truncate_hbar(order)
 
 
 def change_propagator_oracle(factors, old: PropagatorMatrix, new: PropagatorMatrix, order=None):

@@ -231,6 +231,17 @@ def test_multiply_examples():
     assert (x(1, d) * Poly.zero(d)).is_zero()
 
 
+@settings(max_examples=40, deadline=None)
+@given(polys(blocks=(0, 1)), st.sampled_from([0, 1, -1, 3, -2, Fraction(0), Fraction(1),
+                                              Fraction(-1), Fraction(2, 3), Fraction(-5, 4)]))
+def test_rational_scale_matches_one_term_coefficient(p, q):
+    through_element = p * CoeffElement.from_rational(q)
+    assert p * q == through_element
+    assert q * p == through_element
+    assert all(not ce.is_zero() for _, ce in (p * q).items())
+    assert (p * q).is_zero() == (q == 0 or p.is_zero())
+
+
 def test_multiply_dimension_mismatch():
     with pytest.raises(ValueError):
         x(1, 2) * x(1, 3)

@@ -170,6 +170,16 @@ class TestFeynmanCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("matrix", [
+        "[1,2]", "3", "[[0,null],[null,0]]",
+        "[[0,1.7],[1.7,0]]", "[[0,true],[true,0]]", '[[0,"1"],["1",0]]',
+    ])
+    def test_non_integer_rows_are_refused(self, capsys, matrix):
+        code, out, err = run(capsys, "feynman", matrix)
+        assert code == 2
+        assert out == ""
+        assert err == "error: matrix must be a list of rows of integers\n"
+
 
 @pytest.fixture
 def grid_file(tmp_path):

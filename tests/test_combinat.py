@@ -33,6 +33,17 @@ class TestAdjacencyMatrix:
         with pytest.raises(ValueError):
             AdjacencyMatrix.from_rows([[0, -1], [-1, 0]])
 
+    @pytest.mark.parametrize("rows", [
+        [1, 2], 3, [[0, None], [None, 0]], [[0, 1.7], [1.7, 0]], [[0, 1.0], [1.0, 0]],
+        [[0, True], [True, 0]], [[0, "1"], ["1", 0]], [(0, 1), (1, 0)], ((0, 1), [1, 0]),
+    ])
+    def test_from_rows_takes_only_lists_of_ints(self, rows):
+        with pytest.raises(ValueError, match="list of rows of integers"):
+            AdjacencyMatrix.from_rows(rows)
+
+    def test_from_rows_keeps_integer_rows(self):
+        assert AdjacencyMatrix.from_rows([[0, 1], [1, 0]]).rows == ((0, 1), (1, 0))
+
     def test_degree_and_row_sums(self):
         m = AdjacencyMatrix.from_rows([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
         assert m.degree() == 6

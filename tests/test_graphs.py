@@ -22,7 +22,10 @@ from starwick import (
     to_feynman,
 )
 
-from helpers import rand_matrix, rand_poly
+import starwick.graphs
+from starwick.cli import main
+
+from helpers import graph_sum_oracle, rand_entry, rand_matrix, rand_poly
 
 
 def x(i, d):
@@ -208,6 +211,56 @@ class TestStarViaGraphs:
             for order in (None, 2):
                 fs = [rand_poly(rng, d, max_degree=3, terms=3) for _ in range(3)]
                 assert star_via_graphs(fs, K, order) == star_multi(fs, K, order)
+
+
+def graph_case(rng):
+    """Factors, a matrix and an order: ``d`` 1 to 3, 1 to 4 factors,
+    ``order`` None or 0 to 3, and a random rational matrix, a symmetric or
+    non-symmetric symbol family, or a ``from_entries`` grid whose entries
+    may carry ``hbar``."""
+    d, m = rng.randint(1, 3), rng.randint(1, 4)
+    order = rng.choice([None, 0, 1, 2, 3])
+    kind = rng.randrange(4)
+    if kind == 0:
+        K = rand_matrix(rng, d)
+    elif kind < 3:
+        K = PropagatorMatrix.family("K", d, symmetric=kind == 1)
+    else:
+        K = PropagatorMatrix.from_entries(
+            [[rand_entry(rng, i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
+        )
+    fs = [rand_poly(rng, d, max_degree=3 if m < 4 else 2, terms=2) for _ in range(m)]
+    return fs, K, order
+
+
+class TestPrefixWalk:
+    """The prefix walk of ``star_via_graphs`` against the per-graph sum."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_graph_sum(self, seed):
+        rng = random.Random(3100 + seed)
+        for _ in range(15):
+            fs, K, order = graph_case(rng)
+            assert star_via_graphs(fs, K, order) == graph_sum_oracle(fs, K, order)
+
+    def test_one_application_per_nonzero_prefix(self, monkeypatch, capsys):
+        calls = []
+        kernel = starwick.graphs.apply_bivector
+
+        def counted(*args):
+            calls.append(args[2:])
+            return kernel(*args)
+
+        monkeypatch.setattr(starwick.graphs, "apply_bivector", counted)
+        argv = ["star-graphs", "--dim", "2", "(x1 - 2*x2)^3", "(3*x1 + x2)^2", "(x1 + x2)^2"]
+        assert main(argv) == 0
+        # Matrices on 3 factors with row sums <= (3, 2, 2) whose prefix image
+        # is nonzero; applying every graph to a fresh tensor took 24.
+        assert len(calls) == 12
+        monkeypatch.undo()
+        out = capsys.readouterr().out
+        assert main(["star", *argv[1:]]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestFeynmanBijection:
