@@ -16,23 +16,23 @@ All values are immutable after construction and safe to share between
 threads.  Equality is canonical-form identity: no zero coefficient is
 ever stored, monomial keys are kept sorted, and two equal elements have
 identical term maps.
+
+Printed text lists terms in one canonical order, read off plain keys:
+variable monomials in graded lex order (higher total degree first, then
+the earlier variable with the higher power), coefficient monomials by
+``(degree, hbar, symbols)`` ascending, and symbols by ``(family, row,
+col)``.  A symbol is that tuple, so it also compares and hashes equal to
+the plain tuple with the same three fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 RationalLike = Fraction | int
-
-
-def _rat_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _add_terms(out: dict, items: Iterable[tuple]) -> None:
@@ -46,22 +46,28 @@ def _add_terms(out: dict, items: Iterable[tuple]) -> None:
             out.pop(key, None)
 
 
-@dataclass(frozen=True, order=True)
-class PropagatorSymbol:
-    """Abstract propagator entry, totally ordered by (family, row, col)."""
+class PropagatorSymbol(tuple):
+    """Abstract propagator entry ``K[family;row,col]``: the tuple ``(family, row, col)``."""
 
-    family: str
-    row: int
-    col: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.row < 1 or self.col < 1:
-            raise ValueError(
-                f"propagator indices are 1-based, got ({self.row}, {self.col})"
-            )
+    def __new__(cls, family: str, row: int, col: int) -> "PropagatorSymbol":
+        if row < 1 or col < 1:
+            raise ValueError(f"propagator indices are 1-based, got ({row}, {col})")
+        return tuple.__new__(cls, (family, row, col))
+
+    family = property(itemgetter(0))
+    row = property(itemgetter(1))
+    col = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"PropagatorSymbol(family={self[0]!r}, row={self[1]!r}, col={self[2]!r})"
 
     def text(self) -> str:
-        return f"K[{self.family};{self.row},{self.col}]"
+        return f"K[{self[0]};{self[1]},{self[2]}]"
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,7 @@ class CoeffMonomial:
         merged = dict(self.symbols)
         for sym, exp in other.symbols:
             merged[sym] = merged.get(sym, 0) + exp
-        items = sorted(merged.items(), key=itemgetter(0))
-        return CoeffMonomial._raw(hbar, tuple(items))
+        return CoeffMonomial._raw(hbar, tuple(sorted(merged.items())))
 
     def sort_key(self) -> tuple:
         return (self.degree(), self.hbar, self.symbols)
@@ -316,16 +321,15 @@ class CoeffElement:
 def _render_terms(entries: Iterable[tuple[Fraction, list[str]]]) -> str:
     chunks: list[str] = []
     for q, factors in entries:
-        mag = abs(q)
-        parts: list[str] = []
-        if mag != 1 or not factors:
-            parts.append(_rat_text(mag))
-        parts.extend(factors)
-        body = "*".join(parts)
-        if not chunks:
-            chunks.append(("-" if q < 0 else "") + body)
+        num, den = q.numerator, q.denominator
+        mag = abs(num)
+        if mag != 1 or den != 1 or not factors:
+            factors = [str(mag) if den == 1 else f"{mag}/{den}", *factors]
+        body = "*".join(factors)
+        if chunks:
+            chunks.append(("- " if num < 0 else "+ ") + body)
         else:
-            chunks.append(("- " if q < 0 else "+ ") + body)
+            chunks.append(("-" if num < 0 else "") + body)
     return " ".join(chunks) if chunks else "0"
 
 
@@ -379,25 +383,6 @@ class VarMonomial:
 
 
 _EMPTY_VM = VarMonomial()
-
-
-def _vm_cmp(a: VarMonomial, b: VarMonomial) -> int:
-    """Graded lexicographic comparison (earlier variable with higher power wins)."""
-    da, db = a.degree(), b.degree()
-    if da != db:
-        return -1 if da < db else 1
-    for (ka, ea), (kb, eb) in zip(a.items, b.items):
-        if ka != kb:
-            return 1 if ka < kb else -1
-        if ea != eb:
-            return 1 if ea > eb else -1
-    la, lb = len(a.items), len(b.items)
-    if la != lb:
-        return -1 if la < lb else 1
-    return 0
-
-
-_VM_KEY = cmp_to_key(_vm_cmp)
 
 
 class Poly:
@@ -635,7 +620,8 @@ class Poly:
         return total
 
     def sorted_terms(self) -> list[tuple[VarMonomial, CoeffElement]]:
-        return sorted(self._terms.items(), key=lambda kv: _VM_KEY(kv[0]), reverse=True)
+        return sorted(self._terms.items(), key=lambda kv: (
+            -kv[0].degree(), [(key, -exp) for key, exp in kv[0].items]))
 
     def __str__(self) -> str:
         entries: list[tuple[Fraction, list[str]]] = []

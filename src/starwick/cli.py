@@ -24,7 +24,7 @@ from .combinat import (
     is_admissible,
     ssyt_two_row,
 )
-from .exprparse import ParseError, parse
+from .exprparse import ParseError, parse, _IDENT_RE
 from .fields import KernelGrid, QuadratureRule, field_expectation, field_star, functional_star
 from .graphs import export_dot, graph_from_matrix, star_via_graphs, to_feynman
 from .star import PropagatorMatrix, poisson_bracket, star_multi
@@ -70,6 +70,13 @@ def _weights(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
 
 
+def _family(text: str) -> str:
+    """A family name the expression parser reads back inside ``K[...]``."""
+    if not _IDENT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an identifier as family name, got {text!r}")
+    return text
+
+
 def _nodes(text: str) -> tuple[tuple[str, ...], ...]:
     if not text:
         raise argparse.ArgumentTypeError("expected semicolon-separated label tuples, got ''")
@@ -79,9 +86,7 @@ def _nodes(text: str) -> tuple[tuple[str, ...], ...]:
 
 
 def _num_text(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
-    return repr(value)
+    return str(value) if isinstance(value, Fraction) else repr(value)
 
 
 def _family_matrix(args) -> PropagatorMatrix:
@@ -210,8 +215,8 @@ def _cmd_functional_star(args) -> str:
 _ARGS = {
     "dim": ("--dim", dict(type=int, required=True, help="number of variables")),
     "order": ("--order", dict(type=_order, help="hbar truncation order")),
-    "family": ("--family", dict(default="K", help="propagator family name")),
-    "sym": ("--sym", dict(action="append", default=[], metavar="FAMILY",
+    "family": ("--family", dict(type=_family, default="K", help="propagator family name")),
+    "sym": ("--sym", dict(type=_family, action="append", default=[], metavar="FAMILY",
                           help="declare a family symmetric (repeatable)")),
     "exprs": ("exprs", dict(nargs="+", help="polynomial expressions")),
     "exprs2": ("exprs", dict(nargs=2, help="two polynomial expressions")),

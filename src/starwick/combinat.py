@@ -14,6 +14,11 @@ from typing import Iterator, Mapping, Sequence
 IntSequence = tuple[int, ...]
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``: the only integers JSON input may give."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AdjacencyMatrix:
     rows: tuple[tuple[int, ...], ...]
@@ -46,8 +51,7 @@ class AdjacencyMatrix:
     def from_rows(cls, rows: list[list[int]]) -> "AdjacencyMatrix":
         """Build from a list of rows, each a list of ints (bools are refused)."""
         if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
-            for row in rows
+            isinstance(row, list) and all(map(_is_int, row)) for row in rows
         ):
             raise ValueError("matrix must be a list of rows of integers")
         return cls(tuple(map(tuple, rows)))

@@ -36,8 +36,10 @@ class _Token:
     pos: int
 
 
+# Identifiers name variables, ``hbar`` and propagator families.
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
-    r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[-+*^()\[\];,/])"
+    rf"(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<punct>[-+*^()\[\];,/])"
 )
 
 

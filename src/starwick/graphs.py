@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import CoeffElement, CoeffMonomial, Poly, _add_terms
-from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial
-from .star import PropagatorMatrix, apply_bivector, _check_dims, _check_order, _check_ordinary
+from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _is_int
+from .star import PropagatorMatrix, apply_bivector, _check_dims, _check_factors, _check_ordinary
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,9 @@ class BernoulliGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "BernoulliGraph":
-        return cls(int(data["m"]), AdjacencyMatrix.from_rows(data["matrix"]))
+        if not _is_int(data["m"]):
+            raise ValueError("boundary vertex count must be an integer")
+        return cls(data["m"], AdjacencyMatrix.from_rows(data["matrix"]))
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,12 @@ class FeynmanGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FeynmanGraph":
-        return cls.make(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+        vertices, edges = data["vertices"], data["edges"]
+        if not _is_int(vertices) or not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 3 and all(map(_is_int, e)) for e in edges
+        ):
+            raise ValueError("vertices must be an integer and edges [i, j, multiplicity] integers")
+        return cls.make(vertices, [tuple(e) for e in edges])
 
 
 def graph_from_matrix(matrix: AdjacencyMatrix, boundary: int | None = None) -> BernoulliGraph:
@@ -186,12 +193,7 @@ def star_via_graphs(
     The independent oracle for :func:`starwick.star.star_multi`, which
     folds the pairwise product instead of summing over adjacency matrices.
     """
-    _check_order(order)
-    factors = list(factors)
-    if not factors:
-        raise ValueError("star product needs at least one factor")
-    _check_ordinary(*factors)
-    _check_dims(K, *factors)
+    factors = _check_factors(factors, K, order)
     m = len(factors)
     degrees = [f.total_degree() for f in factors]
     kmax = sum(degrees) // 2

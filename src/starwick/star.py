@@ -172,6 +172,17 @@ def _check_ordinary(*polys: Poly) -> None:
             raise ValueError("expected an ordinary (single-block) polynomial")
 
 
+def _check_factors(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None) -> list[Poly]:
+    """The factors as a list, refused unless ordinary, nonempty and of ``K``'s dimension."""
+    _check_order(order)
+    factors = list(factors)
+    if not factors:
+        raise ValueError("at least one factor is required")
+    _check_ordinary(*factors)
+    _check_dims(K, *factors)
+    return factors
+
+
 class _Packing:
     """Monomials as packed integers, one fixed-width field per exponent.
 
@@ -413,12 +424,7 @@ def star_multi(
     :func:`starwick.graphs.star_via_graphs` computes the same product by
     an independent route and is the oracle this fold is tested against.
     """
-    _check_order(order)
-    factors = list(factors)
-    if not factors:
-        raise ValueError("star product needs at least one factor")
-    _check_ordinary(*factors)
-    _check_dims(K, *factors)
+    factors = _check_factors(factors, K, order)
     result = factors[0]
     if order is not None:
         result = result.truncate_hbar(order)
@@ -490,12 +496,7 @@ def change_propagator(
     matrix, sorted by total order, then by ``orders``.  The tests'
     ``change_propagator_oracle`` builds them one hbar layer at a time.
     """
-    _check_order(order)
-    factors = list(factors)
-    if not factors:
-        raise ValueError("expansion needs at least one factor")
-    _check_ordinary(*factors)
-    _check_dims(old, *factors)
+    factors = _check_factors(factors, old, order)
     if old.dim != new.dim:
         raise ValueError("propagator matrices must share a dimension")
     diff, m = old - new, len(factors)
@@ -525,11 +526,8 @@ def reexpand(
 
     Every term must carry exactly one length-``dim`` multi-index per factor.
     """
-    _check_order(order)
-    factors = list(factors)
-    if not factors:
-        raise ValueError("expansion needs at least one factor")
-    d = factors[0].dim
+    factors = _check_factors(factors, K, order)
+    d = K.dim
     if any(len(t.orders) != len(factors) or any(len(o) != d for o in t.orders) for t in terms):
         raise ValueError(f"each term needs one length-{d} multi-index per factor")
     total = Poly.zero(d)

@@ -33,8 +33,8 @@ from .combinat import (
     AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _rowsum_walk, _upper_slots
 )
 from .star import (
-    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_dims, _check_order,
-    _check_ordinary, _Packing, _packed_product,
+    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_factors, _Packing,
+    _packed_product,
 )
 
 
@@ -219,12 +219,7 @@ def wick_theorem_expand(
     lets each term keep its adjacency matrix.  Re-expansion with
     :func:`reexpand_wick` reproduces ``star_multi(factors, K)`` exactly.
     """
-    _check_order(order)
-    factors = list(factors)
-    if not factors:
-        raise ValueError("expansion needs at least one factor")
-    _check_ordinary(*factors)
-    _check_dims(K, *factors)
+    factors = _check_factors(factors, K, order)
     if K.dim != Kp.dim:
         raise ValueError("propagator matrices must share a dimension")
     d = len(factors)

@@ -14,12 +14,33 @@ from starwick import (
     PropagatorChangeTerm,
     PropagatorMatrix,
     PropagatorSymbol,
+    VarMonomial,
     apply_bivector,
     enumerate_adjacency_by_degree,
     graph_from_matrix,
     kontsevich_apply,
     multinomial,
 )
+
+
+def _vm_cmp(a: VarMonomial, b: VarMonomial) -> int:
+    """Graded lexicographic comparison (earlier variable with higher power wins).
+
+    The oracle for the canonical variable order: ``Poly.sorted_terms`` must
+    list monomials as sorting with this comparator in reverse does.
+    """
+    da, db = a.degree(), b.degree()
+    if da != db:
+        return -1 if da < db else 1
+    for (ka, ea), (kb, eb) in zip(a.items, b.items):
+        if ka != kb:
+            return 1 if ka < kb else -1
+        if ea != eb:
+            return 1 if ea > eb else -1
+    la, lb = len(a.items), len(b.items)
+    if la != lb:
+        return -1 if la < lb else 1
+    return 0
 
 
 def rand_rational(rng: random.Random, span: int = 3, den: int = 3) -> Fraction:

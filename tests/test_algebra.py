@@ -4,13 +4,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from starwick import CoeffElement, CoeffMonomial, Poly, PropagatorSymbol, VarMonomial
 
-from helpers import rand_poly
+from helpers import _vm_cmp, rand_poly
 
 
 def sym(family, i, j):
@@ -128,6 +129,37 @@ def test_symbol_order_and_validation():
     assert sym("K", 1, 2) < sym("K", 2, 1) < sym("L", 1, 1)
     with pytest.raises(ValueError):
         sym("K", 0, 1)
+
+
+def test_symbol_is_its_field_tuple():
+    s = sym("K", 1, 2)
+    assert PropagatorSymbol.__lt__ is tuple.__lt__
+    assert (s.family, s.row, s.col) == ("K", 1, 2)
+    assert s == ("K", 1, 2) and hash(s) == hash(("K", 1, 2))
+    assert repr(s) == "PropagatorSymbol(family='K', row=1, col=2)"
+    assert s.text() == "K[K;1,2]"
+    loaded = pickle.loads(pickle.dumps(s))
+    assert type(loaded) is PropagatorSymbol and loaded == s
+    with pytest.raises(AttributeError):
+        s.row = 3
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    with pytest.raises(ValueError, match=r"1-based, got \(2, 0\)"):
+        sym("K", 2, 0)
+
+
+var_monomials = st.builds(
+    lambda entries: VarMonomial.make({(b, i): e for b, i, e in entries}),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3), st.integers(1, 3)), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(var_monomials, max_size=8, unique=True))
+def test_sort_key_orders_as_the_graded_comparator(monomials):
+    p = Poly(3, {vm: 1 for vm in monomials})
+    expected = sorted(monomials, key=cmp_to_key(_vm_cmp), reverse=True)
+    assert [vm for vm, _ in p.sorted_terms()] == expected
 
 
 def test_coeff_substitute_examples():

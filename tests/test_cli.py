@@ -366,6 +366,26 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: unrecognized arguments: {named}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--dim", "2", "--family", "a;b", "x1", "x2"],
+            ["star", "--dim", "2", "--family", "", "x1", "x2"],
+            ["star-graphs", "--dim", "2", "--sym", "K]", "x1", "x2"],
+            ["poisson", "--dim", "2", "--sym", "1K", "x1", "x2"],
+            ["field-star", "--grid", "unused.json", "--sym", "K K", "x1", "x1"],
+            ["expect", "--n", "2,2", "--family", "K["],
+            ["expect-oracle", "--n", "1,1", "--family", "K-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_family_must_be_a_parser_identifier(self, capsys, argv):
+        # K[family;i,j] is printed text that parse must read back.
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "identifier" in err
+
 
 # Option strings (without -h/--help) and positionals of every subcommand.
 SURFACE = {
@@ -425,3 +445,23 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys):
     assert in_process == fresh
     assert [code for code, _ in fresh] == [0, 1, 2, 0, 0]
     assert fresh[3][1] != fresh[4][1]
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # Term order comes from sort keys, never from set or dict iteration order.
+    argvs = [
+        ["star", "--dim", "3", "--family", "L", "--sym", "K", "--sym", "L",
+         "K[K;2,1]*x1 + K[K;1,3]*x2^2", "x3*x1 - x2", "K[K;3,3]*x1*x3 + x2"],
+        ["expect", "--n", "2,3,1,2", "--family", "P"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outputs = []
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        outputs.append([
+            subprocess.run([sys.executable, "-m", "starwick.cli", *argv], capture_output=True,
+                           env=env, timeout=60, check=True).stdout
+            for argv in argvs
+        ])
+    assert outputs[0] == outputs[1]
+    assert b"K[K;" in outputs[0][0] and b"K[L;" in outputs[0][0]

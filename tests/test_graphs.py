@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -329,3 +330,31 @@ class TestJson:
         data = f.to_json()
         assert data == {"vertices": 4, "edges": [[1, 2, 1], [3, 4, 2]]}
         assert FeynmanGraph.from_json(data) == f
+
+    def test_json_text_round_trip(self):
+        g = graph_from_matrix(b_matrix(3, m12=2, m23=1))
+        assert BernoulliGraph.from_json(json.loads(json.dumps(g.to_json()))) == g
+        f = to_feynman(g)
+        assert FeynmanGraph.from_json(json.loads(json.dumps(f.to_json()))) == f
+
+    @pytest.mark.parametrize("data", [
+        {"m": 2.9, "matrix": [[0, 1], [1, 0]]},
+        {"m": "2", "matrix": [[0, 1], [1, 0]]},
+        {"m": True, "matrix": [[0]]},
+    ])
+    def test_bernoulli_refuses_non_integer_boundary(self, data):
+        with pytest.raises(ValueError, match="boundary vertex count must be an integer"):
+            BernoulliGraph.from_json(data)
+
+    @pytest.mark.parametrize("data", [
+        {"vertices": "3", "edges": [[1, 2.0, 1.5]]},
+        {"vertices": 3, "edges": [[1, 2.0, 1.5]]},
+        {"vertices": 3, "edges": [[1, 2, True]]},
+        {"vertices": 3.0, "edges": [[1, 2, 1]]},
+        {"vertices": 3, "edges": [[1, 2]]},
+        {"vertices": 3, "edges": [(1, 2, 1)]},
+        {"vertices": 3, "edges": "12"},
+    ])
+    def test_feynman_refuses_non_integer_fields(self, data):
+        with pytest.raises(ValueError, match="vertices must be an integer"):
+            FeynmanGraph.from_json(data)

@@ -15,6 +15,8 @@ from starwick import (
     star2,
     star_multi,
     star_tensor,
+    star_via_graphs,
+    wick_theorem_expand,
 )
 
 from helpers import (
@@ -229,6 +231,34 @@ class TestStarMulti:
             for f in fs[1:]:
                 iterated = star2(iterated, f, K)
             assert star_multi(fs, K) == iterated
+
+
+# Every entry point that takes a list of ordinary factors, as (factors, K, order) -> result.
+FACTOR_LIST_ENTRY_POINTS = {
+    "star_multi": star_multi,
+    "star_via_graphs": star_via_graphs,
+    "change_propagator": lambda fs, K, order: change_propagator(
+        fs, K, PropagatorMatrix.zero(K.dim), order),
+    "wick_theorem_expand": lambda fs, K, order: wick_theorem_expand(
+        fs, K, PropagatorMatrix.zero(K.dim), order),
+    "reexpand": lambda fs, K, order: reexpand([], fs, K, order),
+}
+
+# name -> (factors for a 2 x 2 matrix, order, expected message)
+BAD_FACTOR_LISTS = {
+    "empty": (lambda: [], None, "at least one factor is required"),
+    "block_tagged": (lambda: [x(1, 2, block=1), x(2, 2)], None, "ordinary"),
+    "dimension_mismatch": (lambda: [x(1, 3), x(2, 3)], None, "dimension mismatch"),
+    "negative_order": (lambda: [x(1, 2), x(2, 2)], -1, "non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FACTOR_LISTS)
+@pytest.mark.parametrize("entry", FACTOR_LIST_ENTRY_POINTS)
+def test_factor_lists_are_checked_alike(entry, case):
+    factors, order, message = BAD_FACTOR_LISTS[case]
+    with pytest.raises(ValueError, match=message):
+        FACTOR_LIST_ENTRY_POINTS[entry](factors(), PropagatorMatrix.family("K", 2), order)
 
 
 class TestPoissonBracket:
