@@ -270,14 +270,12 @@ class CoeffElement:
             {m: q for m, q in self._terms.items() if m.hbar <= order}
         )
 
-    def hbar_part(self, power: int, strip: bool = True) -> "CoeffElement":
-        """Select the monomials at an exact hbar power, dividing it out by default."""
+    def hbar_part(self, power: int) -> "CoeffElement":
+        """The monomials at an exact hbar power, with that power divided out."""
         out: dict[CoeffMonomial, Fraction] = {}
         for mono, q in self._terms.items():
-            if mono.hbar != power:
-                continue
-            key = CoeffMonomial(0, mono.symbols) if strip else mono
-            out[key] = q
+            if mono.hbar == power:
+                out[CoeffMonomial(0, mono.symbols)] = q
         return CoeffElement._raw(out)
 
     def symbols(self) -> set[PropagatorSymbol]:
@@ -593,7 +591,7 @@ class Poly:
         """The polynomial coefficient of ``hbar^power``, with hbar divided out."""
         out = {}
         for vm, ce in self._terms.items():
-            part = ce.hbar_part(power, strip=True)
+            part = ce.hbar_part(power)
             if not part.is_zero():
                 out[vm] = part
         return Poly._raw(self._dim, out)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .algebra import Poly, PropagatorSymbol
 from .star import PropagatorMatrix, poisson_bracket, star2, star_tensor
-from .wick import WickMonomialSpec, expectation_formula, _hermite_coefficient
+from .wick import WickMonomialSpec, expectation_formula, wick_power
 
 Num = Fraction | float
 
@@ -27,10 +27,15 @@ _MODES = ("rational", "float")
 
 
 def _decode_number(value, mode: str) -> Num:
-    if mode == "float":
-        return float(value)
     if isinstance(value, bool):
         raise ValueError("booleans are not numbers")
+    if mode == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError("float grid values must be finite") from None
+        except TypeError:
+            raise ValueError(f"float mode cannot hold {value!r}") from None
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
@@ -39,6 +44,12 @@ def _decode_number(value, mode: str) -> Num:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"rational mode cannot hold {value!r}; use 'p/q' strings")
+
+
+def _listed(value, name: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"grid {name} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _encode_number(value: Num, mode: str):
@@ -96,9 +107,12 @@ class KernelGrid:
         symmetric: bool = False,
     ) -> "KernelGrid":
         return cls(
-            tuple(str(p) for p in points),
-            tuple(tuple(_decode_number(v, mode) for v in row) for row in kernel),
-            tuple(_decode_number(v, mode) for v in field),
+            tuple(str(p) for p in _listed(points, "points")),
+            tuple(
+                tuple(_decode_number(v, mode) for v in _listed(row, "kernel row"))
+                for row in _listed(kernel, "kernel")
+            ),
+            tuple(_decode_number(v, mode) for v in _listed(field, "field")),
             _decode_number(hbar, mode),
             mode,
             symmetric,
@@ -137,10 +151,6 @@ class KernelGrid:
             return self.points.index(label)
         except ValueError:
             raise ValueError(f"unknown sample point {label!r}") from None
-
-
-def _coerce_result(value, mode: str) -> Num:
-    return float(value) if mode == "float" else Fraction(value)
 
 
 def _over_common_denominator(values: Sequence[Num], mode: str) -> tuple[list, int]:
@@ -184,7 +194,8 @@ def specialize(
             raise ValueError(f"variable x{index} exceeds the {d}-point grid")
         return grid.field[index - 1]
 
-    return _coerce_result(p.evaluate(var_value, sym_value, grid.hbar), grid.mode)
+    value = p.evaluate(var_value, sym_value, grid.hbar)
+    return float(value) if grid.mode == "float" else Fraction(value)
 
 
 def field_star(f: Poly, g: Poly, grid: KernelGrid, order: int | None = None) -> Num:
@@ -200,22 +211,16 @@ def field_poisson(f: Poly, g: Poly, grid: KernelGrid) -> Num:
 
 
 def field_wick_power(index: int, power: int, grid: KernelGrid) -> Num:
-    """Closed-form Wick power of the field sample at one point."""
+    """Wick power of the field sample at one point: :func:`starwick.wick.wick_power`
+    over the grid kernel family, read through :func:`specialize`."""
     if not 1 <= index <= grid.size:
         raise ValueError(f"point index {index} out of range 1..{grid.size}")
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    diag = grid.kernel[index - 1][index - 1]
-    phi = grid.field[index - 1]
-    total = 0
-    for k in range(power // 2 + 1):
-        c = _hermite_coefficient(power, k)
-        total = total + c * grid.hbar**k * diag**k * phi ** (power - 2 * k)
-    return _coerce_result(total, grid.mode)
+    return specialize(wick_power(index, power, PropagatorMatrix.family("K", grid.size)), grid)
 
 
 def field_expectation(powers: Sequence[int], grid: KernelGrid) -> Num:
-    """Expectation of a field Wick monomial on the grid kernel."""
+    """Expectation of a field Wick monomial on the grid kernel:
+    :func:`starwick.wick.expectation_formula` read through :func:`specialize`."""
     powers = tuple(int(p) for p in powers)
     d = len(powers)
     if d > grid.size:
@@ -225,12 +230,7 @@ def field_expectation(powers: Sequence[int], grid: KernelGrid) -> Num:
         PropagatorMatrix.family("K", d, zero_diagonal=True),
         PropagatorMatrix.family("K", d),
     )
-    value = expectation_formula(spec)
-
-    def sym_value(sym: PropagatorSymbol):
-        return grid.kernel[sym.row - 1][sym.col - 1]
-
-    return _coerce_result(value.evaluate(sym_value, grid.hbar), grid.mode)
+    return specialize(Poly.constant(expectation_formula(spec), d), grid)
 
 
 @dataclass(frozen=True)

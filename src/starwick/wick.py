@@ -60,13 +60,6 @@ class WickMonomialSpec:
             raise ValueError("propagator dimensions must match the power count")
 
 
-def _hermite_coefficient(power: int, k: int) -> Fraction:
-    """``power! / (2^k k! (power - 2k)!)``: the ``hbar^k`` weight of a Wick power."""
-    return Fraction(
-        math.factorial(power), 2**k * math.factorial(k) * math.factorial(power - 2 * k)
-    )
-
-
 def _hermite_terms(
     index: int, power: int, K: PropagatorMatrix, dim: int | None, sign: int
 ) -> list[tuple[CoeffElement, int]]:
@@ -81,7 +74,8 @@ def _hermite_terms(
     diag = K.entry(index, index)
     out: list[tuple[CoeffElement, int]] = []
     for k in range(power // 2 + 1):
-        c = _hermite_coefficient(power, k) * sign**k
+        c = Fraction(sign**k * math.factorial(power),
+                     2**k * math.factorial(k) * math.factorial(power - 2 * k))
         coeff = CoeffElement({CoeffMonomial(hbar=k): c}) * diag**k
         if not coeff.is_zero():
             out.append((coeff, power - 2 * k))
@@ -176,7 +170,7 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
         return CoeffElement.zero()
     m = total // 2
     product = wick_monomial_star(spec, order=m)
-    return product.constant_coeff().hbar_part(m, strip=True)
+    return product.constant_coeff().hbar_part(m)
 
 
 @dataclass(frozen=True)

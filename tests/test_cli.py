@@ -292,6 +292,28 @@ class TestFieldCommands:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"points": 5}, "grid points must be a list, got int"),
+            ({"kernel": [1, 2]}, "grid kernel row must be a list, got int"),
+            ({"kernel": [[None, 1], [1, 0]], "mode": "float"}, "float mode cannot hold None"),
+            ({"hbar": [1], "mode": "float"}, "float mode cannot hold [1]"),
+            ({"hbar": True}, "booleans are not numbers"),
+            ({"hbar": True, "mode": "float"}, "booleans are not numbers"),
+        ],
+        ids=["points-int", "kernel-int-rows", "float-null-entry", "float-list-hbar",
+             "bool-hbar", "float-bool-hbar"],
+    )
+    def test_malformed_grid_is_computation_error(self, capsys, tmp_path, change, message):
+        data = {"points": ["a", "b"], "kernel": [[0, 1], [1, 0]], "field": [1, 2], **change}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "field-expect", "--grid", str(path), "--n", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):

@@ -1,8 +1,10 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starwick import (
     CoeffElement,
@@ -24,7 +26,7 @@ from starwick import (
     wick_power,
 )
 
-from helpers import functional_star_oracle, rand_poly, rand_rational
+from helpers import all_pairings, functional_star_oracle, rand_poly, rand_rational
 
 
 def x(i, d):
@@ -57,6 +59,25 @@ def rand_grid(rng, d, mode="rational"):
         field = [float(v) for v in field]
         hbar = float(hbar)
     return grid2(kernel, field, hbar, mode)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+# A valid two-point grid in which any key, or any number, may be any JSON value.
+grid_json = st.fixed_dictionaries({
+    "points": st.just(["a", "b"]) | json_values,
+    "kernel": st.just([[0, 1], [1, 0]])
+    | st.lists(st.lists(json_values, min_size=2, max_size=2), min_size=2, max_size=2)
+    | json_values,
+    "field": st.just([1, -2]) | st.lists(json_values, min_size=2, max_size=2) | json_values,
+    "hbar": st.just(1) | json_values,
+    "mode": st.sampled_from(["rational", "float"]) | json_values,
+    "symmetric": st.booleans() | json_values,
+})
 
 
 class TestGridCodec:
@@ -115,6 +136,59 @@ class TestGridCodec:
         text = '{"points": ["a"], "kernel": [[NaN]], "field": [1.0], "mode": "float"}'
         with pytest.raises(ValueError, match="finite"):
             KernelGrid.from_json(text)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize(
+        "key, bad", [("kernel", [[True]]), ("field", [False]), ("hbar", True)],
+        ids=["kernel", "field", "hbar"],
+    )
+    def test_booleans_are_not_numbers(self, mode, key, bad):
+        data = {"points": ["a"], "kernel": [[1]], "field": [1], "hbar": 1, "mode": mode}
+        data[key] = bad
+        with pytest.raises(ValueError, match="booleans"):
+            KernelGrid.from_json(data)
+
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("points", 5, "points must be a list"),
+            ("points", "ab", "points must be a list"),
+            ("kernel", [1, 2], "kernel row must be a list"),
+            ("kernel", {"a": 1}, "kernel must be a list"),
+            ("field", "12", "field must be a list"),
+        ],
+        ids=["points-int", "points-str", "kernel-int-rows", "kernel-object", "field-str"],
+    )
+    def test_malformed_shapes_rejected(self, key, bad, message):
+        data = {"points": ["a", "b"], "kernel": [[0, 1], [1, 0]], "field": [1, 2]}
+        data[key] = bad
+        with pytest.raises(ValueError, match=message):
+            KernelGrid.from_json(data)
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("kernel", [[None]]), ("field", [[1.0]]), ("hbar", [1]), ("hbar", {})],
+        ids=["kernel-null", "field-list", "hbar-list", "hbar-object"],
+    )
+    def test_float_mode_rejects_non_numbers(self, key, bad):
+        data = {"points": ["a"], "kernel": [[1.0]], "field": [1.0], "mode": "float"}
+        data[key] = bad
+        with pytest.raises(ValueError, match="float mode cannot hold"):
+            KernelGrid.from_json(data)
+
+    def test_float_overflow_rejected(self):
+        data = {"points": ["a"], "kernel": [[10**400]], "field": [1.0], "mode": "float"}
+        with pytest.raises(ValueError, match="finite"):
+            KernelGrid.from_json(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_json)
+    def test_json_values_give_a_grid_or_value_error(self, data):
+        try:
+            grid = KernelGrid.from_json(data)
+        except ValueError:
+            return
+        assert isinstance(grid, KernelGrid)
 
     def test_zero_denominator_entry_rejected(self):
         text = '{"points": ["a"], "kernel": [["1/0"]], "field": [1]}'
@@ -216,14 +290,28 @@ class TestFieldWickPower:
         assert field_wick_power(1, 4, zero_field) == 3
 
     def test_matches_symbolic_route(self):
+        """The specialized symbolic Wick power against the numeric Hermite
+        recurrence ``He_{n+1} = phi He_n + n hbar K_ii He_{n-1}`` (plus sign:
+        the Wick power is the iterated star power, ``x * x = x^2 + hbar K_ii``)."""
         rng = random.Random(34)
-        for _ in range(8):
-            d = rng.randint(1, 3)
-            grid = rand_grid(rng, d)
-            i = rng.randint(1, d)
-            for power in range(9):
-                symbolic = wick_power(i, power, PropagatorMatrix.family("K", d))
-                assert field_wick_power(i, power, grid) == specialize(symbolic, grid)
+        for mode in ("rational", "float"):
+            for _ in range(8):
+                d = rng.randint(1, 3)
+                grid = rand_grid(rng, d, mode)
+                i = rng.randint(1, d)
+                phi, c = grid.field[i - 1], grid.hbar * grid.kernel[i - 1][i - 1]
+                # the same recurrence on absolute values bounds every summand
+                he, scale = [1, phi], [1, abs(phi)]
+                for n in range(1, 8):
+                    he.append(phi * he[n] + n * c * he[n - 1])
+                    scale.append(abs(phi) * scale[n] + n * abs(c) * scale[n - 1])
+                for power in range(9):
+                    value = field_wick_power(i, power, grid)
+                    if mode == "rational":
+                        assert value == he[power]
+                    else:
+                        assert isinstance(value, float)
+                        assert abs(value - he[power]) <= 1e-12 * scale[power]
 
 
 class TestFieldExpectation:
@@ -240,6 +328,24 @@ class TestFieldExpectation:
     def test_inadmissible_vanishes(self):
         grid = grid2([[0, 1], [1, 0]], [0, 0])
         assert field_expectation((3, 1), grid) == 0
+
+    def test_matches_pairing_sum(self):
+        """``prod n_i! * E`` counts the pairings of the labelled field copies
+        with no pair inside one group, each weighted by its kernel entries
+        ``K[i][j]``, ``i < j``, read straight off the grid."""
+        rng = random.Random(39)
+        for _ in range(12):
+            d = rng.randint(1, 4)
+            grid = rand_grid(rng, d + rng.randint(0, 1))
+            powers = tuple(rng.randint(0, 3) for _ in range(d))
+            copies = [i for i, n in enumerate(powers) for _ in range(n)]
+            expected = 0
+            for pairing in all_pairings(list(range(len(copies)))):
+                groups = [sorted((copies[a], copies[b])) for a, b in pairing]
+                if all(i != j for i, j in groups):
+                    expected += math.prod(grid.kernel[i][j] for i, j in groups)
+            weight = math.prod(math.factorial(n) for n in powers)
+            assert weight * field_expectation(powers, grid) == expected
 
 
 class TestFunctionalStar:
