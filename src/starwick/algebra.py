@@ -262,9 +262,6 @@ class CoeffElement:
             out = out * self
         return out
 
-    def max_hbar(self) -> int:
-        return max((m.hbar for m in self._terms), default=0)
-
     def truncate_hbar(self, order: int) -> "CoeffElement":
         return CoeffElement._raw(
             {m: q for m, q in self._terms.items() if m.hbar <= order}
@@ -572,12 +569,6 @@ class Poly:
 
     def constant_coeff(self) -> CoeffElement:
         return self._terms.get(_EMPTY_VM, CoeffElement.zero())
-
-    def coeff(self, vm: VarMonomial) -> CoeffElement:
-        return self._terms.get(vm, CoeffElement.zero())
-
-    def max_hbar(self) -> int:
-        return max((ce.max_hbar() for ce in self._terms.values()), default=0)
 
     def truncate_hbar(self, order: int) -> "Poly":
         out = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Mapping, Sequence
 
 IntSequence = tuple[int, ...]
@@ -138,51 +139,35 @@ def enumerate_adjacency_by_degree(
         raise ValueError("matrix size must be at least 1")
     if degree < 0 or degree % 2:
         raise ValueError(f"degree must be even and non-negative, got {degree}")
-    slots = _upper_slots(d)
-    caps = list(row_caps) if row_caps is not None else None
-    if caps is not None and len(caps) != d:
-        raise ValueError("row_caps length must match the matrix size")
+    # No row sum exceeds degree // 2; a larger cap would only widen the
+    # value range the walk tries at each slot.
     half = degree // 2
-    used = [0] * d
-    values = [0] * len(slots)
-    out: list[AdjacencyMatrix] = []
-
-    def free(i: int) -> int:
-        return half if caps is None else caps[i] - used[i]
-
-    def walk(idx: int, remaining: int) -> None:
-        if idx == len(slots):
-            if remaining == 0:
-                out.append(_from_slots(d, slots, values))
-            return
-        if caps is not None:
-            headroom = sum(max(free(i), 0) for i in range(d)) // 2
-            if remaining > headroom:
-                return
-        i, j = slots[idx]
-        top = min(remaining, free(i), free(j)) if caps is not None else remaining
-        for v in range(top + 1):
-            values[idx] = v
-            used[i] += v
-            used[j] += v
-            walk(idx + 1, remaining - v)
-            used[i] -= v
-            used[j] -= v
-        values[idx] = 0
-
-    walk(0, half)
-    return out
+    caps = [half] * d if row_caps is None else [min(c, half) for c in row_caps]
+    if len(caps) != d:
+        raise ValueError("row_caps length must match the matrix size")
+    if any(c < 0 for c in caps):
+        raise ValueError("row_caps must be non-negative")
+    slack = sum(caps) - degree
+    # Slot (i, d) of the walk over d + 1 vertices holds caps[i] minus row
+    # i's sum; it is the last slot of row i, so dropping it keeps the order.
+    kept = [j < d for _, j in _upper_slots(d + 1)]
+    slots = _upper_slots(d)
+    return [
+        _from_slots(d, slots, compress(values, kept))
+        for values in _rowsum_walk((*caps, slack))
+    ]
 
 
 def _rowsum_walk(n: IntSequence) -> Iterator[list[int]]:
     """Upper-triangle values, row-major, of every adjacency matrix with row
-    sums ``n``, in ascending lexicographic order.
+    sums ``n``, in ascending lexicographic order; none if a sum is negative.
 
     One list is yielded and rewritten in place, so a caller that keeps a
     matrix copies it.  A branch is cut as soon as one remaining row sum
     exceeds the rest (the total stays even once it starts even), and the
     last slot ``(i, d-1)`` of row ``i`` takes exactly what row ``i`` still
-    needs.
+    needs.  ``enumerate_adjacency_by_degree`` runs it over an extra slack
+    vertex whose slots take what each row leaves below its cap.
     """
     d = len(n)
     slots = _upper_slots(d)
@@ -190,7 +175,7 @@ def _rowsum_walk(n: IntSequence) -> Iterator[list[int]]:
     left = sum(rem)
     values = [0] * len(slots)
     tops = [0] * len(slots)
-    if left % 2 or 2 * max(rem) > left:
+    if left % 2 or 2 * max(rem) > left or min(rem) < 0:
         return
     if not slots:
         if not left:
@@ -238,7 +223,7 @@ def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
     row-major lexicographic order; empty when none exist."""
     n = tuple(int(v) for v in n)
     d = len(n)
-    if d < 1 or any(v < 0 for v in n):
+    if d < 1:
         return []
     slots = _upper_slots(d)
     return [_from_slots(d, slots, values) for values in _rowsum_walk(n)]

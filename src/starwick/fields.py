@@ -39,6 +39,9 @@ def _decode_number(value, mode: str) -> Num:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            # Fraction would compute the power of ten exactly, however large.
+            raise ValueError(f"rational mode refuses exponent notation in {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -73,6 +76,10 @@ class KernelGrid:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
+        if not all(isinstance(p, str) for p in self.points):
+            raise ValueError("sample point labels must be strings")
+        if not isinstance(self.symmetric, bool):
+            raise ValueError("grid symmetric must be true or false")
         if len(set(self.points)) != len(self.points):
             raise ValueError("sample point labels must be distinct")
         d = len(self.points)
@@ -107,7 +114,7 @@ class KernelGrid:
         symmetric: bool = False,
     ) -> "KernelGrid":
         return cls(
-            tuple(str(p) for p in _listed(points, "points")),
+            tuple(_listed(points, "points")),
             tuple(
                 tuple(_decode_number(v, mode) for v in _listed(row, "kernel row"))
                 for row in _listed(kernel, "kernel")
@@ -133,7 +140,7 @@ class KernelGrid:
             data["field"],
             data.get("hbar", 1),
             mode,
-            bool(data.get("symmetric", False)),
+            data.get("symmetric", False),
         )
 
     def to_json(self) -> dict:

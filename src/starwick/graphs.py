@@ -94,9 +94,6 @@ class FeynmanGraph:
             merged[(a, b)] = merged.get((a, b), 0) + mult
         return cls(vertices, tuple(sorted((i, j, m) for (i, j), m in merged.items())))
 
-    def edge_count(self) -> int:
-        return sum(mult for _, _, mult in self.edges)
-
     def to_json(self) -> dict:
         return {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}
 

@@ -301,9 +301,14 @@ class TestFieldCommands:
             ({"hbar": [1], "mode": "float"}, "float mode cannot hold [1]"),
             ({"hbar": True}, "booleans are not numbers"),
             ({"hbar": True, "mode": "float"}, "booleans are not numbers"),
+            ({"symmetric": "false"}, "grid symmetric must be true or false"),
+            ({"points": [1, None]}, "sample point labels must be strings"),
+            ({"hbar": "1e999999999"},
+             "rational mode refuses exponent notation in '1e999999999'"),
         ],
         ids=["points-int", "kernel-int-rows", "float-null-entry", "float-list-hbar",
-             "bool-hbar", "float-bool-hbar"],
+             "bool-hbar", "float-bool-hbar", "string-symmetric", "null-label",
+             "rational-exponent"],
     )
     def test_malformed_grid_is_computation_error(self, capsys, tmp_path, change, message):
         data = {"points": ["a", "b"], "kernel": [[0, 1], [1, 0]], "field": [1, 2], **change}
@@ -487,3 +492,27 @@ def test_output_does_not_depend_on_the_hash_seed():
         ])
     assert outputs[0] == outputs[1]
     assert b"K[K;" in outputs[0][0] and b"K[L;" in outputs[0][0]
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S keeps site hooks (.pth files of installed packages) out of sys.modules,
+    # so what is left is what starwick itself imports.
+    code = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from starwick.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["star", "--dim", "2", "x1", "x2"]), main(["expect", "--n", "2,2"]),
+             main(["enum-adj", "--dim", "3", "--deg", "4"])]
+print(json.dumps([codes, sorted({name.partition(".")[0] for name in sys.modules})]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    codes, modules = json.loads(proc.stdout)
+    assert codes == [0, 0, 0]
+    assert "starwick" in modules
+    outside = set(modules) - set(sys.stdlib_module_names) - {"__main__", "starwick"}
+    assert not outside, sorted(outside)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 
 import pytest
 
@@ -90,11 +92,23 @@ class TestEnumerateByDegree:
         assert len(capped) == 3  # the perfect matchings
         assert all(m.row_sums() == (1, 1, 1, 1) for m in capped)
 
+    def test_caps_above_degree_cost_nothing(self):
+        start = time.perf_counter()
+        capped = enumerate_adjacency_by_degree(3, 2, row_caps=[10**6] * 3)
+        assert time.perf_counter() - start < 0.5
+        assert capped == enumerate_adjacency_by_degree(3, 2)
+
+    @pytest.mark.parametrize("caps", [[1, -1, 1], [-2, 0, 0]])
+    def test_negative_row_caps_rejected(self, caps):
+        with pytest.raises(ValueError, match="row_caps must be non-negative"):
+            enumerate_adjacency_by_degree(3, 2, row_caps=caps)
+
 
 class TestEnumerateByRowsums:
     def test_examples(self):
         assert len(enumerate_adjacency_by_rowsums((1, 1, 1, 1))) == 3
         assert enumerate_adjacency_by_rowsums((1, 1, 1)) == []
+        assert enumerate_adjacency_by_rowsums((-1, -1)) == []
         only = enumerate_adjacency_by_rowsums((2, 2))
         assert len(only) == 1 and only[0].rows[0][1] == 2
 
@@ -122,6 +136,56 @@ def test_enumerated_matrices_equal_checked_construction():
     for run in runs:
         for m in run:
             assert m == AdjacencyMatrix.from_rows(m.tolist())
+
+
+def brute_force_by_degree(d, degree):
+    """Upper triangles, in lexicographic order, of every d x d matrix of the
+    given degree, each counted out of a multiset of ``degree // 2`` edges
+    over the upper slots (a product over the slots would need
+    ``(degree // 2 + 1) ** slots`` candidates)."""
+    slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    uppers = set()
+    for edges in itertools.combinations_with_replacement(range(len(slots)), degree // 2):
+        uppers.add(tuple(edges.count(s) for s in range(len(slots))))
+    return sorted(uppers)
+
+
+def upper_row_sums(d, upper):
+    sums = [0] * d
+    slots = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for (i, j), v in zip(slots, upper):
+        sums[i] += v
+        sums[j] += v
+    return tuple(sums)
+
+
+def test_enumerators_match_brute_force():
+    rng = random.Random(2024)
+    for d in range(1, 6):
+        for degree in range(0, 11, 2):
+            half = degree // 2
+            expected = brute_force_by_degree(d, degree)
+            sums = {upper: upper_row_sums(d, upper) for upper in expected}
+            got = [tuple(m.upper_values()) for m in enumerate_adjacency_by_degree(d, degree)]
+            assert got == expected, (d, degree)
+
+            for _ in range(3):
+                caps = [rng.randint(0, half + 1) for _ in range(d)]
+                want = [u for u in expected if all(s <= c for s, c in zip(sums[u], caps))]
+                got = enumerate_adjacency_by_degree(d, degree, row_caps=caps)
+                assert [tuple(m.upper_values()) for m in got] == want, (d, degree, caps)
+            if degree:
+                short = [rng.randint(0, (degree - 1) // d) for _ in range(d)]
+                assert sum(short) < degree
+                assert enumerate_adjacency_by_degree(d, degree, row_caps=short) == []
+
+            by_sums = {}
+            for upper in expected:
+                by_sums.setdefault(sums[upper], []).append(upper)
+            for n in itertools.product(range(half + 1), repeat=d):
+                if sum(n) == degree:
+                    got = [tuple(m.upper_values()) for m in enumerate_adjacency_by_rowsums(n)]
+                    assert got == by_sums.get(n, []), n
 
 
 class TestAdmissibility:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,30 @@ class TestGridCodec:
         except ValueError:
             return
         assert isinstance(grid, KernelGrid)
+
+    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None, []])
+    def test_symmetric_must_be_a_json_boolean(self, bad):
+        data = {"points": ["a"], "kernel": [[1]], "field": [1], "symmetric": bad}
+        with pytest.raises(ValueError, match="symmetric must be true or false"):
+            KernelGrid.from_json(data)
+
+    @pytest.mark.parametrize("points", [[1, None], ["a", None], [1, 2], [["a"], "b"]])
+    def test_point_labels_must_be_strings(self, points):
+        with pytest.raises(ValueError, match="labels must be strings"):
+            KernelGrid.make(points, [[0, 1], [1, 0]], [1, 2], 1)
+
+    @pytest.mark.parametrize("bad", ["1e999999999", "1E5", "-2.5e-3", "1/2e3"])
+    def test_rational_mode_refuses_exponent_notation(self, bad):
+        data = {"points": ["a"], "kernel": [[bad]], "field": [1]}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent notation"):
+            KernelGrid.from_json(data)
+        assert time.perf_counter() - start < 1.0
+
+    def test_float_mode_keeps_exponent_notation(self):
+        data = {"points": ["a"], "kernel": [["1e5"]], "field": ["-2.5e-3"], "mode": "float"}
+        grid = KernelGrid.from_json(data)
+        assert grid.kernel == ((100000.0,),) and grid.field == (-0.0025,)
 
     def test_zero_denominator_entry_rejected(self):
         text = '{"points": ["a"], "kernel": [["1/0"]], "field": [1]}'
