@@ -25,7 +25,8 @@ from .combinat import (
     ssyt_two_row,
 )
 from .exprparse import ParseError, parse, _IDENT_RE
-from .fields import KernelGrid, QuadratureRule, field_expectation, field_star, functional_star
+from .fields import KernelGrid, QuadratureRule, _decode_number, field_expectation, field_star
+from .fields import functional_star
 from .graphs import export_dot, graph_from_matrix, star_via_graphs, to_feynman
 from .star import PropagatorMatrix, poisson_bracket, star_multi
 from .wick import WickMonomialSpec, expectation_formula, expectation_oracle, wick_power, wick_unpower
@@ -65,9 +66,9 @@ def _order(text: str) -> int:
 
 def _weights(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(w) for w in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected comma-separated rationals, got {text!r}")
+        return tuple(_decode_number(w, "rational") for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated p/q rationals, got {text!r}")
 
 
 def _family(text: str) -> str:

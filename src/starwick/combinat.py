@@ -20,6 +20,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_sequence(n: Sequence[int]) -> IntSequence:
+    """``n`` as a tuple; a float, string or ``bool`` entry is refused, not truncated."""
+    if not all(map(_is_int, n := tuple(n))):
+        raise ValueError(f"entries must be integers, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class AdjacencyMatrix:
     rows: tuple[tuple[int, ...], ...]
@@ -221,7 +228,7 @@ def _rowsum_walk(n: IntSequence) -> Iterator[list[int]]:
 def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
     """All adjacency matrices with the prescribed row sums, ascending
     row-major lexicographic order; empty when none exist."""
-    n = tuple(int(v) for v in n)
+    n = _int_sequence(n)
     d = len(n)
     if d < 1:
         return []
@@ -231,7 +238,7 @@ def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
 
 def is_admissible(n: Sequence[int]) -> bool:
     """Closed-form test: even total and no entry above half the total."""
-    n = tuple(int(v) for v in n)
+    n = _int_sequence(n)
     if not n:
         raise ValueError("sequence must be non-empty")
     if any(v <= 0 for v in n):
@@ -281,7 +288,7 @@ def _witness_fill(work: list[tuple[int, int]], entries: dict[tuple[int, int], in
 
 def admissible_witness(n: Sequence[int]) -> AdjacencyMatrix:
     """A concrete adjacency matrix realizing the given admissible row sums."""
-    n = tuple(int(v) for v in n)
+    n = _int_sequence(n)
     if not is_admissible(n):
         raise ValueError(f"sequence {n} is not admissible")
     entries: dict[tuple[int, int], int] = {}
@@ -314,7 +321,7 @@ class TwoRowSSYT:
 
 def ssyt_two_row(n: Sequence[int]) -> TwoRowSSYT:
     """Two-row tableau with content ``1^n1 2^n2 ...`` filled row-major."""
-    n = tuple(int(v) for v in n)
+    n = _int_sequence(n)
     if any(a < b for a, b in zip(n, n[1:])):
         raise ValueError(f"sequence must be weakly decreasing, got {n}")
     if not is_admissible(n):

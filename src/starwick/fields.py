@@ -3,16 +3,18 @@
 A grid holds sample points of the underlying space together with the
 kernel matrix ``K(x_i, x_j)``, the field samples ``phi(x_i)`` and a
 numeric value for hbar.  Rational mode keeps everything exact; float
-mode trades exactness for range.  All field-level operations factor
-through the symbolic engine followed by substitution, which is also the
-contract the tests pin down.
+mode trades exactness for range.  Field-level operations factor through
+the symbolic engine and substitution (the contract the tests pin down);
+functional star products contract each term's Feynman graph by factor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -246,6 +248,7 @@ class QuadratureRule:
 
     nodes: tuple[tuple[str, ...], ...]
     weights: tuple[Num, ...]
+    factors = ()  # not a field: rules whose product this is, set by all_tuples
 
     def __post_init__(self) -> None:
         if not self.nodes:
@@ -264,10 +267,14 @@ class QuadratureRule:
 
     @classmethod
     def all_tuples(cls, grid: KernelGrid, arity: int, weight: Num = 1) -> "QuadratureRule":
-        """Uniform rule over every arity-tuple of grid points."""
+        """Uniform rule over every arity-tuple of grid points: the product of
+        one one-point rule per component, the first carrying the weight."""
         nodes = tuple(itertools.product(grid.points, repeat=arity))
         w = _decode_number(weight, grid.mode)
-        return cls(nodes, tuple(w for _ in nodes))
+        rule, points = cls(nodes, tuple(w for _ in nodes)), tuple((p,) for p in grid.points)
+        factors = (cls(points, (w if k == 0 else 1,) * len(points)) for k in range(arity))
+        object.__setattr__(rule, "factors", tuple(factors))
+        return rule
 
 
 def functional_star(
@@ -279,13 +286,14 @@ def functional_star(
 ) -> Num:
     """Double quadrature of the two-block star product over node pairs.
 
-    For nodes ``s`` and ``t`` the integrand couples the factors through
-    the cross-sampled kernel ``K(s_i, t_j)``, with the field evaluated at
-    ``s`` inside ``f`` and at ``t`` inside ``g``.  The symbolic integrand
-    is lowered once into flat rows that every node pair evaluates with
-    plain products and sums; a rational grid runs them on integers over
-    common denominators, so the result is exact.  Weights are read in
-    the grid's number type.
+    The integrand couples the factors through the cross-sampled kernel
+    ``K(s_r, t_c)``, with the field at node ``s`` in ``f`` and at ``t`` in
+    ``g``.  Each integrand row is a Feynman graph, its kernel factors edges
+    from ``s_r`` to ``t_c``.  Per ``s``, the sum over ``t`` is a product of
+    inner sums, one per factor of the rule (an explicit rule is one), each
+    tabulated by the ``s_r`` its edges start at: a product rule over ``n``
+    points at arity ``a`` costs ``O(a * n^(a+1))`` per row.  Rational grids
+    run on integers over common denominators; weights take the grid's mode.
     """
     if f.dim != g.dim:
         raise ValueError("densities must share a dimension")
@@ -296,19 +304,24 @@ def functional_star(
     K = PropagatorMatrix.family("K", f.dim)
     symbolic = star_tensor(f, g.relabel_blocks({0: 1}), K, order)
     mode = grid.mode
-    nodes = [tuple(grid.index(lbl) for lbl in node) for node in rule.nodes]
-    weights, w_den = _over_common_denominator(
-        [_decode_number(w, mode) for w in rule.weights], mode
-    )
+
+    def weighted(r: QuadratureRule) -> tuple[list, list, int]:
+        ws, den = _over_common_denominator([_decode_number(w, mode) for w in r.weights], mode)
+        return [tuple(grid.index(lbl) for lbl in node) for node in r.nodes], ws, den
+
+    # The left node runs over the same product of factors as the right one.
+    factors = [weighted(factor) for factor in rule.factors or (rule,)]
+    nodes = [sum(p, ()) for p in itertools.product(*(pts for pts, _, _ in factors))]
+    weights = [math.prod(w) for w in itertools.product(*(ws for _, ws, _ in factors))]
     flat, k_den = _over_common_denominator([v for row in grid.kernel for v in row], mode)
     d = grid.size
     kernel = [flat[i * d : (i + 1) * d] for i in range(d)]
     field, f_den = _over_common_denominator(grid.field, mode)
 
     # Lower the integrand once into rows: a constant (hbar^h over the kernel
-    # and field scales of the row's degrees), kernel factors (row, col, exp)
-    # and the field factors (index, exp) sampled at the left and right node.
-    consts, kernel_factors, left_factors, right_factors = [], [], [], []
+    # and field scales of the row's degrees), the field factors (index, exp)
+    # at the left and the right node, and the kernel edges (row, col, exp).
+    consts, rows = [], []
     for vm, ce in symbolic.items():
         left = tuple((i - 1, e) for (block, i), e in vm.items if block == 0)
         right = tuple((i - 1, e) for (block, i), e in vm.items if block != 0)
@@ -316,39 +329,48 @@ def functional_star(
             for s, _ in mono.symbols:
                 if max(s.row, s.col) > rule.arity:
                     raise ValueError(f"symbol {s.text()} exceeds the node arity {rule.arity}")
-            factors = tuple((s.row - 1, s.col - 1, e) for s, e in mono.symbols)
-            k_deg = sum(e for _, _, e in factors)
-            consts.append(
-                q * grid.hbar**mono.hbar / (k_den**k_deg * f_den ** vm.degree())
-            )
-            kernel_factors.append(factors)
-            left_factors.append(left)
-            right_factors.append(right)
+            edges = tuple((s.row - 1, s.col - 1, e) for s, e in mono.symbols)
+            k_deg = sum(e for _, _, e in edges)
+            consts.append(q * grid.hbar**mono.hbar / (k_den**k_deg * f_den ** vm.degree()))
+            rows.append((left, right, edges))
     consts, c_den = _over_common_denominator(consts, mode)
 
-    # Per node, every row's field product times the node weight; the left
-    # table also carries the row constants.
-    def sampled(at, w, rows, scales):
+    def sampled(points, ws, powers):
+        """Per point, its weight times the field powers sampled there."""
         out = []
-        for factors, c in zip(rows, scales):
-            v = c * w
-            for i, e in factors:
-                v *= field[at[i]] ** e
-            out.append(v)
+        for p, w in zip(points, ws):
+            for i, e in powers:
+                w *= field[p[i]] ** e
+            out.append(w)
         return out
 
-    lefts = [sampled(at, w, left_factors, consts) for at, w in zip(nodes, weights)]
-    ones = itertools.repeat(1)
-    rights = [sampled(at, w, right_factors, ones) for at, w in zip(nodes, weights)]
+    @functools.cache
+    def inner(k, right, edges):
+        """Per left node, the sum over factor ``k`` of the right powers and edges in it."""
+        points, ws, _ = factors[k]
+        base = sampled(points, ws, right)
+        if not edges:
+            return [sum(base)] * len(nodes)
+        columns, key = list(zip(*points)), operator.itemgetter(*{r for r, _, _ in edges})
+        table = {}
+        for s in nodes:
+            if key(s) not in table:
+                terms = base
+                for r, c, e in edges:
+                    terms = map(operator.mul, terms, [kernel[s[r]][j] ** e for j in columns[c]])
+                table[key(s)] = sum(terms)
+        return [table[key(s)] for s in nodes]
+
+    lefts = functools.cache(lambda left: sampled(nodes, weights, left))
     total = 0
-    for ia, xs in zip(nodes, lefts):
-        rows_a = [kernel[i] for i in ia]
-        for ib, ys in zip(nodes, rights):
-            for factors, x, y in zip(kernel_factors, xs, ys):
-                v = x * y
-                for r, c, e in factors:
-                    v *= rows_a[r][ib[c]] ** e
-                total += v
+    for c, (left, right, edges) in zip(consts, rows):
+        column, lo = lefts(left), 0
+        for k, (points, _, _) in enumerate(factors):
+            hi = lo + len(points[0])
+            here = tuple((i - lo, e) for i, e in right if lo <= i < hi)
+            into = tuple((r, col - lo, e) for r, col, e in edges if lo <= col < hi)
+            column, lo = map(operator.mul, column, inner(k, here, into)), hi
+        total += c * sum(column)
     if mode == "float":
         return float(total)
-    return Fraction(total, c_den * w_den * w_den)
+    return Fraction(total, c_den * math.prod(den for _, _, den in factors) ** 2)

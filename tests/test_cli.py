@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from starwick import cli
 from starwick.cli import build_parser, main
 
 
@@ -262,6 +268,18 @@ class TestFieldCommands:
         assert out == ""
         assert err.startswith("error: ") and rule[-2] in err
 
+    def test_weights_refuse_exponent_notation_at_once(self, capsys, grid_file):
+        # Fraction would build 10**999999999 exactly, a ~415 MB integer.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "functional-star", "--grid", grid_file, "--dim", "1",
+            "--nodes", "a;b", "--weights", "1e999999999,1", "x1", "x1",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: argument --weights")
+
     def test_zero_denominator_grid_is_computation_error(self, capsys, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"points": ["a"], "kernel": [["1/0"]], "field": [1]}))
@@ -516,3 +534,86 @@ print(json.dumps([codes, sorted({name.partition(".")[0] for name in sys.modules}
     assert "starwick" in modules
     outside = set(modules) - set(sys.stdlib_module_names) - {"__main__", "starwick"}
     assert not outside, sorted(outside)
+
+
+# Grid files every fuzzed argv may name, relative to its working directory.
+FUZZ_GRIDS = {
+    "grid.json": {"points": ["a", "b"], "kernel": [["1/2", 1], [-1, 0]], "field": [1, "2/3"]},
+    "float.json": {
+        "points": ["a", "b", "c"],
+        "kernel": [[0.5, 1.0, -2.0], [1.0, 0.25, 0.0], [3.0, -1.0, 1.5]],
+        "field": [1.0, -0.5, 2.0],
+        "hbar": 0.5,
+        "mode": "float",
+    },
+    "bad.json": {"points": ["a"], "kernel": [[1, 2]], "field": [1]},
+}
+# Values by argument type (a parser type, or else the flag or positional
+# name), small enough that every command finishes at once: dimensions and
+# exponents at most 3, short --n sequences.
+FUZZ_VALUES = {
+    int: ["1", "2", "3", "0", "-1"],
+    cli._order: ["0", "1", "2"],
+    cli._parse_n: ["1,1", "2,1,1", "3,3", "1,2,3", "2,2,2", "0,1", "2", "-1,1"],
+    cli._family: ["K", "L"],
+    cli._nodes: ["a", "a;b", "a,b;b,a", "b,c;a,a", "z"],
+    cli._weights: ["1", "1/2,-1", "1e5", "2/3,1"],
+    "--grid": ["grid.json", "float.json", "bad.json", "missing.json", "."],
+    "exprs": ["x1", "x2^2", "x1*x2 + 1", "x3^3", "hbar*x1", "K[K;1,2]*x1", "2/3*x2",
+              "x1^-1", "x4", "K[L;2,1]"],
+    "matrix": ["[[0,1],[1,0]]", "[[0,2,1],[2,0,0],[1,0,0]]", "[[0]]", "[1]", "null", "{}"],
+    "--dot": ["out.dot", "."],
+}
+ANY_VALUE = [v for values in FUZZ_VALUES.values() for v in values] + ["--", "-", "--help"]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand of ``cli._COMMANDS`` with its positionals and most of its
+    flags, in any order (argparse reads a positional's values only side by
+    side).  A value mostly suits its argument's type; now and then it, the
+    subcommand or one more token is junk."""
+    name, _, _, arguments = draw(st.sampled_from(cli._COMMANDS))
+    junk = st.sampled_from(ANY_VALUE) | st.text(max_size=4)
+
+    def value(flag, options):
+        pool = FUZZ_VALUES.get(options.get("type"), FUZZ_VALUES.get(flag, ANY_VALUE))
+        return draw(st.sampled_from(pool) if draw(st.integers(0, 9)) else junk)
+
+    chunks = []
+    for argument in arguments:
+        flag, options = cli._ARGS[argument] if isinstance(argument, str) else argument
+        if not flag.startswith("-"):
+            count = options.get("nargs", 1)
+            count = draw(st.integers(1, 3)) if count == "+" else count
+            chunks.append([value(flag, options) for _ in range(count)])
+        elif draw(st.integers(0, 7)):
+            takes_value = options.get("action") != "store_true"
+            chunks.append([flag, value(flag, options)] if takes_value else [flag])
+    if draw(st.integers(0, 3)) == 0:
+        chunks.append([draw(junk)])
+    if draw(st.integers(0, 9)) == 0:
+        name = draw(junk)
+    return [name, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    """No argv gives a traceback; the exit status is 0, 1 or 2 (``--help``
+    exits 0 through argparse).  Each argv runs in a fresh directory, so a
+    ``--dot`` path writes nothing the next one reads."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for name, data in FUZZ_GRIDS.items():
+            Path(work, name).write_text(json.dumps(data))
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2), argv

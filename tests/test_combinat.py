@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -186,6 +187,19 @@ def test_enumerators_match_brute_force():
                 if sum(n) == degree:
                     got = [tuple(m.upper_values()) for m in enumerate_adjacency_by_rowsums(n)]
                     assert got == by_sums.get(n, []), n
+
+
+@pytest.mark.parametrize(
+    "fn", [is_admissible, enumerate_adjacency_by_rowsums, admissible_witness, ssyt_two_row]
+)
+@pytest.mark.parametrize(
+    "n", [(2.9, "1", True), (2.0, 2), ("2", "2"), (True, True), (Fraction(2), 2), (2, 2.5)],
+    ids=["mixed", "float", "strings", "bools", "fraction", "trailing-float"],
+)
+def test_sequences_take_only_ints(fn, n):
+    # int() would truncate 2.9 and read '1' and True as 1.
+    with pytest.raises(ValueError, match="entries must be integers"):
+        fn(n)
 
 
 class TestAdmissibility:

@@ -476,6 +476,47 @@ class TestFunctionalStar:
         assert abs(value - expected) <= 1e-12 * scale
 
 
+    @pytest.mark.parametrize("seed", range(18))
+    def test_product_rule_matches_oracle(self, seed):
+        """``all_tuples`` runs the factor-by-factor contraction; the oracle
+        sums every node pair.  Densities of arity 2 and 3 carry ``x1*x2``
+        against ``x1^2``, whose hbar^2 rows have two edges into one right
+        component; order 0 leaves only the coefficient symbols' edges."""
+        rng = random.Random(9100 + seed)
+        dim = 1 + seed % 3
+        order = (None, 0, 1)[seed // 3 % 3]
+        f, g = rand_density(rng, dim), rand_density(rng, dim)
+        if dim > 1:
+            f, g = f + x(1, dim) * x(2, dim), g + x(1, dim) ** 2
+        size = rng.randint(2, 3)
+        points = [f"p{i}" for i in range(size)]
+        kernel = [[rand_rational(rng) for _ in range(size)] for _ in range(size)]
+        field = [rand_rational(rng) for _ in range(size)]
+        hbar = rand_rational(rng, span=2, den=3)
+        weight = Fraction(rng.choice([-3, -2, 2, 3]), rng.choice([1, 5, 7]))
+
+        exact = KernelGrid.make(points, kernel, field, hbar)
+        rule = QuadratureRule.all_tuples(exact, dim, weight)
+        value = functional_star(f, g, rule, exact, order)
+        assert value == functional_star_oracle(f, g, rule, exact, order)
+        # the same nodes listed explicitly form one factor
+        assert functional_star(f, g, QuadratureRule(rule.nodes, rule.weights), exact, order) == value
+
+        approx = KernelGrid.make(
+            points,
+            [[float(v) for v in row] for row in kernel],
+            [float(v) for v in field],
+            float(hbar),
+            "float",
+        )
+        float_rule = QuadratureRule.all_tuples(approx, dim, float(weight))
+        value = functional_star(f, g, float_rule, approx, order)
+        scale = functional_star_oracle(f, g, float_rule, approx, order, absolute=True)
+        expected = functional_star_oracle(f, g, float_rule, approx, order)
+        assert isinstance(value, float)
+        assert abs(value - expected) <= 1e-12 * scale
+
+
 class TestCommutingDiagram:
     def _paths(self, f, g, grid, order=None):
         d = f.dim
