@@ -3,13 +3,18 @@
 An adjacency matrix here is symmetric with non-negative integer entries
 and a zero main diagonal; entry ``m_ij`` counts edges between vertices
 ``i`` and ``j``.  Row sums are the degree sequence.
+
+Both enumerators, and the Wick expectation in :mod:`starwick.wick`, read
+the matrices with given row sums as paths through row states
+(:func:`_row_states`) and fold them from the last row back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain
+from operator import itemgetter, sub
 from typing import Iterator, Mapping, Sequence
 
 IntSequence = tuple[int, ...]
@@ -119,18 +124,104 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
     return out
 
 
-def _upper_slots(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence, IntSequence]]]]:
+    """The adjacency matrices with row sums ``n`` as paths through row states.
+
+    ``layers[i]`` maps each state reachable at row ``i`` (the row sums rows
+    ``i..`` still need) to its moves: the values of row ``i`` right of the
+    diagonal, in ascending lexicographic order, each with the state it
+    leaves.  Only admissible states are kept (none negative, even total, no
+    entry above half of it).  For loopless multigraphs that is sufficient,
+    so every kept state completes and every path from ``n`` to the empty
+    state is one matrix.  No layers when ``n`` is not admissible.
+    """
+    total = sum(n)
+    if min(n) < 0 or total % 2 or 2 * max(n) > total:
+        return []
+    layers = []
+    states = [n]
+    while states[0]:
+        layer, after = {}, {}
+        for state in states:
+            need, caps = state[0], state[1:]
+            if not need:
+                layer[state] = [((0,) * len(caps), caps)]
+                after[caps] = None
+                continue
+            # What is left sums to ``2 * half`` and none of it may exceed
+            # ``half``, which bounds each value of the row from both sides.
+            half = (sum(caps) - need) // 2
+            bounds, low, high = [], 0, 0
+            for c in caps:
+                a = c - half if c > half else 0
+                b = c if c < need else need
+                bounds.append((a, b))
+                low += a
+                high += b
+            # A partial row is kept only if the later columns can take what
+            # it leaves, so every one completes.
+            rows = [((), need)]
+            for a, b in bounds:
+                low -= a
+                high -= b
+                grown = []
+                for row, r in rows:
+                    v, top = r - high, r - low
+                    if v < a:
+                        v = a
+                    if top > b:
+                        top = b
+                    while v <= top:
+                        grown.append((row + (v,), r - v))
+                        v += 1
+                rows = grown
+            layer[state] = moves = []
+            for row, _ in rows:
+                rest = tuple(map(sub, caps, row))
+                moves.append((row, rest))
+                after[rest] = None
+        layers.append(layer)
+        states = list(after)
+    return layers
 
 
-def _from_slots(d: int, slots: list[tuple[int, int]], values: list[int]) -> AdjacencyMatrix:
-    """The matrix with ``values[s]`` at upper slot ``slots[s]`` and at its
-    mirror.  The walks only write non-negative values, so the result is a
-    valid adjacency matrix and is built without the checks."""
-    grid = [[0] * d for _ in range(d)]
-    for (i, j), v in zip(slots, values):
-        grid[i][j] = grid[j][i] = v
-    return AdjacencyMatrix._raw(tuple(map(tuple, grid)))
+def _matrices(n: IntSequence, d: int) -> list[AdjacencyMatrix]:
+    """The matrices on the first ``d`` vertices of the paths through the row
+    states of ``n``, in path order; the values of later vertices are dropped.
+
+    The layers are folded backwards: each state gets the upper rows of all
+    its completions, so a suffix shared by many prefixes is built once.
+    """
+    layers = _row_states(n)
+    if not layers:
+        return []
+    below = dict.fromkeys(layers[d] if d < len(layers) else [()], [()])
+    for i in reversed(range(d)):
+        fold = {}
+        for state, moves in layers[i].items():
+            fold[state] = suffixes = []
+            for row, rest in moves:
+                head = (row[: d - 1 - i],)
+                for tail in below[rest]:
+                    suffixes.append(head + tail)
+        below = fold
+    # Cell (i, j) of the matrix, row-major, reads upper slot (min, max) and
+    # the diagonal a zero appended after the slots.  An extra trailing
+    # index keeps the getter's result a tuple when d is 1.
+    zero = d * (d - 1) // 2
+    index, slot = [zero] * (d * d), 0
+    for i in range(d):
+        span = range(slot, slot + d - 1 - i)
+        index[i * d + i + 1 : i * d + d] = span
+        index[i * d + i + d :: d] = span
+        slot += d - 1 - i
+    cells = itemgetter(*index, zero)
+    spans = [slice(i * d, i * d + d) for i in range(d)]
+    out = []
+    for rows in below[n]:
+        full = cells((*chain.from_iterable(rows), 0))
+        out.append(AdjacencyMatrix._raw(tuple([full[s] for s in spans])))
+    return out
 
 
 def enumerate_adjacency_by_degree(
@@ -147,93 +238,23 @@ def enumerate_adjacency_by_degree(
     if degree < 0 or degree % 2:
         raise ValueError(f"degree must be even and non-negative, got {degree}")
     # No row sum exceeds degree // 2; a larger cap would only widen the
-    # value range the walk tries at each slot.
+    # values each row tries.
     half = degree // 2
     caps = [half] * d if row_caps is None else [min(c, half) for c in row_caps]
     if len(caps) != d:
         raise ValueError("row_caps length must match the matrix size")
     if any(c < 0 for c in caps):
         raise ValueError("row_caps must be non-negative")
-    slack = sum(caps) - degree
-    # Slot (i, d) of the walk over d + 1 vertices holds caps[i] minus row
-    # i's sum; it is the last slot of row i, so dropping it keeps the order.
-    kept = [j < d for _, j in _upper_slots(d + 1)]
-    slots = _upper_slots(d)
-    return [
-        _from_slots(d, slots, compress(values, kept))
-        for values in _rowsum_walk((*caps, slack))
-    ]
-
-
-def _rowsum_walk(n: IntSequence) -> Iterator[list[int]]:
-    """Upper-triangle values, row-major, of every adjacency matrix with row
-    sums ``n``, in ascending lexicographic order; none if a sum is negative.
-
-    One list is yielded and rewritten in place, so a caller that keeps a
-    matrix copies it.  A branch is cut as soon as one remaining row sum
-    exceeds the rest (the total stays even once it starts even), and the
-    last slot ``(i, d-1)`` of row ``i`` takes exactly what row ``i`` still
-    needs.  ``enumerate_adjacency_by_degree`` runs it over an extra slack
-    vertex whose slots take what each row leaves below its cap.
-    """
-    d = len(n)
-    slots = _upper_slots(d)
-    rem = list(n)
-    left = sum(rem)
-    values = [0] * len(slots)
-    tops = [0] * len(slots)
-    if left % 2 or 2 * max(rem) > left or min(rem) < 0:
-        return
-    if not slots:
-        if not left:
-            yield values
-        return
-    # A slot is entered from above at its lowest value; otherwise its value
-    # goes up by one or, past its top, is undone and the walk backs up.
-    last = len(slots) - 1
-    idx, entering = 0, True
-    while idx >= 0:
-        i, j = slots[idx]
-        if entering:
-            v = rem[i] if j == d - 1 else 0
-            top = min(rem[i], rem[j])
-            if v > top:
-                idx, entering = idx - 1, False
-                continue
-            tops[idx] = top
-            values[idx] = v
-            rem[i] -= v
-            rem[j] -= v
-            left -= 2 * v
-        elif values[idx] < tops[idx]:
-            values[idx] += 1
-            rem[i] -= 1
-            rem[j] -= 1
-            left -= 2
-        else:
-            v = values[idx]
-            rem[i] += v
-            rem[j] += v
-            left += 2 * v
-            idx, entering = idx - 1, False
-            continue
-        entering = False
-        if 2 * max(rem) <= left:
-            if idx < last:
-                idx, entering = idx + 1, True
-            elif not left:
-                yield values
+    # An extra slack vertex takes what each row leaves below its cap.  It is
+    # the last column of every row, so dropping it keeps the order.
+    return _matrices((*caps, sum(caps) - degree), d)
 
 
 def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
     """All adjacency matrices with the prescribed row sums, ascending
     row-major lexicographic order; empty when none exist."""
     n = _int_sequence(n)
-    d = len(n)
-    if d < 1:
-        return []
-    slots = _upper_slots(d)
-    return [_from_slots(d, slots, values) for values in _rowsum_walk(n)]
+    return _matrices(n, len(n)) if n else []
 
 
 def is_admissible(n: Sequence[int]) -> bool:

@@ -17,6 +17,7 @@ from starwick import (
     VarMonomial,
     apply_bivector,
     enumerate_adjacency_by_degree,
+    enumerate_adjacency_by_rowsums,
     graph_from_matrix,
     kontsevich_apply,
     multinomial,
@@ -134,6 +135,22 @@ def kan_moment(n, S) -> Fraction:
         quad = sum(h[a] * S[a][b] * h[b] for a in range(d) for b in range(d)) / 2
         weight = math.prod(math.comb(k, vk) for k, vk in zip(n, v))
         total += (-1) ** sum(v) * weight * quad ** (s // 2) / math.factorial(s // 2)
+    return total
+
+
+def expectation_by_matrices(spec) -> CoeffElement:
+    """The Isserlis sum one adjacency matrix at a time, in ``CoeffElement``
+    arithmetic: ``prod_{i<j} K_ij^{m_ij} / m_ij!`` summed over
+    ``enumerate_adjacency_by_rowsums(spec.powers)``, ``K`` the product
+    propagator.  The per-matrix oracle for ``expectation_formula``, which
+    folds row states on packed terms and sums a shared suffix once.
+    """
+    total = CoeffElement.zero()
+    for matrix in enumerate_adjacency_by_rowsums(spec.powers):
+        term = CoeffElement.one()
+        for i, j, m in matrix.upper_items():
+            term = term * spec.product.entry(i, j) ** m * Fraction(1, math.factorial(m))
+        total = total + term
     return total
 
 

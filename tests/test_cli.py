@@ -512,6 +512,23 @@ def test_output_does_not_depend_on_the_hash_seed():
     assert b"K[K;" in outputs[0][0] and b"K[L;" in outputs[0][0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["expect", "--n", "8001,1"], ["expect", "--n", "99999999999,1"],
+     ["field-expect", "--grid", "{grid}", "--n", "99999999999,1"]],
+    ids=["expect-8001", "expect-huge", "field-expect-huge"],
+)
+def test_inadmissible_large_entries_vanish_at_once(argv, grid_file):
+    # The closed-form test answers before any factorial or power table of
+    # the size of an entry is built.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "starwick.cli", *(a.replace("{grid}", grid_file) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
 def test_runtime_imports_only_the_standard_library():
     # -S keeps site hooks (.pth files of installed packages) out of sys.modules,
     # so what is left is what starwick itself imports.

@@ -104,6 +104,12 @@ class TestEnumerateByDegree:
         with pytest.raises(ValueError, match="row_caps must be non-negative"):
             enumerate_adjacency_by_degree(3, 2, row_caps=caps)
 
+    def test_single_vertex(self):
+        # The slack vertex of a 1 x 1 matrix needs its cap minus the degree:
+        # zero at degree 0, negative (no matrix) at degree 2.
+        assert enumerate_adjacency_by_degree(1, 0) == [AdjacencyMatrix.zero(1)]
+        assert enumerate_adjacency_by_degree(1, 2) == []
+
 
 class TestEnumerateByRowsums:
     def test_examples(self):
@@ -123,6 +129,26 @@ class TestEnumerateByRowsums:
         mats = enumerate_adjacency_by_rowsums((1, 1, 1, 1))
         uppers = [m.upper_values() for m in mats]
         assert uppers == sorted(uppers)
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            ((0,), [[[0]]]),
+            ((2,), None),
+            ((0, 0, 0), [[[0, 0, 0], [0, 0, 0], [0, 0, 0]]]),
+            ((2, 0, 2), [[[0, 0, 2], [0, 0, 0], [2, 0, 0]]]),
+            ((-1, 1), None),
+        ],
+        ids=str,
+    )
+    def test_edge_cases(self, n, rows):
+        assert [m.tolist() for m in enumerate_adjacency_by_rowsums(n)] == (rows or [])
+
+    @pytest.mark.parametrize("n", [(0,) * 1500, (0,) * 1498 + (1, 1)], ids=["zeros", "last-pair"])
+    def test_long_sequences_do_not_recurse(self, n):
+        (only,) = enumerate_adjacency_by_rowsums(n)
+        assert only.row_sums() == n
+        assert list(only.upper_items()) == ([(1499, 1500, 1)] if n[-1] else [])
 
 
 def test_enumerated_matrices_equal_checked_construction():

@@ -26,7 +26,7 @@ from starwick import (
     wick_unpower,
 )
 
-from helpers import kan_moment, rand_entry, rand_matrix
+from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix
 
 from test_combinat import positive_sequences
 
@@ -253,6 +253,59 @@ class TestExpectationGeneralEntries:
         value = expectation_formula(spec)
         monkeypatch.undo()
         assert len(dict(value.items())) == len(enumerate_adjacency_by_rowsums(n))
+
+
+def oracle_case(kind, length, rng):
+    """Powers of the given length, entries 0..3 and total at most 10, under
+    a product matrix of one kind:
+    ``general``, multi-monomial, fractional and hbar-bearing entries;
+    ``family``, a symmetric symbol family;
+    ``shared``, symmetric entries combining two symbols that every slot
+    shares, so many matrices fall on one monomial;
+    ``cancel``, numeric entries in -1, 0, 1, so matrices cancel.
+    Three cases in four are admissible."""
+    admissible = rng.randrange(4) > 0
+    while True:
+        n = tuple(rng.randint(0, 3) for _ in range(length))
+        if sum(n) <= 10 and (not admissible or (sum(n) % 2 == 0 and 2 * max(n) <= sum(n))):
+            break
+    if kind == "general":
+        return general_spec(rng, n, hbar=True)
+    if kind == "family":
+        product = PropagatorMatrix.family("P", length, symmetric=True)
+    else:
+        shared = [CoeffElement.from_symbol(PropagatorSymbol("S", 1, k)) for k in (1, 2)]
+        rows = [[Fraction(0)] * length for _ in range(length)]
+        for i in range(length):
+            for j in range(i + 1, length):
+                if kind == "shared":
+                    entry = sum((sym * rand_entry(rng, 1, 1, hbar=False) for sym in shared),
+                                CoeffElement.zero())
+                else:
+                    entry = Fraction(rng.choice([-1, 0, 1]))
+                rows[i][j] = rows[j][i] = entry
+        product = PropagatorMatrix.from_entries(rows, symmetric=True)
+    return WickMonomialSpec(n, PropagatorMatrix.family("K", length, zero_diagonal=True), product)
+
+
+class TestExpectationByMatrices:
+    @pytest.mark.parametrize("length", range(1, 7))
+    @pytest.mark.parametrize("kind", ["general", "family", "shared", "cancel"])
+    def test_fold_matches_per_matrix_sum(self, kind, length):
+        rng = random.Random(f"{kind}-{length}")
+        for _ in range(4):
+            spec = oracle_case(kind, length, rng)
+            assert expectation_formula(spec) == expectation_by_matrices(spec), spec.powers
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [((0,), CoeffElement.one()), ((0, 0), CoeffElement.one()),
+         ((2, 0, 2), K_sym(1, 3, "P") ** 2 * Fraction(1, 2))],
+        ids=str,
+    )
+    def test_edge_cases(self, n, expected):
+        assert expectation_formula(spec_for(n)) == expected
+        assert expectation_by_matrices(spec_for(n)) == expected
 
 
 class TestExpectationOracle:
