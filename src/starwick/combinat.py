@@ -233,14 +233,14 @@ def enumerate_adjacency_by_degree(
     ``row_caps`` optionally bounds each row sum; useful to skip matrices
     whose operators annihilate a factor of known polynomial degree.
     """
-    if d < 1:
-        raise ValueError("matrix size must be at least 1")
-    if degree < 0 or degree % 2:
-        raise ValueError(f"degree must be even and non-negative, got {degree}")
+    if not _is_int(d) or d < 1:
+        raise ValueError(f"matrix size must be an integer of at least 1, got {d!r}")
+    if not _is_int(degree) or degree < 0 or degree % 2:
+        raise ValueError(f"degree must be an even non-negative integer, got {degree!r}")
     # No row sum exceeds degree // 2; a larger cap would only widen the
     # values each row tries.
     half = degree // 2
-    caps = [half] * d if row_caps is None else [min(c, half) for c in row_caps]
+    caps = [half] * d if row_caps is None else [min(c, half) for c in _int_sequence(row_caps)]
     if len(caps) != d:
         raise ValueError("row_caps length must match the matrix size")
     if any(c < 0 for c in caps):

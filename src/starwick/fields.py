@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import Poly, PropagatorSymbol
-from .star import PropagatorMatrix, poisson_bracket, star2, star_tensor
+from .star import PropagatorMatrix, poisson_bracket, star2, star_tensor, _common_denominator
 from .wick import WickMonomialSpec, expectation_formula, wick_power
 
 Num = Fraction | float
@@ -170,8 +170,7 @@ def _over_common_denominator(values: Sequence[Num], mode: str) -> tuple[list, in
     """
     if mode == "float":
         return [float(v) for v in values], 1
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return _common_denominator(values)
 
 
 def specialize(
@@ -230,7 +229,7 @@ def field_wick_power(index: int, power: int, grid: KernelGrid) -> Num:
 def field_expectation(powers: Sequence[int], grid: KernelGrid) -> Num:
     """Expectation of a field Wick monomial on the grid kernel:
     :func:`starwick.wick.expectation_formula` read through :func:`specialize`."""
-    powers = tuple(int(p) for p in powers)
+    powers = tuple(powers)
     d = len(powers)
     if d > grid.size:
         raise ValueError("more powers than sample points")

@@ -20,6 +20,12 @@ over the cell multiplicities, :func:`_moyal_weights`, yields the weights
 of both, so it serves :func:`star2`, :func:`star_tensor` and
 :func:`change_propagator`.
 
+That walk and :func:`starwick.wick.expectation_formula` share one packed
+format, :class:`_Packing`, whose one sizing rule is that the products of
+``polys`` with ``k`` entries have no exponent above the sum of each
+poly's total degree or widest coefficient plus ``k`` times one more than
+the widest entry.
+
 For polynomial inputs every series terminates, so ``order=None`` means
 "run to termination" and yields the exact product; an explicit order
 keeps all hbar degrees up to it, exactly.
@@ -30,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -183,24 +188,43 @@ def _check_factors(factors: Sequence[Poly], K: PropagatorMatrix, order: int | No
     return factors
 
 
+def _common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 class _Packing:
     """Monomials as packed integers, one fixed-width field per exponent.
 
     Field 0 holds the hbar exponent, then come one field per propagator
     symbol and one per block-tagged variable, each group in sorted order.
-    The width holds ``bound``, the largest exponent a product may reach,
-    so adding two keys multiplies their monomials and subtracting one unit
-    lowers an exponent, with no carry or borrow between fields.
+    A packing holds the products of ``polys`` with ``k`` of ``entries``,
+    and its one sizing rule bounds every exponent they reach: the sum over
+    ``polys`` of each one's total degree or widest coefficient, whichever
+    is larger, plus ``k`` times one more than the widest entry (every
+    entry may carry one more hbar).  Within that bound adding two keys
+    multiplies their monomials and subtracting one unit lowers an
+    exponent, with no carry or borrow between fields.  Coefficients are
+    integer numerators over one denominator, and :meth:`product` is the
+    one multiply-and-collect loop on such terms.
     """
 
-    def __init__(self, symbols: list, variables: list, bound: int) -> None:
+    def __init__(self, entries: Sequence[CoeffElement], k: int, polys: Sequence[Poly] = ()):
+        def widest(elements) -> int:
+            return max((m.degree() for ce in elements for m, _ in ce.items()), default=0)
+
+        bound = k * (1 + widest(entries)) + sum(
+            max(p.total_degree(), widest(ce for _, ce in p.items())) for p in polys)
         self.width = width = bound.bit_length()
         self.mask = (1 << width) - 1
-        self.symbols = symbols
-        self.variables = variables
-        self.sym_shift = {s: width * n for n, s in enumerate(symbols, start=1)}
-        self.coeff_bits = width * (1 + len(symbols))
-        self.var_shift = {v: self.coeff_bits + width * n for n, v in enumerate(variables)}
+        self.symbols = sorted(set().union(*(p.symbols() for p in polys),
+                                          *(e.symbols() for e in entries)))
+        self.variables = sorted({v for p in polys for vm, _ in p.items() for v, _ in vm.items})
+        self.sym_shift = {s: width * n for n, s in enumerate(self.symbols, start=1)}
+        self.coeff_bits = width * (1 + len(self.symbols))
+        self.var_shift = {v: self.coeff_bits + width * n for n, v in enumerate(self.variables)}
         self._coeff_keys: dict[CoeffMonomial, int] = {}
         self._monomials: dict[int, CoeffMonomial] = {}
 
@@ -211,22 +235,36 @@ class _Packing:
             self._coeff_keys[m] = key
         return key
 
-    def pack(self, p: Poly) -> tuple[list[tuple[int, int]], int]:
-        """The terms of ``p`` as (key, numerator) pairs, and their denominator."""
-        terms = []
-        for vm, ce in p.items():
-            vkey = sum(e << self.var_shift[v] for v, e in vm.items)
-            terms.extend((vkey + self.coeff_key(m), q) for m, q in ce.items())
-        den = math.lcm(*(q.denominator for _, q in terms))
-        return [(key, q.numerator * (den // q.denominator)) for key, q in terms], den
+    def scaled(self, entries: Sequence[CoeffElement], hbar: int) -> tuple[list[list], int]:
+        """Each entry times ``scale`` as packed integer terms, every monomial
+        raised ``hbar`` degrees in hbar, and ``scale``, the entries' common
+        denominator."""
+        nums, scale = _common_denominator(q for e in entries for _, q in e.items())
+        nums = iter(nums)
+        return [[(self.coeff_key(m) + hbar, next(nums)) for m, _ in e.items()]
+                for e in entries], scale
 
-    def derivatives(self, terms: list, blocks: set[int], d: int):
-        """Lazy map ``r -> D^r p`` over the packed terms of ``p``, each entry derived once.
+    @staticmethod
+    def product(left: Iterable[tuple[int, int]], right: Sequence[tuple[int, int]],
+                into: dict[int, int]) -> dict[int, int]:
+        """Add the product of two packed term lists into ``into``, like terms collected."""
+        for k1, n1 in left:
+            if n1:
+                for k2, n2 in right:
+                    into[k1 + k2] = into.get(k1 + k2, 0) + n1 * n2
+        return into
 
-        ``D_i`` lowers the field of ``x_i`` in every one of ``blocks``.
+    def derivatives(self, p: Poly, d: int):
+        """Lazy map ``r -> D^r p`` on packed terms, each entry derived once,
+        and the denominator of their numerators.
+
+        ``D_i`` lowers the field of ``x_i`` in every block of ``p``.
         """
-        mask, memo = self.mask, {(0,) * d: terms}
-        shifts = [[self.var_shift[(b, i)] for b in blocks if (b, i) in self.var_shift]
+        terms = [(sum(e << self.var_shift[v] for v, e in vm.items) + self.coeff_key(m), q)
+                 for vm, ce in p.items() for m, q in ce.items()]
+        nums, den = _common_denominator(q for _, q in terms)
+        mask, memo = self.mask, {(0,) * d: [(key, n) for (key, _), n in zip(terms, nums)]}
+        shifts = [[self.var_shift[(b, i)] for b in p.blocks() if (b, i) in self.var_shift]
                   for i in range(1, d + 1)]
 
         def at(r: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -243,7 +281,7 @@ class _Packing:
                 out = memo[r] = [(k, v) for k, v in acc.items() if v]
             return out
 
-        return at
+        return at, den
 
     def unpack(self, total: dict[int, int], den: int, order: int | None, dim: int) -> Poly:
         """The polynomial ``sum key * numerator / den``, cut above hbar^order."""
@@ -285,15 +323,6 @@ class _Packing:
         return tuple(items)
 
 
-def _packed_product(left: list, right: list) -> list[tuple[int, int]]:
-    """The product of two packed term lists, with like terms collected."""
-    prod: dict[int, int] = {}
-    for k1, n1 in left:
-        for k2, n2 in right:
-            prod[k1 + k2] = prod.get(k1 + k2, 0) + n1 * n2
-    return [(k, v) for k, v in prod.items() if v]
-
-
 def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, alive: Sequence):
     """Weights ``W(r)`` as packed integer terms over the returned denominator.
 
@@ -310,35 +339,28 @@ def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, alive: Seq
     :func:`_moyal_sum` passes the cells of one factor pair,
     :func:`change_propagator` those of every pair.
     """
-    scale = math.lcm(*(q.denominator for *_, e in cells for _, q in e.items()))
-    # Each entry as packed terms of hbar * scale * K_ij, all integers.
-    entries = [
-        (a, i, b, j, [(packing.coeff_key(m) + 1, q.numerator * (scale // q.denominator))
-                      for m, q in e.items()])
-        for a, i, b, j, e in cells
-    ]
-    top = math.factorial(kmax)
+    scaled, scale = packing.scaled([e for *_, e in cells], 1)
+    top, product = math.factorial(kmax), packing.product
     weights: dict[tuple, dict[int, int]] = {}
 
-    def walk(start: int, budget: int, w: list, fact: int, orders: tuple) -> None:
-        acc = weights.setdefault(orders, {})
-        factor = top // fact * scale**budget
-        for k, n in w:
+    def walk(start: int, budget: int, w: dict, fact: int, orders: tuple) -> None:
+        acc, factor = weights.setdefault(orders, {}), top // fact * scale**budget
+        for k, n in w.items():
             acc[k] = acc.get(k, 0) + n * factor
-        for t in range(start, len(entries)):
-            a, i, b, j, entry = entries[t]
+        for t in range(start, len(cells)):
+            a, i, b, j, _ = cells[t]
             wm, fm, ra, rb = w, fact, orders[a], orders[b]
             for m in range(1, budget + 1):
                 ra = ra[:i] + (ra[i] + 1,) + ra[i + 1 :]
                 rb = rb[:j] + (rb[j] + 1,) + rb[j + 1 :]
                 if not alive[a](ra) or not alive[b](rb):
                     break
-                wm = _packed_product(wm, entry)
+                wm = product(wm.items(), scaled[t], {})
                 fm *= m
                 walk(t + 1, budget - m, wm, fm,
                      orders[:a] + (ra,) + orders[a + 1 : b] + (rb,) + orders[b + 1 :])
 
-    walk(0, kmax, [(0, 1)], 1, tuple((0,) * d for _ in alive))
+    walk(0, kmax, {0: 1}, 1, tuple((0,) * d for _ in alive))
     return weights, top * scale**kmax
 
 
@@ -359,38 +381,17 @@ def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) 
     kmax = min(left.total_degree(), right.total_degree()) if cells else 0
     if order is not None:
         kmax = min(kmax, order)
-
-    def widest(elements) -> int:
-        return max((m.degree() for ce in elements for m, _ in ce.items()), default=0)
-
-    sides = (left, right)
-    packing = _Packing(
-        sorted(set().union(*(p.symbols() for p in sides), *(e.symbols() for *_, e in cells))),
-        sorted({v for p in sides for vm, _ in p.items() for v, _ in vm.items}),
-        sum(max(p.total_degree(), widest(ce for _, ce in p.items())) for p in sides)
-        + kmax * (1 + widest(e for *_, e in cells)),
-    )
-    (left_terms, left_den), (right_terms, right_den) = packing.pack(left), packing.pack(right)
-    left_at = packing.derivatives(left_terms, left.blocks(), d)
-    right_at = packing.derivatives(right_terms, right.blocks(), d)
+    packing = _Packing([e for *_, e in cells], kmax, (left, right))
+    (left_at, left_den), (right_at, right_den) = (packing.derivatives(p, d) for p in (left, right))
     weights, weight_den = _moyal_weights(cells, packing, kmax, d, (left_at, right_at))
 
     # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
     absorbed: dict[tuple[int, ...], dict[int, int]] = {}
     for (rs, cs), w in weights.items():
-        acc = absorbed.setdefault(cs, {})
-        lower = left_at(rs)
-        for kw, nw in w.items():
-            if nw:
-                for kl, nl in lower:
-                    acc[kw + kl] = acc.get(kw + kl, 0) + nw * nl
+        packing.product(w.items(), left_at(rs), absorbed.setdefault(cs, {}))
     total: dict[int, int] = {}
     for cs, acc in absorbed.items():
-        upper = right_at(cs)
-        for ka, na in acc.items():
-            if na:
-                for kr, nr in upper:
-                    total[ka + kr] = total.get(ka + kr, 0) + na * nr
+        packing.product(acc.items(), right_at(cs), total)
     return packing.unpack(total, left_den * right_den * weight_den, order, left.dim)
 
 
@@ -468,16 +469,6 @@ class PropagatorChangeTerm:
     orders: tuple[tuple[int, ...], ...]
 
 
-def _dominated_by(f: Poly):
-    """The test ``r -> D^r f != 0``: some monomial of ``f`` has every exponent >= ``r``.
-
-    The walk reaches a multi-index many times, so each answer is cached.
-    """
-    exponents = [dict(vm.items) for vm, _ in f.items()]
-    return cache(lambda r: any(all(e.get((0, i), 0) >= k for i, k in enumerate(r, 1))
-                               for e in exponents))
-
-
 def change_propagator(
     factors: Sequence[Poly],
     old: PropagatorMatrix,
@@ -506,10 +497,8 @@ def change_propagator(
     kmax = sum(f.total_degree() for f in factors) // 2
     if order is not None:
         kmax = min(kmax, order)
-    widest = max((mono.degree() for *_, e in cells for mono, _ in e.items()), default=0)
-    packing = _Packing(sorted(set().union(*(e.symbols() for *_, e in cells))), [],
-                       kmax * (1 + widest))
-    alive = [_dominated_by(f) for f in factors]
+    packing = _Packing([e for *_, e in cells], kmax, factors)
+    alive = [packing.derivatives(f, old.dim)[0] for f in factors]
     weights, den = _moyal_weights(cells, packing, kmax, old.dim, alive)
     terms = [PropagatorChangeTerm(coeff, orders) for orders, w in weights.items()
              if (coeff := packing.coeff_element(w.items(), den))]

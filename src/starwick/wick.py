@@ -13,9 +13,11 @@ combinatorial functional, the Isserlis sum
 
 over the adjacency matrices ``m`` whose row sums are the exponents.
 :func:`expectation_formula` folds the row states of those matrices
-backwards on packed monomials with integer numerators, so a sum over
-completions shared by many prefixes is computed once.  The ground truth
-for every identity in this module is the star-product engine itself:
+backwards, so a sum over completions shared by many prefixes is computed
+once.  Its terms are in the packed format of the star products:
+:class:`starwick.star._Packing` sizes, scales and multiplies them, and
+this module builds no key, bound or denominator of its own.  The ground
+truth for every identity in this module is the star-product engine itself:
 :func:`expectation_oracle` reads the expectation off the star product,
 and the tests add Kan's moment formula (``kan_moment``) as a third,
 enumeration-free route.  The closed forms are checked against them
@@ -30,10 +32,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import CoeffElement, CoeffMonomial, Poly
-from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _row_states
+from .combinat import (
+    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _int_sequence, _row_states,
+)
 from .star import (
     PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_factors, _Packing,
-    _packed_product,
 )
 
 
@@ -50,6 +53,7 @@ class WickMonomialSpec:
     product: PropagatorMatrix
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "powers", _int_sequence(self.powers))
         d = len(self.powers)
         if d < 1:
             raise ValueError("at least one factor is required")
@@ -115,62 +119,52 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     with row sums ``spec.powers``.
 
     The result is ``sum_m prod_{i<j} K_ij^{m_ij} / m_ij!`` with ``K`` the
-    product propagator; it is zero when no matrix exists, which the
-    closed-form test decides before any other work.  The matrices are the
-    paths through row states (:func:`starwick.combinat._row_states`),
-    folded from the last row back.  A state with ``E`` edges left holds
-    ``E!`` times the sum over its completions of
-    ``prod (scale * K_ij)^{m_ij} / m_ij!``, as integer numerators on packed
-    monomials (:class:`starwick.star._Packing`), so a sum shared by many
-    prefixes is computed once.  The start state's sum is over
-    ``h! * scale^h``, where ``h`` is half the total power and ``scale`` the
-    common denominator of the entries.  :func:`expectation_oracle` and the
-    tests' ``kan_moment`` and ``expectation_by_matrices`` are the oracles.
+    product propagator.  The matrices are the paths through row states
+    (:func:`starwick.combinat._row_states`), folded from the last row
+    back; with no layers no matrix exists and the result is zero.  A state
+    with ``E`` edges left holds ``E!`` times the sum over its completions
+    of ``prod (scale * K_ij)^{m_ij} / m_ij!`` as packed terms
+    (:class:`starwick.star._Packing`), so a sum shared by many prefixes is
+    computed once.  The start state's sum is over ``h! * scale^h``, where
+    ``h`` is half the total power and ``scale`` the common denominator of
+    the entries.  :func:`expectation_oracle` and the tests' ``kan_moment``
+    and ``expectation_by_matrices`` are the oracles.
     """
     n = spec.powers
-    total = sum(n)
-    if total % 2 or 2 * max(n) > total:
+    layers = _row_states(n)
+    if not layers:
         return CoeffElement.zero()
-    h = total // 2
-    d = len(n)
-    entries = [[spec.product.entries[i][j] for j in range(i + 1, d)] for i in range(d)]
-    flat = [e for row in entries for e in row]
-    widest = max((mono.degree() for e in flat for mono, _ in e.items()), default=0)
-    packing = _Packing(sorted(set().union(*(e.symbols() for e in flat))), [], h * widest)
-    scale = math.lcm(*(q.denominator for e in flat for _, q in e.items()))
-    # tables[i][c][v] lists the packed terms of (scale * K_ij)^v, j = i + 1 + c.
-    tables = []
-    for i, row in enumerate(entries):
-        tables.append([])
-        for j, e in enumerate(row, start=i + 1):
-            base = [(packing.coeff_key(mono), q.numerator * (scale // q.denominator))
-                    for mono, q in e.items()]
-            table = [[(0, 1)]]
-            for _ in range(min(n[i], n[j])):
-                table.append(_packed_product(table[-1], base))
-            tables[-1].append(table)
-    fact = [math.factorial(v) for v in range(max(n) + 1)]
+    h, d = sum(n) // 2, len(n)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    entries = [spec.product.entries[i][j] for i, j in pairs]
+    packing = _Packing(entries, h)
+    bases, scale = packing.scaled(entries, 0)
+    product = packing.product
+    # powers[i, j][v] lists the packed terms of (scale * K_ij)^v.
+    powers = {}
+    for (i, j), base in zip(pairs, bases):
+        table = powers[i, j] = [[(0, 1)]]
+        for _ in range(min(n[i], n[j])):
+            table.append(list(product(table[-1], base, {}).items()))
     # A row taking c_j of its need to column j leaves E' = E - need edges
-    # and weighs E! / (prod c_j! * E'!) = multinomial(need; c) * comb(E, need).
+    # and weighs E! / (prod c_j! * E'!) = perm(E, need) / prod c_j!, an
+    # integer.  A row's weighted product is built once per weight.
     below = {(): {0: 1}}
-    for layer, tabs in zip(reversed(_row_states(n)), reversed(tables)):
-        fold = {}
-        for state, moves in layer.items():
-            need = state[0]
-            top = math.comb(sum(state) // 2, need) * fact[need]
+    for i in reversed(range(d)):
+        tables = [powers[i, j] for j in range(i + 1, d)]
+        fold, rows = {}, {}
+        for state, moves in layers[i].items():
+            top = math.perm(sum(state) // 2, state[0])
             fold[state] = acc = {}
             for row, rest in moves:
-                terms, weight = [(0, top)], 1
-                for table, v in zip(tabs, row):
-                    if v:
-                        weight *= fact[v]
-                        terms = [(k1 + k2, n1 * n2) for k1, n1 in terms for k2, n2 in table[v]]
-                tails = below[rest].items()
-                for k1, n1 in terms:
-                    n1 //= weight
-                    for k2, n2 in tails:
-                        k = k1 + k2
-                        acc[k] = acc.get(k, 0) + n1 * n2
+                terms = rows.get((row, top))
+                if terms is None:
+                    terms = [(0, top // math.prod(map(math.factorial, row)))]
+                    for table, v in zip(tables, row):
+                        if v:
+                            terms = product(terms, table[v], {}).items()
+                    rows[row, top] = terms
+                product(terms, below[rest].items(), acc)
         below = fold
     return packing.coeff_element(below[n].items(), math.factorial(h) * scale**h)
 

@@ -104,6 +104,16 @@ class TestEnumerateByDegree:
         with pytest.raises(ValueError, match="row_caps must be non-negative"):
             enumerate_adjacency_by_degree(3, 2, row_caps=caps)
 
+    @pytest.mark.parametrize(
+        "d, degree, caps",
+        [(2, 2.0, None), (2.0, 2, None), (2, 4, [1.5, 2]), (2, 2, [True, True]), (2, 2, ["1", 1])],
+        ids=str,
+    )
+    def test_non_integer_sizes_rejected(self, d, degree, caps):
+        """A float, string or bool size is refused rather than truncated or read as 1."""
+        with pytest.raises(ValueError, match="integer"):
+            enumerate_adjacency_by_degree(d, degree, row_caps=caps)
+
     def test_single_vertex(self):
         # The slack vertex of a 1 x 1 matrix needs its cap minus the degree:
         # zero at degree 0, negative (no matrix) at degree 2.

@@ -354,6 +354,12 @@ class TestFieldExpectation:
         grid = grid2([[0, 1], [1, 0]], [0, 0])
         assert field_expectation((3, 1), grid) == 0
 
+    @pytest.mark.parametrize("powers", [(2.9, 2.2), (True, True), (1.0, 1)], ids=str)
+    def test_non_integer_powers_rejected(self, powers):
+        grid = grid2([[0, 1], [1, 0]], [0, 0])
+        with pytest.raises(ValueError, match="integers"):
+            field_expectation(powers, grid)
+
     def test_matches_pairing_sum(self):
         """``prod n_i! * E`` counts the pairings of the labelled field copies
         with no pair inside one group, each weighted by its kernel entries

@@ -412,3 +412,65 @@ class TestChangePropagator:
         short = [PropagatorChangeTerm(CoeffElement.one(), ((0,), (0,)))]
         with pytest.raises(ValueError, match="multi-index per factor"):
             reexpand(short, [x(1, d), x(2, d)], P)
+
+
+def wide_poly(rng, d):
+    """A factor whose coefficients carry up to ``hbar^3`` and ``Q`` symbols up
+    to the fourth power, so a coefficient is often wider than the degree,
+    as in ``hbar^3*K[Q;1,1]^4*x1^2 + K[Q;1,2]*x2``."""
+    out = Poly.zero(d)
+    for _ in range(rng.randint(1, 3)):
+        sym = K_sym(rng.randint(1, d), rng.randint(1, d), "Q")
+        coeff = CoeffElement.hbar(rng.randint(0, 3)) * sym ** rng.randint(0, 4)
+        piece = Poly.constant(coeff * rand_rational(rng), d)
+        for _ in range(rng.randint(0, 2)):
+            piece = piece * x(rng.randint(1, d), d)
+        out = out + piece
+    return out
+
+
+def wide_matrix(rng, d, family):
+    """Entries such as ``2*hbar^2*P^3 - hbar*P'``: several monomials carrying hbar."""
+    def entry(i, j):
+        if rng.randrange(4) == 0:
+            return rand_rational(rng)
+        sym = K_sym(i, j, family)
+        return (CoeffElement.hbar(rng.randint(0, 2)) * sym ** rng.randint(1, 3) * rand_rational(rng)
+                + CoeffElement.hbar() * K_sym(j, i, family) * rand_rational(rng))
+    return PropagatorMatrix.from_entries(
+        [[entry(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)])
+
+
+class TestPackedWidths:
+    """Packed exponents as wide as the packing bound allows."""
+
+    def test_hbar_field_at_its_bound(self):
+        # Coefficient widths 6 and 6 plus 2 entries carrying hbar^2 each:
+        # the top term has hbar^16, exactly the bound, a power of two.
+        f = x(1, 1) ** 2 * CoeffElement.hbar(6)
+        K = PropagatorMatrix.from_entries([[CoeffElement.hbar()]])
+        product = star2(f, f, K)
+        assert product == star_via_graphs([f, f], K)
+        assert product.constant_coeff() == CoeffElement.hbar(16) * 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_star_matches_graph_oracle(self, seed):
+        rng = random.Random(3100 + seed)
+        for _ in range(6):
+            d, m = rng.randint(1, 2), rng.randint(2, 3)
+            fs = [wide_poly(rng, d) for _ in range(m)]
+            K = wide_matrix(rng, d, "P")
+            order = rng.choice([None, 1, 2])
+            assert star_multi(fs, K, order) == star_via_graphs(fs, K, order)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_change_matches_oracle(self, seed):
+        rng = random.Random(3200 + seed)
+        for _ in range(10):
+            d, m = rng.randint(1, 3), rng.randint(1, 3)
+            fs = [wide_poly(rng, d) for _ in range(m)]
+            old, new = wide_matrix(rng, d, "K"), wide_matrix(rng, d, "P")
+            order = rng.choice([None, 0, 1, 2])
+            assert change_propagator(fs, old, new, order) == change_propagator_oracle(
+                fs, old, new, order
+            )

@@ -26,7 +26,7 @@ from starwick import (
     wick_unpower,
 )
 
-from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix
+from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix, rand_rational
 
 from test_combinat import positive_sequences
 
@@ -160,6 +160,18 @@ class TestExpectation:
             nonzero = not expectation_formula(spec_for(n)).is_zero()
             assert nonzero == is_admissible(n), n
 
+    @pytest.mark.parametrize("powers", [(2.5, 1.5), (2.0, 2), (True, True), ("1", "1")], ids=str)
+    def test_non_integer_powers_rejected(self, powers):
+        """Powers are refused unless integers, not truncated or read as 1."""
+        with pytest.raises(ValueError, match="integers"):
+            spec_for(powers)
+
+    def test_powers_stored_as_tuple(self):
+        spec = WickMonomialSpec([1, 1], PropagatorMatrix.family("K", 2, zero_diagonal=True),
+                                PropagatorMatrix.family("P", 2))
+        assert spec.powers == (1, 1)
+        assert expectation_formula(spec) == K_sym(1, 2, "P")
+
 
 def general_spec(rng, n, hbar, symmetric=False):
     """Powers ``n`` under a ``from_entries`` product matrix whose entries
@@ -262,7 +274,9 @@ def oracle_case(kind, length, rng):
     ``family``, a symmetric symbol family;
     ``shared``, symmetric entries combining two symbols that every slot
     shares, so many matrices fall on one monomial;
-    ``cancel``, numeric entries in -1, 0, 1, so matrices cancel.
+    ``cancel``, numeric entries in -1, 0, 1, so matrices cancel;
+    ``wide``, two monomials such as ``hbar^3*S^4/2 - hbar*S'`` on symbols
+    that every slot shares, so the packed exponents of a product pile up.
     Three cases in four are admissible."""
     admissible = rng.randrange(4) > 0
     while True:
@@ -281,6 +295,9 @@ def oracle_case(kind, length, rng):
                 if kind == "shared":
                     entry = sum((sym * rand_entry(rng, 1, 1, hbar=False) for sym in shared),
                                 CoeffElement.zero())
+                elif kind == "wide":
+                    entry = (hb(rng.randint(0, 3)) * shared[0] ** rng.randint(1, 4)
+                             * rand_rational(rng) + hb() * shared[1] * rand_rational(rng))
                 else:
                     entry = Fraction(rng.choice([-1, 0, 1]))
                 rows[i][j] = rows[j][i] = entry
@@ -290,7 +307,7 @@ def oracle_case(kind, length, rng):
 
 class TestExpectationByMatrices:
     @pytest.mark.parametrize("length", range(1, 7))
-    @pytest.mark.parametrize("kind", ["general", "family", "shared", "cancel"])
+    @pytest.mark.parametrize("kind", ["general", "family", "shared", "cancel", "wide"])
     def test_fold_matches_per_matrix_sum(self, kind, length):
         rng = random.Random(f"{kind}-{length}")
         for _ in range(4):
