@@ -13,9 +13,17 @@ Values come in three layers:
   collapsed explicitly with :meth:`Poly.merge_blocks`.
 
 All values are immutable after construction and safe to share between
-threads.  Equality is canonical-form identity: no zero coefficient is
-ever stored, monomial keys are kept sorted, and two equal elements have
-identical term maps.
+threads.  Terms are kept in canonical form: no zero coefficient is ever
+stored and monomial keys are kept sorted.  A coefficient is stored as an
+``int`` when it is integral and as a reduced ``Fraction`` otherwise
+(:func:`_rational`), so exact integer inputs never pay for ``Fraction``
+arithmetic.  Coefficients compare by value (``3 == Fraction(3)``, with
+equal hashes), so two elements are equal exactly when their term maps
+hold the same monomials with equal values.
+
+Products are summed in place by :class:`_TermSum`, a two-level term map
+``vm -> {mono: q}`` that multiplies each distinct pair of coefficient
+monomials once and drops zero sums once, at the end.
 
 Printed text lists terms in one canonical order, read off plain keys:
 variable monomials in graded lex order (higher total degree first, then
@@ -35,15 +43,20 @@ from typing import Callable, Iterable, Iterator, Mapping
 RationalLike = Fraction | int
 
 
-def _add_terms(out: dict, items: Iterable[tuple]) -> None:
-    """Add ``(key, value)`` terms into the term map ``out`` in place, dropping zero sums."""
-    for key, value in items:
-        s = out.get(key)
-        s = value if s is None else s + value
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+def _rational(q: RationalLike) -> RationalLike:
+    """The scalar rule: ``q`` as an ``int`` when integral, else as a reduced ``Fraction``."""
+    if type(q) is int:
+        return q
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _nonzero(terms: dict, den: int = 1) -> dict:
+    """The term map ``terms`` divided by ``den``, zeros dropped, values by the scalar rule."""
+    if den == 1:
+        return {m: q if type(q) is int else _rational(q) for m, q in terms.items() if q}
+    return {m: _rational(Fraction(q, den)) for m, q in terms.items() if q}
 
 
 class PropagatorSymbol(tuple):
@@ -158,15 +171,15 @@ class CoeffElement:
     def __init__(
         self, terms: Mapping[CoeffMonomial, RationalLike] | None = None
     ) -> None:
-        clean: dict[CoeffMonomial, Fraction] = {}
+        clean: dict[CoeffMonomial, RationalLike] = {}
         for mono, q in (terms or {}).items():
-            q = Fraction(q)
+            q = _rational(q)
             if q:
                 clean[mono] = q
         self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict[CoeffMonomial, Fraction]) -> "CoeffElement":
+    def _raw(cls, terms: dict[CoeffMonomial, RationalLike]) -> "CoeffElement":
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -177,22 +190,22 @@ class CoeffElement:
 
     @classmethod
     def one(cls) -> "CoeffElement":
-        return cls._raw({_UNIT_MONO: Fraction(1)})
+        return cls._raw({_UNIT_MONO: 1})
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "CoeffElement":
-        q = Fraction(q)
+        q = _rational(q)
         return cls._raw({_UNIT_MONO: q} if q else {})
 
     @classmethod
     def from_symbol(cls, symbol: PropagatorSymbol, exp: int = 1) -> "CoeffElement":
-        return cls._raw({CoeffMonomial.make(0, {symbol: exp}): Fraction(1)})
+        return cls._raw({CoeffMonomial.make(0, {symbol: exp}): 1})
 
     @classmethod
     def hbar(cls, power: int = 1) -> "CoeffElement":
-        return cls._raw({CoeffMonomial(hbar=power): Fraction(1)})
+        return cls._raw({CoeffMonomial(hbar=power): 1})
 
-    def items(self) -> Iterator[tuple[CoeffMonomial, Fraction]]:
+    def items(self) -> Iterator[tuple[CoeffMonomial, RationalLike]]:
         return iter(self._terms.items())
 
     def is_zero(self) -> bool:
@@ -215,10 +228,10 @@ class CoeffElement:
         return CoeffElement._raw({m: -q for m, q in self._terms.items()})
 
     def __add__(self, other: "CoeffElement | RationalLike") -> "CoeffElement":
-        other = _as_element(other)
         out = dict(self._terms)
-        _add_terms(out, other._terms.items())
-        return CoeffElement._raw(out)
+        for m, q in _as_element(other)._terms.items():
+            out[m] = out.get(m, 0) + q
+        return CoeffElement._raw(_nonzero(out))
 
     __radd__ = __add__
 
@@ -232,25 +245,11 @@ class CoeffElement:
         if isinstance(other, (int, Fraction)):
             if other == 1:
                 return self
-            q = Fraction(other)
-            if not q:
-                return CoeffElement.zero()
-            return CoeffElement._raw({m: c * q for m, c in self._terms.items()})
-        other = _as_element(other)
-        many, single = self._terms, other._terms
-        if len(many) == 1 and len(single) != 1:
-            many, single = single, many
-        if len(single) == 1:
-            # Multiplying by one monomial is injective and nonzero rationals
-            # have nonzero products, so no terms merge and none vanish.
-            ((m2, q2),) = single.items()
-            if q2 == 1:
-                return CoeffElement._raw({m1 * m2: q1 for m1, q1 in many.items()})
-            return CoeffElement._raw({m1 * m2: q1 * q2 for m1, q1 in many.items()})
-        out: dict[CoeffMonomial, Fraction] = {}
-        _add_terms(out, ((m1 * m2, q1 * q2) for m1, q1 in self._terms.items()
-                         for m2, q2 in other._terms.items()))
-        return CoeffElement._raw(out)
+            q = _rational(other)
+            return CoeffElement._raw(_nonzero({m: c * q for m, c in self._terms.items()}))
+        out: dict[CoeffMonomial, RationalLike] = {}
+        _add_products(out, self, _as_element(other), {})
+        return CoeffElement._raw(_nonzero(out))
 
     __rmul__ = __mul__
 
@@ -269,7 +268,7 @@ class CoeffElement:
 
     def hbar_part(self, power: int) -> "CoeffElement":
         """The monomials at an exact hbar power, with that power divided out."""
-        out: dict[CoeffMonomial, Fraction] = {}
+        out: dict[CoeffMonomial, RationalLike] = {}
         for mono, q in self._terms.items():
             if mono.hbar == power:
                 out[CoeffMonomial(0, mono.symbols)] = q
@@ -302,25 +301,43 @@ class CoeffElement:
             total = total + v
         return total
 
-    def sorted_terms(self) -> list[tuple[CoeffMonomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[CoeffMonomial, RationalLike]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __str__(self) -> str:
-        entries = [(q, mono.text_parts()) for mono, q in self.sorted_terms()]
-        return _render_terms(entries)
+        return _render_terms((q, "*".join(m.text_parts())) for m, q in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"CoeffElement({self})"
 
 
-def _render_terms(entries: Iterable[tuple[Fraction, list[str]]]) -> str:
+def _add_products(out: dict, left: CoeffElement, right: CoeffElement, products: dict) -> None:
+    """Add ``left * right`` into the coefficient term map ``out`` in place.
+
+    ``products`` memoizes monomial products as ``products[m2][m1] = m1 * m2``;
+    zero sums are left for :func:`_nonzero`.
+    """
+    for m2, q2 in right._terms.items():
+        row = products.get(m2)
+        if row is None:
+            row = products[m2] = {}
+        for m1, q1 in left._terms.items():
+            m = row.get(m1)
+            if m is None:
+                m = row[m1] = m1 * m2
+            out[m] = out.get(m, 0) + q1 * q2
+
+
+def _render_terms(entries: Iterable[tuple[RationalLike, str]]) -> str:
+    """Canonical text of ``(coefficient, factors)`` terms; empty factors mean the unit."""
     chunks: list[str] = []
-    for q, factors in entries:
+    for q, body in entries:
         num, den = q.numerator, q.denominator
         mag = abs(num)
-        if mag != 1 or den != 1 or not factors:
-            factors = [str(mag) if den == 1 else f"{mag}/{den}", *factors]
-        body = "*".join(factors)
+        if den != 1:
+            body = f"{mag}/{den}*{body}" if body else f"{mag}/{den}"
+        elif mag != 1 or not body:
+            body = f"{mag}*{body}" if body else str(mag)
         if chunks:
             chunks.append(("- " if num < 0 else "+ ") + body)
         else:
@@ -362,6 +379,13 @@ class VarMonomial:
     def blocks(self) -> set[int]:
         return {b for (b, _), _ in self.items}
 
+    def merged(self) -> "VarMonomial":
+        """The monomial with every block collapsed onto block 0."""
+        exps: dict[int, int] = {}
+        for (_, index), e in self.items:
+            exps[index] = exps.get(index, 0) + e
+        return VarMonomial._raw(tuple(((0, i), e) for i, e in sorted(exps.items())))
+
     def __mul__(self, other: "VarMonomial") -> "VarMonomial":
         merged = dict(self.items)
         for key, exp in other.items:
@@ -378,6 +402,38 @@ class VarMonomial:
 
 
 _EMPTY_VM = VarMonomial()
+
+
+class _TermSum:
+    """A polynomial's term map summed in place: ``vm -> {mono: q}``.
+
+    :meth:`add` adds a product of coefficients straight into the inner map
+    of its variable monomial, multiplying each distinct pair of coefficient
+    monomials once per accumulator.  Zero sums stay until :meth:`poly`
+    drops them, once, and applies the scalar rule.
+    """
+
+    __slots__ = ("terms", "products")
+
+    def __init__(self) -> None:
+        self.terms: dict[VarMonomial, dict[CoeffMonomial, RationalLike]] = {}
+        self.products: dict[CoeffMonomial, dict[CoeffMonomial, CoeffMonomial]] = {}
+
+    def add(self, vm: VarMonomial, left: CoeffElement, right: CoeffElement) -> None:
+        """Add the coefficient ``left * right`` at ``vm``."""
+        out = self.terms.get(vm)
+        if out is None:
+            out = self.terms[vm] = {}
+        _add_products(out, left, right, self.products)
+
+    def poly(self, dim: int, den: int = 1) -> "Poly":
+        """The sum divided by ``den``, with zero coefficients dropped."""
+        out = {}
+        for vm, terms in self.terms.items():
+            terms = _nonzero(terms, den)
+            if terms:
+                out[vm] = CoeffElement._raw(terms)
+        return Poly._raw(dim, out)
 
 
 class Poly:
@@ -471,7 +527,13 @@ class Poly:
             other = Poly.constant(_as_element(other), self._dim)
         self._check_dim(other)
         out = dict(self._terms)
-        _add_terms(out, other._terms.items())
+        for vm, ce in other._terms.items():
+            s = out.get(vm)
+            s = ce if s is None else s + ce
+            if s:
+                out[vm] = s
+            else:
+                del out[vm]
         return Poly._raw(self._dim, out)
 
     __radd__ = __add__
@@ -485,21 +547,17 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other: "Poly | CoeffElement | RationalLike") -> "Poly":
-        if not isinstance(other, Poly):
-            scalar = other if isinstance(other, (int, Fraction)) else _as_element(other)
-            if not scalar:
-                return Poly.zero(self._dim)
-            out = {}
+        acc = _TermSum()
+        if isinstance(other, Poly):
+            self._check_dim(other)
+            for vm1, ce1 in self._terms.items():
+                for vm2, ce2 in other._terms.items():
+                    acc.add(vm1 * vm2, ce1, ce2)
+        else:
+            other = _as_element(other)
             for vm, ce in self._terms.items():
-                p = ce * scalar
-                if p:
-                    out[vm] = p
-            return Poly._raw(self._dim, out)
-        self._check_dim(other)
-        out: dict[VarMonomial, CoeffElement] = {}
-        _add_terms(out, ((vm1 * vm2, ce1 * ce2) for vm1, ce1 in self._terms.items()
-                         for vm2, ce2 in other._terms.items()))
-        return Poly._raw(self._dim, out)
+                acc.add(vm, ce, other)
+        return acc.poly(self._dim)
 
     __rmul__ = __mul__
 
@@ -529,7 +587,7 @@ class Poly:
             rest = items[pos + 1 :]
             lowered = items[:pos] + (((key, e - 1),) + rest if e > 1 else rest)
             out[VarMonomial._raw(lowered)] = ce if e == 1 else CoeffElement._raw(
-                {m: q * e for m, q in ce.items()}
+                {m: _rational(q * e) for m, q in ce.items()}
             )
         return Poly._raw(self._dim, out)
 
@@ -545,16 +603,10 @@ class Poly:
 
     def merge_blocks(self) -> "Poly":
         """Collapse every block onto block 0, identifying equal variable indices."""
-
-        def merged(vm: VarMonomial) -> VarMonomial:
-            exps: dict[int, int] = {}
-            for (_, index), e in vm.items:
-                exps[index] = exps.get(index, 0) + e
-            return VarMonomial._raw(tuple(((0, i), e) for i, e in sorted(exps.items())))
-
-        out: dict[VarMonomial, CoeffElement] = {}
-        _add_terms(out, ((merged(vm), ce) for vm, ce in self._terms.items()))
-        return Poly._raw(self._dim, out)
+        acc, one = _TermSum(), CoeffElement.one()
+        for vm, ce in self._terms.items():
+            acc.add(vm.merged(), ce, one)
+        return acc.poly(self._dim)
 
     def relabel_blocks(self, mapping: Mapping[int, int]) -> "Poly":
         present = self.blocks()
@@ -613,11 +665,17 @@ class Poly:
             -kv[0].degree(), [(key, -exp) for key, exp in kv[0].items]))
 
     def __str__(self) -> str:
-        entries: list[tuple[Fraction, list[str]]] = []
+        # Each distinct coefficient monomial is ranked and formatted once.
+        distinct = {m for ce in self._terms.values() for m in ce._terms}
+        text = {m: (rank, "*".join(m.text_parts()))
+                for rank, m in enumerate(sorted(distinct, key=CoeffMonomial.sort_key))}
+        entries: list[tuple[RationalLike, str]] = []
         for vm, ce in self.sorted_terms():
-            vparts = vm.text_parts()
-            for mono, q in ce.sorted_terms():
-                entries.append((q, mono.text_parts() + vparts))
+            vtext = "*".join(vm.text_parts())
+            terms = [text[m] + (q,) for m, q in ce._terms.items()]
+            terms.sort()
+            for _, mtext, q in terms:
+                entries.append((q, f"{mtext}*{vtext}" if mtext and vtext else mtext or vtext))
         return _render_terms(entries)
 
     def __repr__(self) -> str:

@@ -139,7 +139,7 @@ class _Parser:
                 if int(den.text) == 0:
                     raise ParseError("zero denominator", den.pos)
                 return Poly.constant(Fraction(num, int(den.text)), self.dim)
-            return Poly.constant(Fraction(num), self.dim)
+            return Poly.constant(num, self.dim)
         if tok.kind == "(":
             self.advance()
             value = self.expr()

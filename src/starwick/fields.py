@@ -320,6 +320,9 @@ def functional_star(
     # Lower the integrand once into rows: a constant (hbar^h over the kernel
     # and field scales of the row's degrees), the field factors (index, exp)
     # at the left and the right node, and the kernel edges (row, col, exp).
+    # Coefficients may be ints, so a rational hbar is made a Fraction to keep
+    # each constant exact.
+    hbar = grid.hbar if mode == "float" else Fraction(grid.hbar)
     consts, rows = [], []
     for vm, ce in symbolic.items():
         left = tuple((i - 1, e) for (block, i), e in vm.items if block == 0)
@@ -330,7 +333,7 @@ def functional_star(
                     raise ValueError(f"symbol {s.text()} exceeds the node arity {rule.arity}")
             edges = tuple((s.row - 1, s.col - 1, e) for s, e in mono.symbols)
             k_deg = sum(e for _, _, e in edges)
-            consts.append(q * grid.hbar**mono.hbar / (k_den**k_deg * f_den ** vm.degree()))
+            consts.append(q * hbar**mono.hbar / (k_den**k_deg * f_den ** vm.degree()))
             rows.append((left, right, edges))
     consts, c_den = _over_common_denominator(consts, mode)
 

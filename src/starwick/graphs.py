@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CoeffElement, CoeffMonomial, Poly, _add_terms
+from .algebra import CoeffElement, Poly, _TermSum
 from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _is_int
 from .star import PropagatorMatrix, apply_bivector, _check_dims, _check_factors, _check_ordinary
 
@@ -186,6 +185,8 @@ def star_via_graphs(
     ``M`` is one :func:`apply_bivector` on the image of its prefix ``M'``
     (``M`` without its last internal vertex), kept from the previous layer.
     Zero images are not kept, and the walk stops at a layer with none.
+    Every layer is summed in place over the common denominator
+    ``kmax!``, so the sum divides once per output term.
 
     The independent oracle for :func:`starwick.star.star_multi`, which
     folds the pairwise product instead of summing over adjacency matrices.
@@ -196,13 +197,23 @@ def star_via_graphs(
     kmax = sum(degrees) // 2
     if order is not None:
         kmax = min(kmax, order)
+    top = math.factorial(kmax)
     slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
     tensor = _block_tensor(factors)
-    result = tensor.merge_blocks()
+    acc, merged = _TermSum(), {}
+
+    def add(image: Poly, weight: CoeffElement) -> None:
+        for vm, ce in image.items():
+            mv = merged.get(vm)
+            if mv is None:
+                mv = merged[vm] = vm.merged()
+            acc.add(mv, ce, weight)
+
+    add(tensor, CoeffElement.from_rational(top))
     # Images keyed by the matrix's upper-triangle values, row-major.
     images = {(0,) * len(slots): tensor}
     for k in range(1, kmax + 1):
-        layer: dict = {}
+        hbar, scale = CoeffElement.hbar(k), top // math.factorial(k)
         prev, images = images, {}
         for matrix in enumerate_adjacency_by_degree(m, 2 * k, row_caps=degrees):
             values = tuple(matrix.upper_values())
@@ -215,12 +226,10 @@ def star_via_graphs(
             image = apply_bivector(base, K, (i,), (j,))
             if image:
                 images[values] = image
-                c = multinomial(k, values)
-                _add_terms(layer, ((vm, ce * c) for vm, ce in image.items()))
+                add(image, hbar * (scale * multinomial(k, values)))
         if not images:
             break
-        weight = CoeffElement({CoeffMonomial(hbar=k): Fraction(1, math.factorial(k))})
-        result = result + Poly._raw(result.dim, layer).merge_blocks() * weight
+    result = acc.poly(tensor.dim, top)
     if order is not None:
         result = result.truncate_hbar(order)
     return result

@@ -45,7 +45,7 @@ from .algebra import (
     PropagatorSymbol,
     VarMonomial,
     RationalLike,
-    _add_terms,
+    _TermSum,
     _as_element,
 )
 
@@ -136,31 +136,29 @@ def _check_order(order: int | None) -> None:
         raise ValueError("truncation order must be non-negative")
 
 
-def _derivative_over(p: Poly, blocks: tuple[int, ...], index: int) -> Poly:
-    if len(blocks) == 1:
-        return p.derivative(index, block=blocks[0])
-    total: dict = {}
-    for block in blocks:
-        _add_terms(total, p.derivative(index, block=block).items())
-    return Poly._raw(p.dim, total)
-
-
 def apply_bivector(
     p: Poly, K: PropagatorMatrix, left_blocks: Iterable[int], right_blocks: Iterable[int]
 ) -> Poly:
-    """One application of ``sum_ij K_ij d_i(left) d_j(right)``."""
+    """One application of ``sum_ij K_ij d_i(left) d_j(right)``.
+
+    ``d_i(left)`` is the derivative in ``x_i`` summed over the left blocks,
+    and likewise on the right; the terms are summed in place.
+    """
     left = tuple(left_blocks)
     right = tuple(right_blocks)
-    acc: dict = {}
+    acc = _TermSum()
     for j in range(1, K.dim + 1):
-        dg = _derivative_over(p, right, j)
-        if dg.is_zero():
-            continue
-        for i in range(1, K.dim + 1):
-            e = K.entries[i - 1][j - 1]
-            if e:
-                _add_terms(acc, ((vm, ce * e) for vm, ce in _derivative_over(dg, left, i).items()))
-    return Poly._raw(p.dim, acc)
+        for rb in right:
+            dg = p.derivative(j, block=rb)
+            if dg.is_zero():
+                continue
+            for i in range(1, K.dim + 1):
+                e = K.entries[i - 1][j - 1]
+                if e:
+                    for lb in left:
+                        for vm, ce in dg.derivative(i, block=lb).items():
+                            acc.add(vm, ce, e)
+    return acc.poly(p.dim)
 
 
 def _check_dims(K: PropagatorMatrix, *polys: Poly) -> None:
@@ -308,7 +306,7 @@ class _Packing:
                 if mono is None:
                     symbols = self._fields(key >> self.width, self.symbols)
                     mono = monos[key] = CoeffMonomial._raw(key & self.mask, symbols)
-                out[mono] = Fraction(num, den)
+                out[mono] = num // den if num % den == 0 else Fraction(num, den)
         return CoeffElement._raw(out)
 
     def _fields(self, packed: int, names: list) -> tuple:

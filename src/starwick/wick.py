@@ -40,6 +40,14 @@ from .star import (
 )
 
 
+# The largest total power ``h = sum(n) // 2`` that :func:`expectation_formula`
+# takes on.  Its power tables reach the entries of ``n`` and its denominator
+# is ``h!``, so a huge admissible entry would run until killed; at the cap
+# ``h!`` has 2,568 digits, below Python's 4,300-digit limit for printing an
+# integer.  The benchmark pools reach h = 9.
+_MAX_EXPECT_POWER = 1000
+
+
 @dataclass(frozen=True)
 class WickMonomialSpec:
     """Exponents plus the two propagators of a Wick monomial.
@@ -128,13 +136,18 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     computed once.  The start state's sum is over ``h! * scale^h``, where
     ``h`` is half the total power and ``scale`` the common denominator of
     the entries.  :func:`expectation_oracle` and the tests' ``kan_moment``
-    and ``expectation_by_matrices`` are the oracles.
+    and ``expectation_by_matrices`` are the oracles.  An admissible ``n``
+    with ``h`` above ``_MAX_EXPECT_POWER`` is refused with ``ValueError``
+    before any power table or factorial is built.
     """
     n = spec.powers
     layers = _row_states(n)
     if not layers:
         return CoeffElement.zero()
     h, d = sum(n) // 2, len(n)
+    if h > _MAX_EXPECT_POWER:
+        raise ValueError(f"total power sum(n) // 2 = {h} exceeds the expectation cap "
+                         f"of {_MAX_EXPECT_POWER}")
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     entries = [spec.product.entries[i][j] for i, j in pairs]
     packing = _Packing(entries, h)

@@ -313,3 +313,93 @@ def test_random_poly_generator_round_trips_dimension():
     rng = random.Random(0)
     p = rand_poly(rng, 3)
     assert p.dim == 3
+
+
+# ------------------------------------------------- scalar rule, in-place sums
+
+
+def stored_values(p):
+    """Every coefficient value a polynomial stores, read off its term maps."""
+    return [q for _, ce in p.items() for _, q in ce.items()]
+
+
+def assert_scalar_rule(values):
+    for q in values:
+        assert q != 0
+        assert type(q) is (int if q.denominator == 1 else Fraction), q
+
+
+class TestScalarRule:
+    def test_int_and_fraction_values_are_one_coefficient(self):
+        m = CoeffMonomial.make(1, {sym("K", 1, 2): 2})
+        a, b = CoeffElement({m: Fraction(3)}), CoeffElement({m: 3})
+        assert a == b and hash(a) == hash(b)
+        assert str(a) == str(b) == "3*hbar*K[K;1,2]^2"
+        assert Poly.constant(a, 2) == Poly.constant(b, 2)
+        assert hash(Poly.constant(a, 2)) == hash(Poly.constant(b, 2))
+
+    def test_constructors_store_integral_values_as_int(self):
+        k = sym("K", 1, 2)
+        m1, m2 = CoeffMonomial.make(0, {k: 1}), CoeffMonomial.make(2)
+        built = CoeffElement({m1: Fraction(6, 2), m2: Fraction(1, 2), CoeffMonomial(): True})
+        assert dict(built.items()) == {m1: 3, m2: Fraction(1, 2), CoeffMonomial(): 1}
+        elements = [
+            built,
+            CoeffElement.one(),
+            CoeffElement.hbar(3),
+            CoeffElement.from_symbol(k, 2),
+            CoeffElement.from_rational(Fraction(8, 4)),
+            CoeffElement.from_rational(Fraction(3, 4)),
+            built * 2,
+            built * Fraction(2, 3),
+            built * CoeffElement.from_rational(Fraction(1, 3)),
+            built + CoeffElement({m2: Fraction(1, 2)}),
+            built - built,
+        ]
+        for ce in elements:
+            assert_scalar_rule(q for _, q in ce.items())
+        assert dict((built * 2).items())[m2] == 1
+        assert dict((built + CoeffElement({m2: Fraction(1, 2)})).items())[m2] == 1
+
+    def test_polynomial_arithmetic_keeps_the_rule(self):
+        d = 2
+        half = Poly.constant(Fraction(1, 2), d)
+        cases = [
+            x(1, d) * 3 - 2,
+            half * x(1, d) ** 2,
+            (half * x(1, d) ** 2).derivative(1),
+            (x(1, d) * half) * 4,
+            (x(1, d, block=0) * half + x(1, d, block=1) * half).merge_blocks(),
+        ]
+        for p in cases:
+            assert_scalar_rule(stored_values(p))
+        assert stored_values((half * x(1, d) ** 2).derivative(1)) == [1]
+
+
+class TestInPlaceSums:
+    """The accumulator behind products and block merges stores no zero value,
+    no empty coefficient and no cancelled key."""
+
+    @staticmethod
+    def term_maps(p):
+        return {vm: dict(ce.items()) for vm, ce in p.items()}
+
+    def test_product_stores_no_cancelled_key(self):
+        d = 2
+        p = (x(1, d) + x(2, d)) * (x(1, d) - x(2, d))
+        assert self.term_maps(p) == {
+            VarMonomial.make({(0, 1): 2}): {CoeffMonomial(): 1},
+            VarMonomial.make({(0, 2): 2}): {CoeffMonomial(): -1},
+        }
+        assert VarMonomial.make({(0, 1): 1, (0, 2): 1}) not in self.term_maps(p)
+
+    def test_merge_blocks_drops_cancelled_blocks(self):
+        d = 2
+        k = CoeffElement.from_symbol(sym("K", 1, 2))
+        tensor = (x(1, d, block=0) * x(2, d, block=1) * (k + 1)
+                  - x(2, d, block=0) * x(1, d, block=1) * k
+                  + x(1, d, block=0) ** 2 * 2 - x(1, d, block=1) ** 2 * 2)
+        merged = tensor.merge_blocks()
+        assert self.term_maps(merged) == {VarMonomial.make({(0, 1): 1, (0, 2): 1}): {CoeffMonomial(): 1}}
+        cancelled = (x(1, d, block=0) * k - x(1, d, block=1) * k).merge_blocks()
+        assert cancelled.is_zero() and self.term_maps(cancelled) == {}

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from starwick import cli
 from starwick.cli import build_parser, main
+from starwick.wick import _MAX_EXPECT_POWER
 
 
 def run(capsys, *argv):
@@ -527,6 +528,25 @@ def test_inadmissible_large_entries_vanish_at_once(argv, grid_file):
         capture_output=True, text=True, env=env, timeout=10,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["expect", "--n", "99999999999,99999999999"], ["expect", "--n", "3000,3000"],
+     ["field-expect", "--grid", "{grid}", "--n", "99999999999,99999999999"]],
+    ids=["expect-huge", "expect-3000", "field-expect-huge"],
+)
+def test_admissible_huge_entries_refused_at_once(argv, grid_file):
+    # The total power is checked against the cap before any power table or
+    # factorial is built, so the refusal is a clean exit 2 that names it.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "starwick.cli", *(a.replace("{grid}", grid_file) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: total power")
+    assert f"cap of {_MAX_EXPECT_POWER}" in proc.stderr
 
 
 def test_runtime_imports_only_the_standard_library():

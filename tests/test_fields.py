@@ -283,6 +283,32 @@ class TestFieldStar:
         assert field_star(c, g, grid) == Fraction(7, 2) * specialize(g, grid)
 
 
+class TestIntegralGrids:
+    """Integral coefficients are ints, so a rational grid of plain ints
+    (built directly, not decoded into Fractions) must still give exact results."""
+
+    @staticmethod
+    def grids():
+        points, kernel, field = ("a", "b"), ((1, 2), (3, 4)), (2, 5)
+        plain = KernelGrid(points, kernel, field, 1)
+        decoded = KernelGrid.make(points, kernel, field, 1)
+        assert all(type(v) is int for v in (plain.hbar, *plain.field, *plain.kernel[0]))
+        return plain, decoded
+
+    def test_rational_results_stay_fractions(self):
+        plain, decoded = self.grids()
+        f, g = x(1, 2) ** 2 + x(2, 2) * 3, x(1, 2) * x(2, 2) * 2
+        rule = QuadratureRule.all_tuples(plain, 2)
+        for compute in (lambda grid: specialize(f * g, grid),
+                        lambda grid: field_star(f, g, grid),
+                        lambda grid: field_expectation((2, 2), grid),
+                        lambda grid: functional_star(f, g, rule, grid)):
+            value = compute(plain)
+            assert type(value) is Fraction
+            assert value == compute(decoded)
+        assert functional_star(f, g, rule, plain) == functional_star_oracle(f, g, rule, decoded)
+
+
 class TestFieldPoisson:
     def test_coordinates(self):
         grid = grid2([[0, 2], [5, 0]], [1, 1])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from starwick import CoeffElement, ParseError, Poly, PropagatorSymbol, parse
 
 from helpers import rand_poly
-from test_algebra import polys
+from test_algebra import assert_scalar_rule, polys, stored_values
 
 
 def x(i, d):
@@ -23,6 +23,12 @@ class TestGrammar:
 
     def test_binomial_square(self):
         assert parse("(x1+1)^2", 1) == x(1, 1) ** 2 + x(1, 1) * 2 + 1
+
+    def test_literals_follow_the_scalar_rule(self):
+        p = parse("(3*x1 - 2)^3 + 1/2*x2 + 4/2*hbar*K[K;1,2]", 2)
+        assert_scalar_rule(stored_values(p))
+        assert {type(q) for q in stored_values(p)} == {int, Fraction}
+        assert all(type(q) is int for q in stored_values(parse("(3*x1 - 2*x2 + 1)^4", 2)))
 
     def test_precedence(self):
         assert parse("2*x1^2 + 1", 1) == x(1, 1) ** 2 * 2 + 1

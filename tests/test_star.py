@@ -5,10 +5,13 @@ import pytest
 
 from starwick import (
     CoeffElement,
+    CoeffMonomial,
     Poly,
     PropagatorChangeTerm,
     PropagatorMatrix,
     PropagatorSymbol,
+    VarMonomial,
+    apply_bivector,
     change_propagator,
     poisson_bracket,
     reexpand,
@@ -29,6 +32,8 @@ from helpers import (
     rand_rational,
     star_tensor_oracle,
 )
+from starwick.star import _Packing
+from test_algebra import assert_scalar_rule, stored_values
 
 
 def x(i, d, block=0):
@@ -474,3 +479,48 @@ class TestPackedWidths:
             assert change_propagator(fs, old, new, order) == change_propagator_oracle(
                 fs, old, new, order
             )
+
+
+class TestApplyBivector:
+    def test_cancelling_entries_store_no_zero_terms(self):
+        d, k = 2, K_sym(1, 2, "A")
+        K = PropagatorMatrix.from_entries([[1, k], [-k, 0]])
+        crossed = x(1, d, 0) * x(2, d, 1) + x(2, d, 0) * x(1, d, 1)
+        # K_12 and K_21 = -K_12 meet on the same monomial and cancel.
+        cancelled = apply_bivector(crossed, K, (0,), (1,))
+        assert cancelled.is_zero() and dict(cancelled.items()) == {}
+        kept = apply_bivector(crossed + x(1, d, 0) * x(1, d, 1), K, (0,), (1,))
+        assert {vm: dict(ce.items()) for vm, ce in kept.items()} == {
+            VarMonomial(): {CoeffMonomial(): 1}
+        }
+
+    def test_sums_over_several_blocks(self):
+        d, K = 2, PropagatorMatrix.family("K", 2)
+        p = x(1, d, 0) * x(1, d, 1) * x(2, d, 2)
+        by_block = sum((apply_bivector(p, K, (lb,), (rb,)) for lb in (0, 1) for rb in (1, 2)
+                        if lb != rb), Poly.zero(d))
+        # Block pairs (0, 1), (0, 2) and (1, 2); (1, 1) differentiates one block twice.
+        same = apply_bivector(p, K, (1,), (1,))
+        assert apply_bivector(p, K, (0, 1), (1, 2)) == by_block + same
+
+
+class TestScalarRuleOnPackedTerms:
+    def test_coeff_element_emits_int_when_integral(self):
+        a, b, c = K_sym(1, 2), K_sym(2, 1), K_sym(1, 1)
+        packing = _Packing([a, b, c], 2)
+        keys = [packing.coeff_key(m) for e in (a, b, c) for m, _ in e.items()]
+        ce = packing.coeff_element(zip(keys, (8, 6, 0)), 4)
+        ((ma, _),), ((mb, _),) = a.items(), b.items()
+        assert dict(ce.items()) == {ma: 2, mb: Fraction(3, 2)}
+        assert_scalar_rule(q for _, q in ce.items())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_products_keep_the_rule(self, seed):
+        rng = random.Random(1500 + seed)
+        d = rng.randint(1, 3)
+        f, g = rand_poly(rng, d), rand_poly(rng, d)
+        for K in (rand_matrix(rng, d), PropagatorMatrix.family("K", d)):
+            for p in (star2(f, g, K), star_via_graphs([f, g], K), f * g):
+                assert_scalar_rule(stored_values(p))
+            for term in change_propagator([f, g], K, PropagatorMatrix.family("N", d)):
+                assert_scalar_rule(q for _, q in term.coeff.items())

@@ -26,6 +26,8 @@ from starwick import (
     wick_unpower,
 )
 
+from starwick.wick import _MAX_EXPECT_POWER
+
 from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix, rand_rational
 
 from test_combinat import positive_sequences
@@ -165,6 +167,20 @@ class TestExpectation:
         """Powers are refused unless integers, not truncated or read as 1."""
         with pytest.raises(ValueError, match="integers"):
             spec_for(powers)
+
+    def test_cap_admits_the_largest_total_power(self):
+        h = _MAX_EXPECT_POWER
+        assert h >= 20  # the benchmark pools reach 9 and the other tests stay below 20
+        coeff = CoeffElement({CoeffMonomial.make(0, {PropagatorSymbol("P", 1, 2): h}):
+                              Fraction(1, math.factorial(h))})
+        assert expectation_formula(spec_for((h, h))) == coeff
+        assert expectation_formula(spec_for((h + 1, h - 1))).is_zero()
+
+    @pytest.mark.parametrize("n", [(_MAX_EXPECT_POWER, _MAX_EXPECT_POWER, 1, 1), (3000, 3000),
+                                   (99999999999, 99999999999)], ids=str)
+    def test_huge_admissible_entries_refused_by_the_cap(self, n):
+        with pytest.raises(ValueError, match=f"exceeds the expectation cap of {_MAX_EXPECT_POWER}"):
+            expectation_formula(spec_for(n))
 
     def test_powers_stored_as_tuple(self):
         spec = WickMonomialSpec([1, 1], PropagatorMatrix.family("K", 2, zero_diagonal=True),
