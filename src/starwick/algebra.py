@@ -254,12 +254,7 @@ class CoeffElement:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "CoeffElement":
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = CoeffElement.one()
-        for _ in range(exp):
-            out = out * self
-        return out
+        return _power(self, exp, CoeffElement.one())
 
     def truncate_hbar(self, order: int) -> "CoeffElement":
         return CoeffElement._raw(
@@ -305,7 +300,8 @@ class CoeffElement:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __str__(self) -> str:
-        return _render_terms((q, "*".join(m.text_parts())) for m, q in self.sorted_terms())
+        return _render_terms((q.numerator, q.denominator, "*".join(m.text_parts()))
+                             for m, q in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"CoeffElement({self})"
@@ -328,11 +324,26 @@ def _add_products(out: dict, left: CoeffElement, right: CoeffElement, products: 
             out[m] = out.get(m, 0) + q1 * q2
 
 
-def _render_terms(entries: Iterable[tuple[RationalLike, str]]) -> str:
-    """Canonical text of ``(coefficient, factors)`` terms; empty factors mean the unit."""
+def _power(base, exp: int, one):
+    """``base ** exp`` by square-and-multiply, ``one`` being the unit of its type."""
+    if not isinstance(exp, int) or exp < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    out = one
+    while exp:
+        if exp & 1:
+            out = out * base
+        exp >>= 1
+        if exp:
+            base = base * base
+    return out
+
+
+def _render_terms(entries: Iterable[tuple[int, int, str]]) -> str:
+    """Canonical text of ``(numerator, denominator, factors)`` terms, each
+    coefficient in lowest terms with ``denominator > 0``; empty factors
+    mean the unit."""
     chunks: list[str] = []
-    for q, body in entries:
-        num, den = q.numerator, q.denominator
+    for num, den, body in entries:
         mag = abs(num)
         if den != 1:
             body = f"{mag}/{den}*{body}" if body else f"{mag}/{den}"
@@ -562,12 +573,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "Poly":
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = Poly.one(self._dim)
-        for _ in range(exp):
-            out = out * self
-        return out
+        return _power(self, exp, Poly.one(self._dim))
 
     def derivative(self, index: int, block: int = 0) -> "Poly":
         """Partial derivative in one block; coefficients are constants."""
@@ -669,13 +675,14 @@ class Poly:
         distinct = {m for ce in self._terms.values() for m in ce._terms}
         text = {m: (rank, "*".join(m.text_parts()))
                 for rank, m in enumerate(sorted(distinct, key=CoeffMonomial.sort_key))}
-        entries: list[tuple[RationalLike, str]] = []
+        entries: list[tuple[int, int, str]] = []
         for vm, ce in self.sorted_terms():
             vtext = "*".join(vm.text_parts())
             terms = [text[m] + (q,) for m, q in ce._terms.items()]
             terms.sort()
             for _, mtext, q in terms:
-                entries.append((q, f"{mtext}*{vtext}" if mtext and vtext else mtext or vtext))
+                entries.append((q.numerator, q.denominator,
+                                f"{mtext}*{vtext}" if mtext and vtext else mtext or vtext))
         return _render_terms(entries)
 
     def __repr__(self) -> str:

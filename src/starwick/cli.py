@@ -28,8 +28,8 @@ from .exprparse import ParseError, parse, _IDENT_RE
 from .fields import KernelGrid, QuadratureRule, _decode_number, field_expectation, field_star
 from .fields import functional_star
 from .graphs import export_dot, graph_from_matrix, star_via_graphs, to_feynman
-from .star import PropagatorMatrix, poisson_bracket, star_multi
-from .wick import WickMonomialSpec, expectation_formula, expectation_oracle, wick_power, wick_unpower
+from .star import PropagatorMatrix, poisson_bracket, star_multi, _Packing
+from .wick import WickMonomialSpec, expectation_oracle, wick_power, wick_unpower, _expectation_terms
 
 
 class _UsageError(Exception):
@@ -134,7 +134,7 @@ def _cmd_expect(engine, args) -> str:
         PropagatorMatrix.family(args.family, d, zero_diagonal=True),
         PropagatorMatrix.family(args.family, d),
     )
-    return str(engine(spec))
+    return engine(spec)
 
 
 def _cmd_enum_adj(args) -> str:
@@ -245,9 +245,9 @@ _COMMANDS = (
     ("wick-invert", "expand a plain power in Wick powers", _cmd_wick_invert,
      ("dim", "family", "sym", "index", "power", "json")),
     ("expect", "combinatorial Wick-monomial expectation",
-     partial(_cmd_expect, lambda spec: expectation_formula(spec)), ("n", "family")),
+     partial(_cmd_expect, lambda spec: _Packing.text(*_expectation_terms(spec))), ("n", "family")),
     ("expect-oracle", "brute-force Wick-monomial expectation",
-     partial(_cmd_expect, lambda spec: expectation_oracle(spec)), ("n", "family")),
+     partial(_cmd_expect, lambda spec: str(expectation_oracle(spec))), ("n", "family")),
     ("enum-adj", "enumerate adjacency matrices", _cmd_enum_adj, (
         ("--dim", dict(type=int, default=2, help="matrix size")),
         ("--deg", dict(type=int, help="total degree")),

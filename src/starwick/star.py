@@ -24,7 +24,9 @@ That walk and :func:`starwick.wick.expectation_formula` share one packed
 format, :class:`_Packing`, whose one sizing rule is that the products of
 ``polys`` with ``k`` entries have no exponent above the sum of each
 poly's total degree or widest coefficient plus ``k`` times one more than
-the widest entry.
+the widest entry.  One decoder reads packed keys back, both into
+``Poly`` and ``CoeffElement`` values and, through :meth:`_Packing.text`,
+straight into canonical text.
 
 For polynomial inputs every series terminates, so ``order=None`` means
 "run to termination" and yields the exact product; an explicit order
@@ -47,6 +49,7 @@ from .algebra import (
     RationalLike,
     _TermSum,
     _as_element,
+    _render_terms,
 )
 
 
@@ -95,7 +98,9 @@ class PropagatorMatrix:
                     row.append(CoeffElement.zero())
                     continue
                 a, b = (min(i, j), max(i, j)) if symmetric else (i, j)
-                row.append(CoeffElement.from_symbol(PropagatorSymbol(name, a, b)))
+                # One symbol to the first power: valid without CoeffMonomial's checks.
+                mono = CoeffMonomial._raw(0, ((PropagatorSymbol(name, a, b), 1),))
+                row.append(CoeffElement._raw({mono: 1}))
             rows.append(tuple(row))
         return cls(dim, tuple(rows), symmetric=symmetric)
 
@@ -206,8 +211,13 @@ class _Packing:
     multiplies their monomials and subtracting one unit lowers an
     exponent, with no carry or borrow between fields.  Coefficients are
     integer numerators over one denominator, and :meth:`product` is the
-    one multiply-and-collect loop on such terms.
+    one multiply-and-collect loop on such terms.  :meth:`_decode` is the
+    one decoder of packed fields: :meth:`unpack` and :meth:`coeff_element`
+    build values from it, and :meth:`text` writes a coefficient sum as
+    canonical text with no value built.
     """
+
+    _CHUNK = 4  # fields that _decode reads, and memoizes, as one
 
     def __init__(self, entries: Sequence[CoeffElement], k: int, polys: Sequence[Poly] = ()):
         def widest(elements) -> int:
@@ -225,6 +235,7 @@ class _Packing:
         self.var_shift = {v: self.coeff_bits + width * n for n, v in enumerate(self.variables)}
         self._coeff_keys: dict[CoeffMonomial, int] = {}
         self._monomials: dict[int, CoeffMonomial] = {}
+        self._chunks: dict[int, tuple] = {}  # _decode's memo for symbol fields
 
     def coeff_key(self, m: CoeffMonomial) -> int:
         key = self._coeff_keys.get(m)
@@ -292,8 +303,9 @@ class _Packing:
                 if terms is None:
                     terms = grouped[key >> bits] = []
                 terms.append((key & coeff_mask, num))
+        memo: dict = {}
         return Poly._raw(dim, {
-            VarMonomial._raw(self._fields(vk, self.variables)): self.coeff_element(terms, den)
+            VarMonomial._raw(self._decode(vk, self.variables, memo)): self.coeff_element(terms, den)
             for vk, terms in grouped.items()
         })
 
@@ -304,21 +316,57 @@ class _Packing:
             if num:
                 mono = monos.get(key)
                 if mono is None:
-                    symbols = self._fields(key >> self.width, self.symbols)
+                    symbols = self._decode(key >> self.width, self.symbols, self._chunks)
                     mono = monos[key] = CoeffMonomial._raw(key & self.mask, symbols)
                 out[mono] = num // den if num % den == 0 else Fraction(num, den)
         return CoeffElement._raw(out)
 
-    def _fields(self, packed: int, names: list) -> tuple:
-        """The nonzero fields of ``packed`` as sorted (name, exponent) items."""
-        items = []
-        for name in names:
-            if not packed:
-                break
-            if packed & self.mask:
-                items.append((name, packed & self.mask))
-            packed >>= self.width
-        return tuple(items)
+    def text(self, terms: Iterable[tuple[int, int]], den: int) -> str:
+        """``str(self.coeff_element(terms, den))`` for ``den > 0``, written
+        straight from the packed keys with no monomial, element or
+        ``Fraction`` built.  Symbol fields are in sorted symbol order, so
+        ``(degree, hbar, fields)`` sorts as :meth:`CoeffMonomial.sort_key`."""
+        rows, ranks, memo, mask = [], range(len(self.symbols)), {}, self.mask
+        for key, num in terms:
+            if num:
+                # The degree, the sum of the fields, is at most mask: it is
+                # key modulo mask, read as mask when that is 0 and key is not.
+                rows.append(((key - 1) % mask + 1 if key else 0, key & mask,
+                             self._decode(key >> self.width, ranks, memo), num))
+        names, parts, entries = [s.text() for s in self.symbols], {}, []
+        for _, hbar, fields, num in sorted(rows):
+            body = ["hbar" if hbar == 1 else f"hbar^{hbar}"] if hbar else []
+            for part in fields:
+                text = parts.get(part)
+                if text is None:
+                    f, e = part
+                    text = parts[part] = names[f] if e == 1 else f"{names[f]}^{e}"
+                body.append(text)
+            g = math.gcd(num, den)
+            entries.append((num // g, den // g, "*".join(body)))
+        return _render_terms(entries)
+
+    def _decode(self, packed: int, names: Sequence, memo: dict) -> tuple:
+        """The nonzero fields of ``packed`` as ``(names[field], exponent)``
+        pairs from field 0 up.  ``memo`` holds the chunks of ``_CHUNK``
+        fields already decoded with these ``names``."""
+        width, mask, out, first = self.width, self.mask, (), 0
+        step = width * self._CHUNK
+        while packed:
+            key = first << step | packed & ((1 << step) - 1)
+            got = memo.get(key)
+            if got is None:
+                got, chunk, field = [], key & ((1 << step) - 1), first
+                while chunk:
+                    if chunk & mask:
+                        got.append((names[field], chunk & mask))
+                    chunk >>= width
+                    field += 1
+                got = memo[key] = tuple(got)
+            out += got
+            packed >>= step
+            first += self._CHUNK
+        return out
 
 
 def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, alive: Sequence):

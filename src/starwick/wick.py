@@ -3,7 +3,11 @@
 The Wick power of a coordinate is its iterated star power; in closed
 form it is the Hermite-type sum
 
-    sum_k  l! / (2^k k! (l-2k)!) * hbar^k * K_ii^k * x_i^(l-2k).
+    sum_k  l! / (2^k k! (l-2k)!) * hbar^k * K_ii^k * x_i^(l-2k),
+
+built term by term from the ratio of consecutive coefficients, with one
+multiply by ``hbar * K_ii`` per term; ``l // 2`` above the cap
+``_MAX_EXPECT_POWER`` is refused before any term is built.
 
 A Wick monomial star-multiplies Wick powers of distinct coordinates
 under a second propagator ``K``.  Its expectation is a purely
@@ -12,11 +16,14 @@ combinatorial functional, the Isserlis sum
     sum_m  prod_{i<j} K_ij^{m_ij} / m_ij!
 
 over the adjacency matrices ``m`` whose row sums are the exponents.
-:func:`expectation_formula` folds the row states of those matrices
-backwards, so a sum over completions shared by many prefixes is computed
-once.  Its terms are in the packed format of the star products:
+One fold, :func:`_expectation_terms`, walks the row states of those
+matrices backwards, so a sum over completions shared by many prefixes is
+computed once.  Its terms are in the packed format of the star products:
 :class:`starwick.star._Packing` sizes, scales and multiplies them, and
-this module builds no key, bound or denominator of its own.  The ground
+this module builds no key, bound or denominator of its own.
+:func:`expectation_formula` decodes the terms into a ``CoeffElement``;
+the ``expect`` command writes them as text through
+:meth:`starwick.star._Packing.text` without decoding them.  The ground
 truth for every identity in this module is the star-product engine itself:
 :func:`expectation_oracle` reads the expectation off the star product,
 and the tests add Kan's moment formula (``kan_moment``) as a third,
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import CoeffElement, CoeffMonomial, Poly
 from .combinat import (
@@ -41,10 +48,13 @@ from .star import (
 
 
 # The largest total power ``h = sum(n) // 2`` that :func:`expectation_formula`
-# takes on.  Its power tables reach the entries of ``n`` and its denominator
-# is ``h!``, so a huge admissible entry would run until killed; at the cap
-# ``h!`` has 2,568 digits, below Python's 4,300-digit limit for printing an
-# integer.  The benchmark pools reach h = 9.
+# takes on, and the largest ``power // 2`` of a Hermite expansion
+# (:func:`_hermite_terms`).  The expectation's power tables reach the entries
+# of ``n`` and its denominator is ``h!``, and a Hermite expansion has
+# ``power // 2 + 1`` terms, so a huge input would run until killed.  At the
+# cap ``h!`` has 2,568 digits and the widest Hermite coefficient 2,887, below
+# Python's 4,300-digit limit for printing an integer.  The benchmark pools
+# reach h = 9.
 _MAX_EXPECT_POWER = 1000
 
 
@@ -82,14 +92,17 @@ def _hermite_terms(
         raise ValueError(f"variable index {index} out of range 1..{d}")
     if power < 0:
         raise ValueError("power must be non-negative")
-    diag = K.entry(index, index)
-    out: list[tuple[CoeffElement, int]] = []
+    if power // 2 > _MAX_EXPECT_POWER:
+        raise ValueError(f"power // 2 = {power // 2} exceeds the Hermite cap "
+                         f"of {_MAX_EXPECT_POWER}")
+    # c_0 = 1 and c_{k+1} / c_k = (p - 2k)(p - 2k - 1) / (2(k + 1)).
+    step = CoeffElement.hbar() * K.entry(index, index)
+    out, coeff = [], CoeffElement.one()
     for k in range(power // 2 + 1):
-        c = Fraction(sign**k * math.factorial(power),
-                     2**k * math.factorial(k) * math.factorial(power - 2 * k))
-        coeff = CoeffElement({CoeffMonomial(hbar=k): c}) * diag**k
-        if not coeff.is_zero():
-            out.append((coeff, power - 2 * k))
+        if not coeff:
+            break
+        out.append((coeff, power - 2 * k))
+        coeff = coeff * step * Fraction(sign * (power - 2 * k) * (power - 2 * k - 1), 2 * (k + 1))
     return out
 
 
@@ -140,10 +153,17 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     with ``h`` above ``_MAX_EXPECT_POWER`` is refused with ``ValueError``
     before any power table or factorial is built.
     """
+    packing, terms, den = _expectation_terms(spec)
+    return packing.coeff_element(terms, den)
+
+
+def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple[int, int]], int]:
+    """:func:`expectation_formula` as packed terms over a denominator: its
+    packing, the ``(key, numerator)`` terms and the denominator."""
     n = spec.powers
     layers = _row_states(n)
     if not layers:
-        return CoeffElement.zero()
+        return _Packing([], 0), (), 1
     h, d = sum(n) // 2, len(n)
     if h > _MAX_EXPECT_POWER:
         raise ValueError(f"total power sum(n) // 2 = {h} exceeds the expectation cap "
@@ -179,7 +199,7 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
                     rows[row, top] = terms
                 product(terms, below[rest].items(), acc)
         below = fold
-    return packing.coeff_element(below[n].items(), math.factorial(h) * scale**h)
+    return packing, below[n].items(), math.factorial(h) * scale**h
 
 
 def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:

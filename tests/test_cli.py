@@ -2,17 +2,22 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from starwick import cli
+from starwick import (
+    PropagatorMatrix, WickMonomialSpec, cli, expectation_formula, expectation_oracle,
+)
 from starwick.cli import build_parser, main
 from starwick.wick import _MAX_EXPECT_POWER
 
@@ -21,6 +26,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def expect_spec(n):
+    """The Wick monomial that ``expect --n`` and ``expect-oracle --n`` build."""
+    return WickMonomialSpec(n, PropagatorMatrix.family("K", len(n), zero_diagonal=True),
+                            PropagatorMatrix.family("K", len(n)))
 
 
 class TestStarCommands:
@@ -83,9 +94,28 @@ class TestWickCommands:
         )
 
     def test_expect_oracle_matches_for_multiplicity_free_case(self, capsys):
-        _, formula, _ = run(capsys, "expect", "--n", "1,1,1,1")
-        _, oracle, _ = run(capsys, "expect-oracle", "--n", "1,1,1,1")
-        assert formula == oracle
+        for n in ("1,1,1,1", "1,1,1,1,1,1", "1,0,1,1,1"):
+            _, formula, _ = run(capsys, "expect", "--n", n)
+            _, oracle, _ = run(capsys, "expect-oracle", "--n", n)
+            assert formula == oracle, n
+
+    @pytest.mark.parametrize("n", [(2, 2, 1, 1), (3, 2, 1, 2), (2, 2, 2), (1, 3, 2, 2, 2)])
+    def test_expect_is_the_oracle_over_power_factorials(self, capsys, n):
+        # The top-hbar coefficient of the star product counts each matrix
+        # prod n_i! times over (TestExpectationOracle.test_bridge_scaling).
+        scaled = expectation_oracle(expect_spec(n)) * Fraction(1, math.prod(map(math.factorial, n)))
+        assert run(capsys, "expect", "--n", ",".join(map(str, n))) == (0, f"{scaled}\n", "")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_expect_prints_the_decoded_formula(self, capsys, seed):
+        """``expect`` writes its text straight from the packed terms; ``str``
+        of the decoded :func:`expectation_formula` is the oracle."""
+        rng = random.Random(1600 + seed)
+        cases = [(1,) * 12] if seed == 0 else []
+        cases += [tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 6))) for _ in range(6)]
+        for n in cases:
+            code, out, _ = run(capsys, "expect", "--n", ",".join(map(str, n)))
+            assert (code, out) == (0, f"{expectation_formula(expect_spec(n))}\n"), n
 
     def test_expect_family(self, capsys):
         code, out, _ = run(capsys, "expect", "--n", "1,1", "--family", "P")
@@ -547,6 +577,33 @@ def test_admissible_huge_entries_refused_at_once(argv, grid_file):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: total power")
     assert f"cap of {_MAX_EXPECT_POWER}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wick-power", "--dim", "1", "1", "99999999999"],
+     ["wick-invert", "--dim", "1", "1", "99999999999"],
+     ["expect-oracle", "--n", "99999999999,99999999999"]],
+    ids=["wick-power", "wick-invert", "expect-oracle"],
+)
+def test_huge_hermite_expansions_refused_at_once(argv):
+    # power // 2 is checked against the Hermite cap before any term is built.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "starwick.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: power // 2 = 49999999999 exceeds the Hermite cap " \
+                          f"of {_MAX_EXPECT_POWER}\n"
+
+
+def test_huge_sparse_power_answers_at_once():
+    # Square-and-multiply builds x1^99999999999 in 37 squarings.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "starwick.cli", "star", "--dim", "1",
+                           "x1^99999999999", "x1"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "x1^100000000000 + 99999999999*hbar*K[K;1,1]*x1^99999999998\n", "")
 
 
 def test_runtime_imports_only_the_standard_library():

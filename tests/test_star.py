@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starwick import (
     CoeffElement,
@@ -524,3 +526,44 @@ class TestScalarRuleOnPackedTerms:
                 assert_scalar_rule(stored_values(p))
             for term in change_propagator([f, g], K, PropagatorMatrix.family("N", d)):
                 assert_scalar_rule(q for _, q in term.coeff.items())
+
+
+@st.composite
+def packed_sums(draw):
+    """A packing over up to six symbols of one or two families, with row and
+    column indices up to 12, and ``(terms, den)`` on keys within its bound:
+    numerators of either sign, zeros (cancelled terms), and denominators
+    that leave some coefficients non-integral."""
+    families = draw(st.sampled_from([("K",), ("K", "P")]))
+    symbols = draw(st.lists(st.builds(PropagatorSymbol, st.sampled_from(families),
+                                      st.integers(1, 12), st.integers(1, 12)),
+                            max_size=6, unique=True))
+    k = draw(st.integers(1, 3))
+    packing = _Packing([CoeffElement.from_symbol(s) for s in symbols], k)
+    # Each of the k entries has degree 1, if any, and may carry one more hbar.
+    factors = st.lists(st.integers(-1, len(symbols) - 1), max_size=k * (1 + bool(symbols)))
+    terms = {}
+    for picks in draw(st.lists(factors, max_size=12)):
+        exps = Counter(symbols[i] for i in picks if i >= 0)
+        key = packing.coeff_key(CoeffMonomial.make(picks.count(-1), exps))
+        terms[key] = draw(st.integers(-40, 40))
+    return packing, list(terms.items()), draw(st.integers(1, 12))
+
+
+class TestPackedText:
+    @settings(max_examples=300, deadline=None)
+    @given(packed_sums())
+    def test_matches_the_decoded_element(self, case):
+        packing, terms, den = case
+        assert packing.text(terms, den) == str(packing.coeff_element(terms, den))
+
+    def test_indices_sort_as_numbers(self):
+        low, high = PropagatorSymbol("K", 1, 2), PropagatorSymbol("K", 1, 10)
+        packing = _Packing([CoeffElement.from_symbol(high), CoeffElement.from_symbol(low)], 1)
+        keys = [packing.coeff_key(CoeffMonomial.make(0, {s: 1})) for s in (high, low)]
+        assert packing.text(zip(keys, (3, -1)), 2) == "-1/2*K[K;1,2] + 3/2*K[K;1,10]"
+
+    def test_empty_sum_is_zero(self):
+        packing = _Packing([CoeffElement.from_symbol(PropagatorSymbol("K", 1, 2))], 2)
+        assert packing.text([], 1) == "0"
+        assert packing.text([(0, 0), (packing.coeff_key(CoeffMonomial(hbar=1)), 0)], 3) == "0"

@@ -26,7 +26,7 @@ from starwick import (
     wick_unpower,
 )
 
-from starwick.wick import _MAX_EXPECT_POWER
+from starwick.wick import _MAX_EXPECT_POWER, _hermite_terms
 
 from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix, rand_rational
 
@@ -94,6 +94,36 @@ class TestWickPower:
     def test_index_checked(self):
         with pytest.raises(ValueError):
             wick_power(3, 2, PropagatorMatrix.family("K", 2))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_closed_form_coefficients(self, sign):
+        """The term ratio gives ``c_k = p! / (2^k k! (p-2k)!)``, here on a
+        diagonal entry with several monomials."""
+        diag = hb(2) * K_sym(1, 1) * 2 + Fraction(3, 2)
+        K = PropagatorMatrix.from_entries([[diag]])
+        for power in (0, 1, 7, 30, 41):
+            expected = [
+                (CoeffElement({CoeffMonomial(hbar=k): Fraction(
+                    sign**k * math.factorial(power),
+                    2**k * math.factorial(k) * math.factorial(power - 2 * k))}) * diag**k,
+                 power - 2 * k)
+                for k in range(power // 2 + 1)
+            ]
+            assert _hermite_terms(1, power, K, None, sign) == expected
+
+    def test_cap_admits_the_largest_power(self):
+        K, p = PropagatorMatrix.family("K", 1), 2 * _MAX_EXPECT_POWER + 1
+        text = str(wick_power(1, p, K))
+        assert text.startswith(f"x1^{p} + {p * (p - 1) // 2}*hbar*K[K;1,1]*x1^{p - 2} + ")
+        assert text.endswith(f"*hbar^{_MAX_EXPECT_POWER}*K[K;1,1]^{_MAX_EXPECT_POWER}*x1")
+        assert len(wick_unpower(1, p, K)) == _MAX_EXPECT_POWER + 1
+
+    @pytest.mark.parametrize("power", [2 * _MAX_EXPECT_POWER + 2, 99999999999])
+    def test_huge_power_refused_by_the_cap(self, power):
+        K = PropagatorMatrix.family("K", 1)
+        for expand in (wick_power, wick_unpower):
+            with pytest.raises(ValueError, match=f"exceeds the Hermite cap of {_MAX_EXPECT_POWER}"):
+                expand(1, power, K)
 
 
 class TestWickUnpower:
