@@ -173,7 +173,7 @@ def _cmd_ssyt(args) -> str:
 def _cmd_feynman(args) -> str | None:
     try:
         rows = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"matrix must be JSON rows: {exc}")
     graph = to_feynman(graph_from_matrix(AdjacencyMatrix.from_rows(rows)))
     if args.json:

@@ -4,16 +4,20 @@ An adjacency matrix here is symmetric with non-negative integer entries
 and a zero main diagonal; entry ``m_ij`` counts edges between vertices
 ``i`` and ``j``.  Row sums are the degree sequence.
 
-Both enumerators, and the Wick expectation in :mod:`starwick.wick`, read
-the matrices with given row sums as paths through row states
-(:func:`_row_states`) and fold them from the last row back.
+The matrices with given row sums are the paths through row states
+(:func:`_row_states`).  One fold, :func:`_fold`, walks them from the last
+row back with a step per state, so a value shared by the completions of
+many prefixes is computed once.  It has three steps: :func:`_count_paths`
+counts the matrices, :func:`_matrices` builds them for both enumerators,
+and :func:`starwick.wick._expectation_terms` sums the Isserlis weights of
+the Wick expectation.  Two budgets bound the work: ``_MAX_PARTIAL_ROWS``
+on the row-state table and ``_MAX_MATRICES`` on the matrices built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -124,6 +128,23 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
     return out
 
 
+# The most partial rows :func:`_row_states` grows, over all its states and
+# columns, before it refuses with ``ValueError``.  The table is built in
+# full before it is read, so a large one holds its memory to the end:
+# ``(3,) * 10`` grows 576,065 partial rows, ``(6,) * 12`` (``expect`` on
+# twelve 6s) went past 5.5 GB unfinished, and the first state of
+# ``enum-adj --dim 12 --deg 30`` alone grows millions.  The benchmark pools
+# reach 2,224 and the tests 6,064.
+_MAX_PARTIAL_ROWS = 10**6
+
+# The most matrices :func:`_matrices` builds.  It counts them first, with
+# the same fold, and refuses above this with ``ValueError``: the 190,050
+# matrices of ``(3,) * 8`` take 5.5 s and 509 MB as ``enum-adj`` output,
+# and ``(3,) * 10`` has 103,050,570.  The benchmark pools reach 822 and the
+# tests 2,002.
+_MAX_MATRICES = 200_000
+
+
 def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence, IntSequence]]]]:
     """The adjacency matrices with row sums ``n`` as paths through row states.
 
@@ -133,12 +154,13 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
     leaves.  Only admissible states are kept (none negative, even total, no
     entry above half of it).  For loopless multigraphs that is sufficient,
     so every kept state completes and every path from ``n`` to the empty
-    state is one matrix.  No layers when ``n`` is not admissible.
+    state is one matrix.  No layers when ``n`` is not admissible.  Growing
+    more than ``_MAX_PARTIAL_ROWS`` partial rows raises ``ValueError``.
     """
     total = sum(n)
     if min(n) < 0 or total % 2 or 2 * max(n) > total:
         return []
-    layers = []
+    layers, partial = [], 0
     states = [n]
     while states[0]:
         layer, after = {}, {}
@@ -164,7 +186,7 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
             for a, b in bounds:
                 low -= a
                 high -= b
-                grown = []
+                grown, room = [], _MAX_PARTIAL_ROWS - partial
                 for row, r in rows:
                     v, top = r - high, r - low
                     if v < a:
@@ -174,7 +196,11 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
                     while v <= top:
                         grown.append((row + (v,), r - v))
                         v += 1
+                    if len(grown) > room:
+                        raise ValueError(f"row-state table exceeds the budget of "
+                                         f"{_MAX_PARTIAL_ROWS} partial rows")
                 rows = grown
+                partial += len(grown)
             layer[state] = moves = []
             for row, _ in rows:
                 rest = tuple(map(sub, caps, row))
@@ -185,43 +211,54 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
     return layers
 
 
+def _fold(layers: list[dict], leaf, step):
+    """The start state's value, folded from the last row back: the end state
+    is worth ``leaf`` and a state of row ``i`` is worth ``step(i, state,
+    moves, below)``, with ``below`` the values of row ``i + 1``.  So a value
+    shared by the completions of many prefixes is computed once."""
+    below = {(): leaf}
+    for i in reversed(range(len(layers))):
+        below = {state: step(i, state, moves, below) for state, moves in layers[i].items()}
+    return below.popitem()[1]
+
+
+def _count_paths(i: int, state: IntSequence, moves: list, below: dict[IntSequence, int]) -> int:
+    """:func:`_fold` step: the number of paths from ``state`` to the end."""
+    return sum(below[rest] for _, rest in moves)
+
+
 def _matrices(n: IntSequence, d: int) -> list[AdjacencyMatrix]:
     """The matrices on the first ``d`` vertices of the paths through the row
     states of ``n``, in path order; the values of later vertices are dropped.
 
-    The layers are folded backwards: each state gets the upper rows of all
-    its completions, so a suffix shared by many prefixes is built once.
+    The paths are counted first, and more than ``_MAX_MATRICES`` of them
+    raise ``ValueError``.  Then each state is folded to the upper rows of
+    all its completions, so a suffix shared by many prefixes is built once.
     """
     layers = _row_states(n)
     if not layers:
         return []
-    below = dict.fromkeys(layers[d] if d < len(layers) else [()], [()])
-    for i in reversed(range(d)):
-        fold = {}
-        for state, moves in layers[i].items():
-            fold[state] = suffixes = []
-            for row, rest in moves:
-                head = (row[: d - 1 - i],)
-                for tail in below[rest]:
-                    suffixes.append(head + tail)
-        below = fold
-    # Cell (i, j) of the matrix, row-major, reads upper slot (min, max) and
-    # the diagonal a zero appended after the slots.  An extra trailing
-    # index keeps the getter's result a tuple when d is 1.
-    zero = d * (d - 1) // 2
-    index, slot = [zero] * (d * d), 0
-    for i in range(d):
-        span = range(slot, slot + d - 1 - i)
-        index[i * d + i + 1 : i * d + d] = span
-        index[i * d + i + d :: d] = span
-        slot += d - 1 - i
-    cells = itemgetter(*index, zero)
+    count = _fold(layers, 1, _count_paths)
+    if count > _MAX_MATRICES:
+        raise ValueError(f"{count} matrices exceed the enumeration budget of {_MAX_MATRICES}")
+
+    def suffixes(i, state, moves, below):
+        out = []
+        for row, rest in moves:
+            head = row[: d - 1 - i]
+            out += [head + tail for tail in below[rest]]
+        return out
+
+    # A path is its upper slots, row-major, then the end state's zero.  Cell
+    # (i, j) of the matrix reads slot (min, max) and the diagonal that zero;
+    # an extra trailing index keeps the getter's result a tuple when d is 1.
+    slot = {pair: s for s, pair in enumerate((i, j) for i in range(d) for j in range(i + 1, d))}
+    zero = len(slot)
+    cells = itemgetter(*[slot.get((min(i, j), max(i, j)), zero)
+                         for i in range(d) for j in range(d)], zero)
     spans = [slice(i * d, i * d + d) for i in range(d)]
-    out = []
-    for rows in below[n]:
-        full = cells((*chain.from_iterable(rows), 0))
-        out.append(AdjacencyMatrix._raw(tuple([full[s] for s in spans])))
-    return out
+    return [AdjacencyMatrix._raw(tuple([full[s] for s in spans]))
+            for full in map(cells, _fold(layers, [(0,)], suffixes))]
 
 
 def enumerate_adjacency_by_degree(
@@ -274,37 +311,37 @@ def _add_edge(entries: dict[tuple[int, int], int], a: int, b: int, mass: int) ->
 
 
 def _witness_fill(work: list[tuple[int, int]], entries: dict[tuple[int, int], int]) -> None:
-    work = [(v, i) for v, i in work if v > 0]
-    if not work:
-        return
-    work.sort(key=lambda t: (-t[0], t[1]))
-    values = [v for v, _ in work]
-    d = len(work)
-    total = sum(values)
-    if d == 1:
-        raise AssertionError("unreachable: single positive entry cannot be realized")
-    if d == 2:
-        (v1, i1), (v2, i2) = work
-        assert v1 == v2
-        _add_edge(entries, i1, i2, v1)
-        return
-    if values[0] == values[-1]:
-        p = values[0]
-        if d % 2 == 0:
-            for a in range(d // 2):
-                _add_edge(entries, work[a][1], work[d - 1 - a][1], p)
-        else:
-            q = p // 2
-            for a in range(d):
-                _add_edge(entries, work[a][1], work[(a + 1) % d][1], q)
-        return
-    # transfer as much of the smallest entry onto the largest as the
-    # residual degree condition allows, then recurse on what is left
-    mass = min(values[-1], total // 2 - values[1])
-    _add_edge(entries, work[0][1], work[-1][1], mass)
-    work[0] = (values[0] - mass, work[0][1])
-    work[-1] = (values[-1] - mass, work[-1][1])
-    _witness_fill(work, entries)
+    while True:
+        work = [(v, i) for v, i in work if v > 0]
+        if not work:
+            return
+        work.sort(key=lambda t: (-t[0], t[1]))
+        values = [v for v, _ in work]
+        d = len(work)
+        total = sum(values)
+        if d == 1:
+            raise AssertionError("unreachable: single positive entry cannot be realized")
+        if d == 2:
+            (v1, i1), (v2, i2) = work
+            assert v1 == v2
+            _add_edge(entries, i1, i2, v1)
+            return
+        if values[0] == values[-1]:
+            p = values[0]
+            if d % 2 == 0:
+                for a in range(d // 2):
+                    _add_edge(entries, work[a][1], work[d - 1 - a][1], p)
+            else:
+                q = p // 2
+                for a in range(d):
+                    _add_edge(entries, work[a][1], work[(a + 1) % d][1], q)
+            return
+        # transfer as much of the smallest entry onto the largest as the
+        # residual degree condition allows, then go on with what is left
+        mass = min(values[-1], total // 2 - values[1])
+        _add_edge(entries, work[0][1], work[-1][1], mass)
+        work[0] = (values[0] - mass, work[0][1])
+        work[-1] = (values[-1] - mass, work[-1][1])
 
 
 def admissible_witness(n: Sequence[int]) -> AdjacencyMatrix:

@@ -67,11 +67,17 @@ def _tokenize(text: str) -> list[_Token]:
 
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 
+# The deepest parenthesis nesting the parser takes.  Each level costs four
+# Python frames of the recursive descent, so a deeper input would end in a
+# ``RecursionError`` instead of a ``ParseError``.
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, dim: int, symmetric_families: Iterable[str]) -> None:
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
         self.dim = dim
         self.symmetric = frozenset(symmetric_families)
 
@@ -141,8 +147,12 @@ class _Parser:
                 return Poly.constant(Fraction(num, int(den.text)), self.dim)
             return Poly.constant(num, self.dim)
         if tok.kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", tok.pos)
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect(")")
             return value
         if tok.kind == "ident":

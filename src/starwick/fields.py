@@ -129,7 +129,12 @@ class KernelGrid:
 
     @classmethod
     def from_json(cls, text_or_data) -> "KernelGrid":
-        data = json.loads(text_or_data) if isinstance(text_or_data, str) else text_or_data
+        data = text_or_data
+        if isinstance(text_or_data, str):
+            try:
+                data = json.loads(text_or_data)
+            except RecursionError:
+                raise ValueError("grid JSON is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("grid JSON must be an object")
         missing = {"points", "kernel", "field"} - data.keys()

@@ -200,14 +200,11 @@ def star_via_graphs(
     top = math.factorial(kmax)
     slots = [(i, j) for i in range(m) for j in range(i + 1, m)]
     tensor = _block_tensor(factors)
-    acc, merged = _TermSum(), {}
+    acc = _TermSum()
 
     def add(image: Poly, weight: CoeffElement) -> None:
         for vm, ce in image.items():
-            mv = merged.get(vm)
-            if mv is None:
-                mv = merged[vm] = vm.merged()
-            acc.add(mv, ce, weight)
+            acc.add(vm.merged(), ce, weight)
 
     add(tensor, CoeffElement.from_rational(top))
     # Images keyed by the matrix's upper-triangle values, row-major.

@@ -16,9 +16,12 @@ combinatorial functional, the Isserlis sum
     sum_m  prod_{i<j} K_ij^{m_ij} / m_ij!
 
 over the adjacency matrices ``m`` whose row sums are the exponents.
-One fold, :func:`_expectation_terms`, walks the row states of those
-matrices backwards, so a sum over completions shared by many prefixes is
-computed once.  Its terms are in the packed format of the star products:
+The one fold over the row states of those matrices,
+:func:`starwick.combinat._fold`, walks them backwards, so a sum over
+completions shared by many prefixes is computed once.  It has three
+steps: the path count and the matrices of :mod:`starwick.combinat`, and
+here the Isserlis sum of :func:`_expectation_terms`.  The Isserlis terms
+are in the packed format of the star products:
 :class:`starwick.star._Packing` sizes, scales and multiplies them, and
 this module builds no key, bound or denominator of its own.
 :func:`expectation_formula` decodes the terms into a ``CoeffElement``;
@@ -40,7 +43,7 @@ from typing import Iterable, Sequence
 
 from .algebra import CoeffElement, CoeffMonomial, Poly
 from .combinat import (
-    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _int_sequence, _row_states,
+    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _fold, _int_sequence, _row_states,
 )
 from .star import (
     PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_factors, _Packing,
@@ -81,6 +84,13 @@ class WickMonomialSpec:
             raise ValueError("propagator dimensions must match the power count")
 
 
+def _check_hermite_power(power: int) -> None:
+    """Refuse a Hermite expansion whose ``power // 2`` is above the cap."""
+    if power // 2 > _MAX_EXPECT_POWER:
+        raise ValueError(f"power // 2 = {power // 2} exceeds the Hermite cap "
+                         f"of {_MAX_EXPECT_POWER}")
+
+
 def _hermite_terms(
     index: int, power: int, K: PropagatorMatrix, dim: int | None, sign: int
 ) -> list[tuple[CoeffElement, int]]:
@@ -92,9 +102,7 @@ def _hermite_terms(
         raise ValueError(f"variable index {index} out of range 1..{d}")
     if power < 0:
         raise ValueError("power must be non-negative")
-    if power // 2 > _MAX_EXPECT_POWER:
-        raise ValueError(f"power // 2 = {power // 2} exceeds the Hermite cap "
-                         f"of {_MAX_EXPECT_POWER}")
+    _check_hermite_power(power)
     # c_0 = 1 and c_{k+1} / c_k = (p - 2k)(p - 2k - 1) / (2(k + 1)).
     step = CoeffElement.hbar() * K.entry(index, index)
     out, coeff = [], CoeffElement.one()
@@ -157,6 +165,13 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     return packing.coeff_element(terms, den)
 
 
+def _check_total_power(h: int) -> None:
+    """Refuse an expectation whose total power ``h`` is above the cap."""
+    if h > _MAX_EXPECT_POWER:
+        raise ValueError(f"total power sum(n) // 2 = {h} exceeds the expectation cap "
+                         f"of {_MAX_EXPECT_POWER}")
+
+
 def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple[int, int]], int]:
     """:func:`expectation_formula` as packed terms over a denominator: its
     packing, the ``(key, numerator)`` terms and the denominator."""
@@ -165,9 +180,7 @@ def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple
     if not layers:
         return _Packing([], 0), (), 1
     h, d = sum(n) // 2, len(n)
-    if h > _MAX_EXPECT_POWER:
-        raise ValueError(f"total power sum(n) // 2 = {h} exceeds the expectation cap "
-                         f"of {_MAX_EXPECT_POWER}")
+    _check_total_power(h)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     entries = [spec.product.entries[i][j] for i, j in pairs]
     packing = _Packing(entries, h)
@@ -181,25 +194,24 @@ def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple
             table.append(list(product(table[-1], base, {}).items()))
     # A row taking c_j of its need to column j leaves E' = E - need edges
     # and weighs E! / (prod c_j! * E'!) = perm(E, need) / prod c_j!, an
-    # integer.  A row's weighted product is built once per weight.
-    below = {(): {0: 1}}
-    for i in reversed(range(d)):
-        tables = [powers[i, j] for j in range(i + 1, d)]
-        fold, rows = {}, {}
-        for state, moves in layers[i].items():
-            top = math.perm(sum(state) // 2, state[0])
-            fold[state] = acc = {}
-            for row, rest in moves:
-                terms = rows.get((row, top))
-                if terms is None:
-                    terms = [(0, top // math.prod(map(math.factorial, row)))]
-                    for table, v in zip(tables, row):
-                        if v:
-                            terms = product(terms, table[v], {}).items()
-                    rows[row, top] = terms
-                product(terms, below[rest].items(), acc)
-        below = fold
-    return packing, below[n].items(), math.factorial(h) * scale**h
+    # integer, built once per row and weight (a row's length fixes its layer).
+    rows = {}
+
+    def step(i, state, moves, below):
+        top = math.perm(sum(state) // 2, state[0])
+        acc = {}
+        for row, rest in moves:
+            terms = rows.get((row, top))
+            if terms is None:
+                terms = [(0, top // math.prod(map(math.factorial, row)))]
+                for j, v in enumerate(row, i + 1):
+                    if v:
+                        terms = product(terms, powers[i, j][v], {}).items()
+                rows[row, top] = terms
+            product(terms, below[rest].items(), acc)
+        return acc
+
+    return packing, _fold(layers, {0: 1}, step).items(), math.factorial(h) * scale**h
 
 
 def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
@@ -208,6 +220,9 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
     Requires the ordering propagator to have a zero diagonal; otherwise
     the constant top coefficient also picks up diagonal terms from the
     Wick powers themselves and no longer matches the combinatorial sum.
+    An odd total power gives zero.  Before any Wick power is built, the
+    Hermite cap refuses an entry, as :func:`wick_power` would, and the
+    expectation cap a total power, as :func:`expectation_formula` does.
     """
     if not spec.ordering.has_zero_diagonal():
         raise ValueError("ordering propagator must have a zero diagonal")
@@ -215,6 +230,9 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
     if total % 2:
         return CoeffElement.zero()
     m = total // 2
+    for power in spec.powers:
+        _check_hermite_power(power)
+    _check_total_power(m)
     product = wick_monomial_star(spec, order=m)
     return product.constant_coeff().hbar_part(m)
 

@@ -299,6 +299,18 @@ class TestFieldCommands:
         assert out == ""
         assert err.startswith("error: ") and rule[-2] in err
 
+    @pytest.mark.parametrize(
+        "rule, message",
+        [(("--nodes", "a;b", "--weights", "1"), "--weights must list one weight per node"),
+         (("--weights", "1,1"), "--weights requires --nodes")],
+        ids=["count-mismatch", "without-nodes"],
+    )
+    def test_weights_must_match_the_nodes(self, capsys, grid_file, rule, message):
+        code, out, err = run(
+            capsys, "functional-star", "--grid", grid_file, "--dim", "1", *rule, "x1", "x1",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_weights_refuse_exponent_notation_at_once(self, capsys, grid_file):
         # Fraction would build 10**999999999 exactly, a ~415 MB integer.
         start = time.perf_counter()
@@ -563,8 +575,9 @@ def test_inadmissible_large_entries_vanish_at_once(argv, grid_file):
 @pytest.mark.parametrize(
     "argv",
     [["expect", "--n", "99999999999,99999999999"], ["expect", "--n", "3000,3000"],
-     ["field-expect", "--grid", "{grid}", "--n", "99999999999,99999999999"]],
-    ids=["expect-huge", "expect-3000", "field-expect-huge"],
+     ["field-expect", "--grid", "{grid}", "--n", "99999999999,99999999999"],
+     ["expect-oracle", "--n", "2001,2001"]],
+    ids=["expect-huge", "expect-3000", "field-expect-huge", "expect-oracle-2001"],
 )
 def test_admissible_huge_entries_refused_at_once(argv, grid_file):
     # The total power is checked against the cap before any power table or
@@ -604,6 +617,53 @@ def test_huge_sparse_power_answers_at_once():
                           capture_output=True, text=True, env=env, timeout=10)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "x1^100000000000 + 99999999999*hbar*K[K;1,1]*x1^99999999998\n", "")
+
+
+def _run_cli(argv, timeout=10):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "starwick.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["enum-adj", "--dim", "12", "--deg", "30"],
+      "error: row-state table exceeds the budget of 1000000 partial rows\n"),
+     (["expect", "--n", ",".join(["6"] * 12)],
+      "error: row-state table exceeds the budget of 1000000 partial rows\n"),
+     (["enum-adj", "--n", ",".join(["3"] * 10)],
+      "error: 103050570 matrices exceed the enumeration budget of 200000\n")],
+    ids=["enum-adj-deg", "expect-6x12", "enum-adj-3x10"],
+)
+def test_runaway_tables_refused_by_the_budgets(argv, message):
+    # Without the budgets each runs for minutes or grows past 5 GB.
+    proc = _run_cli(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["star", "--dim", "1", "(" * 300 + "x1" + ")" * 300, "x1"], 1),
+     (["field-expect", "--grid", "{deep}", "--n", "1,1"], 2),
+     (["feynman", "[" * 2000], 1)],
+    ids=["star-parens", "grid-json", "feynman-json"],
+)
+def test_deep_nesting_is_a_clean_error(argv, code, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
+    proc = _run_cli([a.replace("{deep}", str(deep)) for a in argv])
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_long_witness_is_built_without_recursion():
+    # One transfer per trailing 1 moves it onto the first vertex.
+    n = (1200,) + (1,) * 1200
+    proc = _run_cli(["witness", "--n", ",".join(map(str, n)), "--json"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = json.loads(proc.stdout)
+    assert rows[0] == [0] + [1] * 1200
+    assert all(row == [1] + [0] * 1200 for row in rows[1:])
 
 
 def test_runtime_imports_only_the_standard_library():

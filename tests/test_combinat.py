@@ -17,6 +17,7 @@ from starwick import (
     multinomial,
     ssyt_two_row,
 )
+import starwick.combinat
 
 
 def positive_sequences(max_total, max_len):
@@ -236,6 +237,46 @@ def test_sequences_take_only_ints(fn, n):
     # int() would truncate 2.9 and read '1' and True as 1.
     with pytest.raises(ValueError, match="entries must be integers"):
         fn(n)
+
+
+class TestBudgets:
+    def test_enumerators_yield_exactly_their_count(self, monkeypatch):
+        # The matrices are counted before any is built: a budget equal to
+        # what an enumerator yields admits it, one less refuses it.
+        rng = random.Random(1717)
+        cases = []
+        for _ in range(10):
+            d = rng.randint(2, 5)
+            n = [rng.randint(0, 4) for _ in range(d)]
+            n[0] += sum(n) % 2
+            degree = 2 * rng.randint(1, 4)
+            caps = [rng.randint(1, degree // 2) for _ in range(d)]
+            cases += [(enumerate_adjacency_by_rowsums, (n,)),
+                      (enumerate_adjacency_by_degree, (d, degree)),
+                      (enumerate_adjacency_by_degree, (d, degree, caps))]
+        counted = 0
+        for fn, args in cases:
+            monkeypatch.setattr(starwick.combinat, "_MAX_MATRICES", 10**6)
+            count = len(fn(*args))
+            if not count:
+                continue
+            counted += 1
+            monkeypatch.setattr(starwick.combinat, "_MAX_MATRICES", count)
+            assert len(fn(*args)) == count
+            monkeypatch.setattr(starwick.combinat, "_MAX_MATRICES", count - 1)
+            with pytest.raises(ValueError, match=f"^{count} matrices exceed the "
+                                                 f"enumeration budget of {count - 1}$"):
+                fn(*args)
+        assert counted >= 25
+
+    @pytest.mark.parametrize("n, partial", [((3,) * 8, 37_747), ((1, 2, 3, 2), 16)], ids=str)
+    def test_row_state_budget_counts_partial_rows(self, monkeypatch, n, partial):
+        monkeypatch.setattr(starwick.combinat, "_MAX_PARTIAL_ROWS", partial)
+        assert starwick.combinat._row_states(n)
+        monkeypatch.setattr(starwick.combinat, "_MAX_PARTIAL_ROWS", partial - 1)
+        with pytest.raises(ValueError, match=f"^row-state table exceeds the budget of "
+                                             f"{partial - 1} partial rows$"):
+            starwick.combinat._row_states(n)
 
 
 class TestAdmissibility:

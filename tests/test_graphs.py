@@ -263,6 +263,24 @@ class TestPrefixWalk:
         assert main(["star", *argv[1:]]) == 0
         assert capsys.readouterr().out == out
 
+    def test_matrices_with_a_zero_prefix_image_are_skipped(self, monkeypatch):
+        calls = []
+        kernel = starwick.graphs.apply_bivector
+
+        def counted(*args):
+            calls.append(args[2:])
+            return kernel(*args)
+
+        fs = [x(1, 2) ** 2, x(1, 2) ** 2, x(2, 2) ** 2]
+        K = PropagatorMatrix.from_entries([[0, 1], [0, 0]])
+        monkeypatch.setattr(starwick.graphs, "apply_bivector", counted)
+        result = star_via_graphs(fs, K)
+        monkeypatch.undo()
+        # 10 matrices with 1 to 3 internal vertices fit the row caps
+        # (2, 2, 2); only K_12 is nonzero, so 4 have a zero prefix image.
+        assert len(calls) == 6
+        assert result == star_multi(fs, K) == graph_sum_oracle(fs, K)
+
 
 class TestFeynmanBijection:
     def test_basic_graph_maps_to_single_edge(self):

@@ -77,6 +77,13 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("x1 x1", 1)
 
+    def test_nesting_is_bounded(self):
+        # Deeper nesting would exhaust the recursive descent's stack.
+        assert parse("(" * 100 + "x1" + ")" * 100, 1) == x(1, 1)
+        with pytest.raises(ParseError, match="nested deeper than 100") as err:
+            parse("(" * 1000 + "x1" + ")" * 1000, 1)
+        assert err.value.position == 100
+
 
 class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
