@@ -11,7 +11,8 @@ many prefixes is computed once.  It has three steps: :func:`_count_paths`
 counts the matrices, :func:`_matrices` builds them for both enumerators,
 and :func:`starwick.wick._expectation_terms` sums the Isserlis weights of
 the Wick expectation.  Two budgets bound the work: ``_MAX_PARTIAL_ROWS``
-on the row-state table and ``_MAX_MATRICES`` on the matrices built.
+on the row-state table and ``_MAX_MATRICES`` on the matrices built, and
+on the Isserlis terms when each is one matrix.
 """
 
 from __future__ import annotations
@@ -137,11 +138,12 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
 # reach 2,224 and the tests 6,064.
 _MAX_PARTIAL_ROWS = 10**6
 
-# The most matrices :func:`_matrices` builds.  It counts them first, with
-# the same fold, and refuses above this with ``ValueError``: the 190,050
-# matrices of ``(3,) * 8`` take 5.5 s and 509 MB as ``enum-adj`` output,
-# and ``(3,) * 10`` has 103,050,570.  The benchmark pools reach 822 and the
-# tests 2,002.
+# The most matrices :func:`_matrices` builds, and the most Isserlis terms
+# :func:`starwick.wick._expectation_terms` builds when each matrix is one
+# term.  Both count first, with the same fold, and refuse above this with
+# ``ValueError``: the 190,050 matrices of ``(3,) * 8`` take 5.5 s and
+# 509 MB as ``enum-adj`` output, and ``(3,) * 10`` has 103,050,570.  The
+# benchmark pools reach 822 and the tests 2,002.
 _MAX_MATRICES = 200_000
 
 

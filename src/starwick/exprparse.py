@@ -11,12 +11,16 @@ Grammar (``^`` binds tighter than ``*``, which binds tighter than
 Rationals are ``p`` or ``p/q`` literals, variables are ``x1..xd``, and
 symbols are written ``K[family;i,j]``.  Parsing canonical printed output
 returns the identical polynomial.
+
+A token is a ``(kind, text, position)`` tuple: ``kind`` is ``"int"``,
+``"ident"``, the punctuation character itself, or ``"end"`` for the end
+of input, whose text is empty.  ``position`` is the offset of the token's
+first character, and of the end of input for ``"end"``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -29,40 +33,27 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
 # Identifiers name variables, ``hbar`` and propagator families.
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Each match is the blanks before one token and the token.  ``bad`` takes
+# any character no other group does, which ``finditer`` would skip silently.
 _TOKEN_RE = re.compile(
-    rf"(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<punct>[-+*^()\[\];,/])"
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<punct>[-+*^()\[\];,/])|(?P<bad>\S))"
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.group("int") is not None:
-            out.append(_Token("int", match.group("int"), pos))
-        elif match.group("ident") is not None:
-            out.append(_Token("ident", match.group("ident"), pos))
-        else:
-            out.append(_Token(match.group("punct"), match.group("punct"), pos))
-        pos = match.end()
-    out.append(_Token("end", "", n))
-    return out
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text``, last first, so the next one is at the end."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        word, pos = match[kind], match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", pos)
+        tokens.append((word if kind == "punct" else kind, word, pos))
+    tokens.append(("end", "", len(text)))
+    tokens.reverse()
+    return tokens
 
 
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
@@ -76,121 +67,100 @@ _MAX_NESTING = 100
 class _Parser:
     def __init__(self, text: str, dim: int, symmetric_families: Iterable[str]) -> None:
         self.tokens = _tokenize(text)
-        self.idx = 0
         self.depth = 0
         self.dim = dim
         self.symmetric = frozenset(symmetric_families)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
+    def take(self, *kinds: str) -> tuple[str, str, int] | None:
+        """Consume and return the next token if its kind is one of ``kinds``."""
+        if self.tokens[-1][0] in kinds:
+            return self.tokens.pop()
+        return None
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.take(kind)
+        if tok is None:
+            _, text, pos = self.tokens[-1]
+            raise ParseError(f"expected {kind!r}, found {text or 'end of input'!r}", pos)
         return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
 
     def parse(self) -> Poly:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        if not self.take("end"):
+            _, text, pos = self.tokens[-1]
+            raise ParseError(f"unexpected {text!r}", pos)
         return value
 
     def expr(self) -> Poly:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+        value = -self.term() if self.take("-") else self.term()
+        while op := self.take("+", "-"):
             rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
+            value = value + rhs if op[0] == "+" else value - rhs
         return value
 
     def term(self) -> Poly:
         value = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
+        while self.take("*"):
             value = value * self.factor()
         return value
 
     def factor(self) -> Poly:
         value = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError("exponent must be a non-negative integer literal", tok.pos)
-            self.advance()
-            value = value ** int(tok.text)
+        if self.take("^"):
+            exponent = self.take("int")
+            if exponent is None:
+                raise ParseError("exponent must be a non-negative integer literal",
+                                 self.tokens[-1][2])
+            value = value ** int(exponent[1])
         return value
 
     def atom(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            num = int(tok.text)
-            if self.peek().kind == "/":
-                self.advance()
-                den = self.expect("int")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.pos)
-                return Poly.constant(Fraction(num, int(den.text)), self.dim)
+        if tok := self.take("int"):
+            num = int(tok[1])
+            if self.take("/"):
+                _, den, pos = self.expect("int")
+                if int(den) == 0:
+                    raise ParseError("zero denominator", pos)
+                return Poly.constant(Fraction(num, int(den)), self.dim)
             return Poly.constant(num, self.dim)
-        if tok.kind == "(":
+        if tok := self.take("("):
             if self.depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", tok.pos)
-            self.advance()
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", tok[2])
             self.depth += 1
             value = self.expr()
             self.depth -= 1
             self.expect(")")
             return value
-        if tok.kind == "ident":
-            return self.name()
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+        if tok := self.take("ident"):
+            return self.name(tok)
+        _, text, pos = self.tokens[-1]
+        raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
-    def name(self) -> Poly:
-        tok = self.advance()
-        if tok.text == "hbar":
+    def name(self, tok: tuple[str, str, int]) -> Poly:
+        """An identifier already taken: ``hbar``, a symbol ``K[...]`` or a variable."""
+        _, text, pos = tok
+        if text == "hbar":
             return Poly.constant(CoeffElement.hbar(), self.dim)
-        if tok.text == "K" and self.peek().kind == "[":
-            return self.symbol(tok)
-        var = _VAR_RE.match(tok.text)
+        if text == "K" and self.take("["):
+            family = self.expect("ident")[1]
+            self.expect(";")
+            row = int(self.expect("int")[1])
+            self.expect(",")
+            col = int(self.expect("int")[1])
+            self.expect("]")
+            if not (1 <= row <= self.dim and 1 <= col <= self.dim):
+                raise ParseError(f"symbol indices ({row},{col}) exceed dimension {self.dim}", pos)
+            if family in self.symmetric:
+                row, col = min(row, col), max(row, col)
+            sym = PropagatorSymbol(family, row, col)
+            return Poly.constant(CoeffElement.from_symbol(sym), self.dim)
+        var = _VAR_RE.match(text)
         if var:
             index = int(var.group(1))
             if index > self.dim:
-                raise ParseError(
-                    f"variable x{index} exceeds dimension {self.dim}", tok.pos
-                )
+                raise ParseError(f"variable x{index} exceeds dimension {self.dim}", pos)
             return Poly.variable(index, self.dim)
-        raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
-
-    def symbol(self, opener: _Token) -> Poly:
-        self.expect("[")
-        family = self.expect("ident").text
-        self.expect(";")
-        row = int(self.expect("int").text)
-        self.expect(",")
-        col = int(self.expect("int").text)
-        self.expect("]")
-        if not (1 <= row <= self.dim and 1 <= col <= self.dim):
-            raise ParseError(
-                f"symbol indices ({row},{col}) exceed dimension {self.dim}", opener.pos
-            )
-        if family in self.symmetric:
-            row, col = min(row, col), max(row, col)
-        sym = PropagatorSymbol(family, row, col)
-        return Poly.constant(CoeffElement.from_symbol(sym), self.dim)
+        raise ParseError(f"unknown identifier {text!r}", pos)
 
 
 def parse(text: str, dim: int, symmetric_families: Iterable[str] = ()) -> Poly:

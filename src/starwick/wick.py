@@ -43,7 +43,8 @@ from typing import Iterable, Sequence
 
 from .algebra import CoeffElement, CoeffMonomial, Poly
 from .combinat import (
-    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _fold, _int_sequence, _row_states,
+    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _count_paths, _fold,
+    _int_sequence, _row_states, _MAX_MATRICES,
 )
 from .star import (
     PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_factors, _Packing,
@@ -84,11 +85,11 @@ class WickMonomialSpec:
             raise ValueError("propagator dimensions must match the power count")
 
 
-def _check_hermite_power(power: int) -> None:
-    """Refuse a Hermite expansion whose ``power // 2`` is above the cap."""
-    if power // 2 > _MAX_EXPECT_POWER:
-        raise ValueError(f"power // 2 = {power // 2} exceeds the Hermite cap "
-                         f"of {_MAX_EXPECT_POWER}")
+def _check_cap(quantity: str, value: int, cap: str) -> None:
+    """Refuse a ``value`` above ``_MAX_EXPECT_POWER``; ``quantity`` names
+    the value and ``cap`` the cap in the message."""
+    if value > _MAX_EXPECT_POWER:
+        raise ValueError(f"{quantity} = {value} exceeds the {cap} cap of {_MAX_EXPECT_POWER}")
 
 
 def _hermite_terms(
@@ -102,7 +103,7 @@ def _hermite_terms(
         raise ValueError(f"variable index {index} out of range 1..{d}")
     if power < 0:
         raise ValueError("power must be non-negative")
-    _check_hermite_power(power)
+    _check_cap("power // 2", power // 2, "Hermite")
     # c_0 = 1 and c_{k+1} / c_k = (p - 2k)(p - 2k - 1) / (2(k + 1)).
     step = CoeffElement.hbar() * K.entry(index, index)
     out, coeff = [], CoeffElement.one()
@@ -159,17 +160,11 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     the entries.  :func:`expectation_oracle` and the tests' ``kan_moment``
     and ``expectation_by_matrices`` are the oracles.  An admissible ``n``
     with ``h`` above ``_MAX_EXPECT_POWER`` is refused with ``ValueError``
-    before any power table or factorial is built.
+    before any power table or factorial is built, and so are more terms
+    than ``_MAX_MATRICES`` when each matrix is a term of its own.
     """
     packing, terms, den = _expectation_terms(spec)
     return packing.coeff_element(terms, den)
-
-
-def _check_total_power(h: int) -> None:
-    """Refuse an expectation whose total power ``h`` is above the cap."""
-    if h > _MAX_EXPECT_POWER:
-        raise ValueError(f"total power sum(n) // 2 = {h} exceeds the expectation cap "
-                         f"of {_MAX_EXPECT_POWER}")
 
 
 def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple[int, int]], int]:
@@ -180,9 +175,21 @@ def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple
     if not layers:
         return _Packing([], 0), (), 1
     h, d = sum(n) // 2, len(n)
-    _check_total_power(h)
+    _check_cap("total power sum(n) // 2", h, "expectation")
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     entries = [spec.product.entries[i][j] for i, j in pairs]
+    # When each entry is its own symbol to the first power, as
+    # ``PropagatorMatrix.family`` builds them, every matrix is a term of its
+    # own, so the matrices are counted first and too many are refused.  The
+    # product of each row's most moves bounds the count at a tenth of its
+    # cost, so the count is skipped when that bound is within the budget.
+    monomials = [tuple(m for m, _ in e.items()) for e in entries]
+    own_symbols = len(set(monomials)) == len(monomials) and all(
+        len(ms) == 1 and ms[0].degree() == 1 == len(ms[0].symbols) for ms in monomials)
+    if own_symbols and math.prod(max(map(len, layer.values())) for layer in layers) > _MAX_MATRICES:
+        count = _fold(layers, 1, _count_paths)
+        if count > _MAX_MATRICES:
+            raise ValueError(f"{count} terms exceed the matrix budget of {_MAX_MATRICES}")
     packing = _Packing(entries, h)
     bases, scale = packing.scaled(entries, 0)
     product = packing.product
@@ -231,8 +238,8 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
         return CoeffElement.zero()
     m = total // 2
     for power in spec.powers:
-        _check_hermite_power(power)
-    _check_total_power(m)
+        _check_cap("power // 2", power // 2, "Hermite")
+    _check_cap("total power sum(n) // 2", m, "expectation")
     product = wick_monomial_star(spec, order=m)
     return product.constant_coeff().hbar_part(m)
 

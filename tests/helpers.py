@@ -154,10 +154,6 @@ def expectation_by_matrices(spec) -> CoeffElement:
     return total
 
 
-def poly_from_coeff(value: CoeffElement, dim: int) -> Poly:
-    return Poly.constant(value, dim)
-
-
 def star_tensor_oracle(left: Poly, right: Poly, K: PropagatorMatrix, order=None) -> Poly:
     """Independent oracle for ``star.star_tensor``.
 

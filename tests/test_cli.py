@@ -380,6 +380,32 @@ class TestFieldCommands:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [([], "grid JSON must be an object"),
+         ({}, "grid JSON missing keys: ['field', 'kernel', 'points']")],
+        ids=["list", "empty-object"],
+    )
+    def test_grid_must_be_an_object_with_the_keys(self, capsys, tmp_path, data, message):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "field-star", "--grid", str(path), "x1", "x1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["field-expect", "--n", "1,1,1,1,1,1,1"], "more powers than sample points"),
+         (["functional-star", "--dim", "1", "--nodes", "c", "--weights", "1", "x1", "x1"],
+          "unknown sample point 'c'")],
+        ids=["seven-powers", "unknown-node"],
+    )
+    def test_grid_points_bound_the_request(self, capsys, tmp_path, argv, message):
+        points = [f"p{i}" for i in range(1, 7)]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"points": points, "kernel": [[0] * 6] * 6, "field": [1] * 6}))
+        code, out, err = run(capsys, argv[0], "--grid", str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
@@ -632,8 +658,10 @@ def _run_cli(argv, timeout=10):
      (["expect", "--n", ",".join(["6"] * 12)],
       "error: row-state table exceeds the budget of 1000000 partial rows\n"),
      (["enum-adj", "--n", ",".join(["3"] * 10)],
-      "error: 103050570 matrices exceed the enumeration budget of 200000\n")],
-    ids=["enum-adj-deg", "expect-6x12", "enum-adj-3x10"],
+      "error: 103050570 matrices exceed the enumeration budget of 200000\n"),
+     (["expect", "--n", ",".join(["3"] * 10)],
+      "error: 103050570 terms exceed the matrix budget of 200000\n")],
+    ids=["enum-adj-deg", "expect-6x12", "enum-adj-3x10", "expect-3x10"],
 )
 def test_runaway_tables_refused_by_the_budgets(argv, message):
     # Without the budgets each runs for minutes or grows past 5 GB.

@@ -438,6 +438,30 @@ class TestFunctionalStar:
         )
         assert total == expected
 
+    @pytest.mark.parametrize(
+        "nodes, weights, message",
+        [((), (), "at least one node is required"),
+         ((("p1",),), (1, 1), "one weight per node is required"),
+         ((("p1",), ("p2",)), (1, math.nan), "weights must be finite"),
+         ((("p1",), ("p1", "p2")), (1, 1), "all nodes must have the same arity")],
+        ids=["no-nodes", "weight-count", "nan-weight", "mixed-arity"],
+    )
+    def test_rule_checks(self, nodes, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuadratureRule(nodes, weights)
+
+    def test_unknown_sample_point_rejected(self):
+        grid = grid2([[0, 1], [1, 0]], [1, 2])
+        rule = QuadratureRule((("p1",), ("p3",)), (1, 1))
+        with pytest.raises(ValueError, match="^unknown sample point 'p3'$"):
+            functional_star(x(1, 1), x(1, 1), rule, grid)
+
+    def test_densities_must_share_a_dimension(self):
+        grid = grid2([[0, 1], [1, 0]], [1, 2])
+        rule = QuadratureRule.all_tuples(grid, 1)
+        with pytest.raises(ValueError, match="^densities must share a dimension$"):
+            functional_star(x(1, 1), x(1, 2), rule, grid)
+
     def test_arity_checked(self):
         grid = grid2([[0, 1], [1, 0]], [1, 2])
         rule = QuadratureRule.all_tuples(grid, 1)

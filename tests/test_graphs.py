@@ -64,6 +64,31 @@ class TestConstruction:
         with pytest.raises(ValueError):
             graph_from_matrix(AdjacencyMatrix.zero(2), boundary=3)
 
+    @pytest.mark.parametrize(
+        "boundary, size, message",
+        [(0, 0, "boundary vertex count must be at least 1"),
+         (3, 2, "matrix size 2 does not match boundary 3")],
+        ids=["no-boundary", "size-mismatch"],
+    )
+    def test_bernoulli_checks(self, boundary, size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BernoulliGraph(boundary, AdjacencyMatrix.zero(size))
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [(0, (), "vertex count must be at least 1"),
+         (2, ((1, 3, 1),), r"bad edge \(1, 3\)"),
+         (2, ((2, 1, 1),), r"bad edge \(2, 1\)"),
+         (2, ((1, 2, 0),), "edge multiplicity must be at least 1"),
+         (2, ((1, 2, 1), (1, 2, 1)), r"duplicate edge entry \(1, 2\)"),
+         (3, ((2, 3, 1), (1, 2, 1)), "edges must be sorted")],
+        ids=["no-vertices", "out-of-range", "reversed", "zero-multiplicity", "duplicate",
+             "unsorted"],
+    )
+    def test_feynman_checks(self, vertices, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FeynmanGraph(vertices, edges)
+
 
 class TestProductAndEmbedding:
     def test_product_adds_matrices(self):
@@ -105,6 +130,8 @@ class TestProductAndEmbedding:
             embed_graph(g, (3, 1), 3)
         with pytest.raises(ValueError):
             embed_graph(g, (1, 4), 3)
+        with pytest.raises(ValueError, match="^one position per boundary vertex is required$"):
+            embed_graph(g, (1,), 3)
 
 
 class TestOperatorAction:
@@ -330,6 +357,10 @@ class TestDotExport:
         assert dot.count("[shape=box]") == 1
         assert dot.count("[shape=circle]") == 2
         assert dot.count("->") == 2
+
+    def test_non_graph_refused(self):
+        with pytest.raises(TypeError, match="^cannot export AdjacencyMatrix as DOT$"):
+            export_dot(AdjacencyMatrix.zero(2))
 
     def test_parallel_edges_repeat_statements(self):
         dot = export_dot(FeynmanGraph.make(2, [(1, 2, 2)]))

@@ -47,7 +47,41 @@ class TestGrammar:
         assert parse("K[K;2,1]", 2) != parse("K[K;1,2]", 2)
 
 
+# Every refusal of the reader: input, dimension, message, position.
+REFUSALS = [
+    ("x1 $ x2", 1, "unexpected character '$'", 3),
+    ("\tx1 $", 1, "unexpected character '$'", 4),
+    ("x1 +\n$", 1, "unexpected character '$'", 5),
+    ("x1 +\xa0$", 1, "unexpected character '$'", 5),
+    ("\n)", 1, "unexpected ')'", 1),
+    ("x1 +  ", 1, "unexpected 'end of input'", 6),
+    ("1/0", 1, "zero denominator", 2),
+    ("1/", 1, "expected 'int', found 'end of input'", 2),
+    ("x1^x2", 2, "exponent must be a non-negative integer literal", 3),
+    ("K[K;1 2]", 2, "expected ',', found '2'", 6),
+    ("K[1;1,1]", 1, "expected 'ident', found '1'", 2),
+    ("K[K;1,1", 1, "expected ']', found 'end of input'", 7),
+    ("K[K;1,3]", 2, "symbol indices (1,3) exceed dimension 2", 0),
+    ("x3", 2, "variable x3 exceeds dimension 2", 0),
+    ("y1", 1, "unknown identifier 'y1'", 0),
+    ("(x1", 1, "expected ')', found 'end of input'", 3),
+    (")", 1, "unexpected ')'", 0),
+    ("x1 x1", 1, "unexpected 'x1'", 3),
+    ("K[K;1,1]x1", 1, "unexpected 'x1'", 8),
+    ("x1 x1 $", 1, "unexpected character '$'", 6),
+    pytest.param("(" * 101 + "x1" + ")" * 101, 1, "parentheses nested deeper than 100", 100,
+                 id="nested-101"),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("text, dim, message, position", REFUSALS)
+    def test_refusal_message_and_position(self, text, dim, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, dim)
+        assert str(err.value) == f"syntax error at position {position}: {message}"
+        assert err.value.position == position
+
     def test_negative_exponent(self):
         with pytest.raises(ParseError, match="exponent"):
             parse("x1^-1", 1)

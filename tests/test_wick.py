@@ -26,6 +26,7 @@ from starwick import (
     wick_unpower,
 )
 
+import starwick.wick
 from starwick.wick import _MAX_EXPECT_POWER, _hermite_terms
 
 from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix, rand_rational
@@ -211,6 +212,35 @@ class TestExpectation:
     def test_huge_admissible_entries_refused_by_the_cap(self, n):
         with pytest.raises(ValueError, match=f"exceeds the expectation cap of {_MAX_EXPECT_POWER}"):
             expectation_formula(spec_for(n))
+
+    # The bound on the count (the product of each row's most moves) is 6 for
+    # (2, 2, 2, 2), the count itself, and 30 for (2, 2, 2, 2, 2), above its 22.
+    @pytest.mark.parametrize("n", [(2, 2, 2, 2), (2, 2, 2, 2, 2)], ids=str)
+    def test_matrix_budget_admits_the_exact_count(self, monkeypatch, n):
+        # Family entries give one term per matrix, so the matrices are counted
+        # and refused above the budget before the fold builds any term.
+        count = len(enumerate_adjacency_by_rowsums(n))
+        expected = expectation_formula(spec_for(n))
+        assert len(list(expected.items())) == count
+        monkeypatch.setattr(starwick.wick, "_MAX_MATRICES", count)
+        assert expectation_formula(spec_for(n)) == expected
+        monkeypatch.setattr(starwick.wick, "_MAX_MATRICES", count - 1)
+        with pytest.raises(ValueError,
+                           match=f"^{count} terms exceed the matrix budget of {count - 1}$"):
+            expectation_formula(spec_for(n))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [Fraction(2, 3), CoeffElement.from_symbol(PropagatorSymbol("S", 1, 2)),
+         CoeffElement.hbar()],
+        ids=["numeric", "shared-symbol", "hbar"],
+    )
+    def test_matrix_budget_spares_entries_whose_terms_merge(self, monkeypatch, entry):
+        monkeypatch.setattr(starwick.wick, "_MAX_MATRICES", 0)
+        n = (2, 2, 2, 2)
+        spec = WickMonomialSpec(n, PropagatorMatrix.family("K", 4, zero_diagonal=True),
+                                PropagatorMatrix.from_entries([[entry] * 4] * 4))
+        assert expectation_formula(spec) == expectation_by_matrices(spec)
 
     def test_powers_stored_as_tuple(self):
         spec = WickMonomialSpec([1, 1], PropagatorMatrix.family("K", 2, zero_diagonal=True),
