@@ -12,7 +12,8 @@ counts the matrices, :func:`_matrices` builds them for both enumerators,
 and :func:`starwick.wick._expectation_terms` sums the Isserlis weights of
 the Wick expectation.  Two budgets bound the work: ``_MAX_PARTIAL_ROWS``
 on the row-state table and ``_MAX_MATRICES`` on the matrices built, and
-on the Isserlis terms when each is one matrix.
+on the Isserlis terms when each is one matrix.  Both builders meet the
+second through one count-before-build step, :func:`_count_over`.
 """
 
 from __future__ import annotations
@@ -229,19 +230,30 @@ def _count_paths(i: int, state: IntSequence, moves: list, below: dict[IntSequenc
     return sum(below[rest] for _, rest in moves)
 
 
+def _count_over(layers: list[dict], budget: int) -> int:
+    """The number of paths through ``layers`` when it exceeds ``budget``,
+    else 0: the count-before-build step of :func:`_matrices` and
+    :func:`starwick.wick._expectation_terms`.  The product of each row's
+    most moves bounds the count for about a tenth of the count's cost, so
+    the paths are counted only when that bound exceeds the budget."""
+    if math.prod(max(map(len, layer.values())) for layer in layers) <= budget:
+        return 0
+    count = _fold(layers, 1, _count_paths)
+    return count if count > budget else 0
+
+
 def _matrices(n: IntSequence, d: int) -> list[AdjacencyMatrix]:
     """The matrices on the first ``d`` vertices of the paths through the row
     states of ``n``, in path order; the values of later vertices are dropped.
 
-    The paths are counted first, and more than ``_MAX_MATRICES`` of them
-    raise ``ValueError``.  Then each state is folded to the upper rows of
+    More than ``_MAX_MATRICES`` paths (:func:`_count_over`) raise
+    ``ValueError``.  Then each state is folded to the upper rows of
     all its completions, so a suffix shared by many prefixes is built once.
     """
     layers = _row_states(n)
     if not layers:
         return []
-    count = _fold(layers, 1, _count_paths)
-    if count > _MAX_MATRICES:
+    if count := _count_over(layers, _MAX_MATRICES):
         raise ValueError(f"{count} matrices exceed the enumeration budget of {_MAX_MATRICES}")
 
     def suffixes(i, state, moves, below):

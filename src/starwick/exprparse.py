@@ -58,6 +58,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 
+
+def _int(text: str, pos: int) -> int:
+    """The value of the integer literal ``text`` at ``pos``.  Python will not
+    convert a literal longer than its digit limit (4,300 by default), and
+    that is a ``ParseError`` here."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(text)} digits is too long", pos) from None
+
+
 # The deepest parenthesis nesting the parser takes.  Each level costs four
 # Python frames of the recursive descent, so a deeper input would end in a
 # ``RecursionError`` instead of a ``ParseError``.
@@ -111,17 +122,17 @@ class _Parser:
             if exponent is None:
                 raise ParseError("exponent must be a non-negative integer literal",
                                  self.tokens[-1][2])
-            value = value ** int(exponent[1])
+            value = value ** _int(*exponent[1:])
         return value
 
     def atom(self) -> Poly:
         if tok := self.take("int"):
-            num = int(tok[1])
+            num = _int(*tok[1:])
             if self.take("/"):
                 _, den, pos = self.expect("int")
-                if int(den) == 0:
+                if (den := _int(den, pos)) == 0:
                     raise ParseError("zero denominator", pos)
-                return Poly.constant(Fraction(num, int(den)), self.dim)
+                return Poly.constant(Fraction(num, den), self.dim)
             return Poly.constant(num, self.dim)
         if tok := self.take("("):
             if self.depth == _MAX_NESTING:
@@ -144,9 +155,9 @@ class _Parser:
         if text == "K" and self.take("["):
             family = self.expect("ident")[1]
             self.expect(";")
-            row = int(self.expect("int")[1])
+            row = _int(*self.expect("int")[1:])
             self.expect(",")
-            col = int(self.expect("int")[1])
+            col = _int(*self.expect("int")[1:])
             self.expect("]")
             if not (1 <= row <= self.dim and 1 <= col <= self.dim):
                 raise ParseError(f"symbol indices ({row},{col}) exceed dimension {self.dim}", pos)
@@ -156,7 +167,7 @@ class _Parser:
             return Poly.constant(CoeffElement.from_symbol(sym), self.dim)
         var = _VAR_RE.match(text)
         if var:
-            index = int(var.group(1))
+            index = _int(var.group(1), pos + 1)
             if index > self.dim:
                 raise ParseError(f"variable x{index} exceeds dimension {self.dim}", pos)
             return Poly.variable(index, self.dim)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .algebra import CoeffElement, Poly, _TermSum
 from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _is_int
-from .star import PropagatorMatrix, apply_bivector, _check_dims, _check_factors, _check_ordinary
+from .star import PropagatorMatrix, apply_bivector, _check_factors
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,8 @@ def kontsevich_apply(
     """
     factors = list(factors)
     if len(factors) != g.boundary:
-        raise ValueError(
-            f"expected {g.boundary} factors, got {len(factors)}"
-        )
-    _check_ordinary(*factors)
-    _check_dims(K, *factors)
+        raise ValueError(f"expected {g.boundary} factors, got {len(factors)}")
+    _check_factors(factors, K)
     tensor = _block_tensor(factors)
     for i, j in g.internal_targets():
         tensor = apply_bivector(tensor, K, (i - 1,), (j - 1,))

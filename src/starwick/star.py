@@ -8,8 +8,9 @@ over the ``d x d`` non-negative integer matrices ``M``, where ``r`` and
 ``c`` are the row and column sums of ``M`` and ``D_i`` differentiates in
 ``x_i`` over one factor's blocks.  It is the exponential of the cross
 operator ``sum_ij K_ij d_i(f) d_j(g)`` written out index by index.  The
-product is associative, so the multi-factor product is the pairwise
-product folded left over the factors.  The graph sum
+product is associative, so :func:`star_multi`, the multi-factor
+product, is the pairwise product folded left over the factors, and
+:func:`star2` is the two-factor :func:`star_multi`.  The graph sum
 :func:`starwick.graphs.star_via_graphs`, which adds one internal vertex
 at a time through :func:`apply_bivector`, is the independent oracle for
 this fold.
@@ -17,8 +18,16 @@ this fold.
 Changing the propagator from ``K`` to ``K'`` is the same exponential over
 every pair of factors ``a < b``, with ``K - K'`` as the matrix.  One walk
 over the cell multiplicities, :func:`_moyal_weights`, yields the weights
-of both, so it serves :func:`star2`, :func:`star_tensor` and
+of both, so it serves :func:`star_multi`, :func:`star_tensor` and
 :func:`change_propagator`.
+
+Every entry point to these products, here and in :mod:`starwick.graphs`
+and :mod:`starwick.wick`, checks its arguments once by one contract:
+:func:`_check_shape` refuses a negative ``order``, an empty factor list
+and a polynomial not in ``K``'s dimension, and :func:`_check_factors`
+adds that every factor is ordinary (single-block).  Only the block-group
+products, :func:`star_tensor` and :func:`apply_bivector`, take the shape
+check alone.
 
 That walk and :func:`starwick.wick.expectation_formula` share one packed
 format, :class:`_Packing`, whose one sizing rule is that the products of
@@ -136,9 +145,30 @@ class PropagatorMatrix:
         return all(self.entries[i][i].is_zero() for i in range(self.dim))
 
 
-def _check_order(order: int | None) -> None:
+def _check_shape(
+    polys: Iterable[Poly], K: PropagatorMatrix, order: int | None = None
+) -> list[Poly]:
+    """``polys`` as a list, refused unless ``order`` is ``None`` or
+    non-negative, the list is nonempty and every poly has ``K``'s dimension."""
     if order is not None and order < 0:
         raise ValueError("truncation order must be non-negative")
+    polys = list(polys)
+    if not polys:
+        raise ValueError("at least one factor is required")
+    for p in polys:
+        if p.dim != K.dim:
+            raise ValueError(f"dimension mismatch: polynomial in {p.dim} variables, matrix {K.dim}")
+    return polys
+
+
+def _check_factors(
+    factors: Iterable[Poly], K: PropagatorMatrix, order: int | None = None
+) -> list[Poly]:
+    """:func:`_check_shape`, and every factor refused unless ordinary (single-block)."""
+    factors = _check_shape(factors, K, order)
+    if any(not p.blocks() <= {0} for p in factors):
+        raise ValueError("expected an ordinary (single-block) polynomial")
+    return factors
 
 
 def apply_bivector(
@@ -149,6 +179,7 @@ def apply_bivector(
     ``d_i(left)`` is the derivative in ``x_i`` summed over the left blocks,
     and likewise on the right; the terms are summed in place.
     """
+    _check_shape((p,), K)
     left = tuple(left_blocks)
     right = tuple(right_blocks)
     acc = _TermSum()
@@ -164,31 +195,6 @@ def apply_bivector(
                         for vm, ce in dg.derivative(i, block=lb).items():
                             acc.add(vm, ce, e)
     return acc.poly(p.dim)
-
-
-def _check_dims(K: PropagatorMatrix, *polys: Poly) -> None:
-    for p in polys:
-        if p.dim != K.dim:
-            raise ValueError(
-                f"dimension mismatch: polynomial in {p.dim} variables, matrix {K.dim}"
-            )
-
-
-def _check_ordinary(*polys: Poly) -> None:
-    for p in polys:
-        if not p.blocks() <= {0}:
-            raise ValueError("expected an ordinary (single-block) polynomial")
-
-
-def _check_factors(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None) -> list[Poly]:
-    """The factors as a list, refused unless ordinary, nonempty and of ``K``'s dimension."""
-    _check_order(order)
-    factors = list(factors)
-    if not factors:
-        raise ValueError("at least one factor is required")
-    _check_ordinary(*factors)
-    _check_dims(K, *factors)
-    return factors
 
 
 def _common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -369,22 +375,34 @@ class _Packing:
         return out
 
 
-def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, alive: Sequence):
-    """Weights ``W(r)`` as packed integer terms over the returned denominator.
+def _moyal_weights(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None):
+    """The Moyal walk over every pair of ``factors`` with ``K`` as the matrix.
 
-    A cell ``(a, i, b, j, K_ij)`` with ``a < b`` links ``x_i`` of factor
-    ``a`` to ``x_j`` of factor ``b``.  ``W(r)`` sums
-    ``hbar^|M| prod K^M / M!`` over the multiplicity maps ``M`` on the
-    ``cells`` with ``|M| <= kmax``, where ``r[a]`` is the derivative
-    multi-index that ``M`` puts on factor ``a``.  Every node of the walk is
-    one ``M``.  ``alive[a](r[a])`` is false once ``D^r[a]`` kills factor
-    ``a``, and then it is false at every larger ``r[a]``, so the walk stops
-    growing a cell there.  With ``scale`` the common denominator of the
-    entries, each ``M`` is brought to the common denominator
-    ``kmax! * scale^kmax`` by its spare budget ``kmax - |M|``.
-    :func:`_moyal_sum` passes the cells of one factor pair,
-    :func:`change_propagator` those of every pair.
+    Returns the packing, each factor's lazy derivative map ``r -> D^r f``
+    with its denominator (:meth:`_Packing.derivatives`), and the weights
+    ``W(r)`` as packed integer terms over the returned denominator.  A cell
+    ``(a, i, b, j, K_ij)`` with ``a < b`` links ``x_i`` of factor ``a`` to
+    ``x_j`` of factor ``b``.  ``W(r)`` sums ``hbar^|M| prod K^M / M!`` over
+    the multiplicity maps ``M`` on the cells with ``|M| <= kmax``, where
+    ``r[a]`` is the derivative multi-index that ``M`` puts on factor ``a``.
+    Each cell takes one derivative from each of two factors, so ``kmax`` is
+    at most half the total degree and at most what the factors other than
+    the widest one can give; ``order`` cuts it further.  Every node of the
+    walk is one ``M``.  Once ``D^r[a]`` kills factor ``a`` it kills it at
+    every larger ``r[a]``, so the walk stops growing a cell there.  With
+    ``scale`` the common denominator of the entries, each ``M`` is brought
+    to the common denominator ``kmax! * scale^kmax`` by its spare budget
+    ``kmax - |M|``.
     """
+    degrees = [f.total_degree() for f in factors]
+    cells = [(a, i, b, j, e) for a in range(len(factors)) for b in range(a + 1, len(factors))
+             for i, row in enumerate(K.entries) for j, e in enumerate(row) if e]
+    kmax = min(sum(degrees) // 2, sum(degrees) - max(degrees)) if cells else 0
+    if order is not None:
+        kmax = min(kmax, order)
+    packing = _Packing([e for *_, e in cells], kmax, factors)
+    derived = [packing.derivatives(f, K.dim) for f in factors]
+    alive = [at for at, _ in derived]
     scaled, scale = packing.scaled([e for *_, e in cells], 1)
     top, product = math.factorial(kmax), packing.product
     weights: dict[tuple, dict[int, int]] = {}
@@ -406,8 +424,8 @@ def _moyal_weights(cells: list, packing: _Packing, kmax: int, d: int, alive: Seq
                 walk(t + 1, budget - m, wm, fm,
                      orders[:a] + (ra,) + orders[a + 1 : b] + (rb,) + orders[b + 1 :])
 
-    walk(0, kmax, {0: 1}, 1, tuple((0,) * d for _ in alive))
-    return weights, top * scale**kmax
+    walk(0, kmax, {0: 1}, 1, tuple((0,) * K.dim for _ in factors))
+    return packing, derived, weights, top * scale**kmax
 
 
 def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) -> Poly:
@@ -421,15 +439,8 @@ def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) 
     numerators over one common denominator; one ``Fraction`` is built per
     output term.
     """
-    d = K.dim
-    cells = [(0, i, 1, j, e) for i, row in enumerate(K.entries) for j, e in enumerate(row) if e]
-    # |M| derivatives fall on each side, so the smaller total degree bounds it.
-    kmax = min(left.total_degree(), right.total_degree()) if cells else 0
-    if order is not None:
-        kmax = min(kmax, order)
-    packing = _Packing([e for *_, e in cells], kmax, (left, right))
-    (left_at, left_den), (right_at, right_den) = (packing.derivatives(p, d) for p in (left, right))
-    weights, weight_den = _moyal_weights(cells, packing, kmax, d, (left_at, right_at))
+    packing, [(left_at, left_den), (right_at, right_den)], weights, weight_den = (
+        _moyal_weights((left, right), K, order))
 
     # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
     absorbed: dict[tuple[int, ...], dict[int, int]] = {}
@@ -445,53 +456,47 @@ def star_tensor(
     left: Poly, right: Poly, K: PropagatorMatrix, order: int | None = None
 ) -> Poly:
     """Star product of two block groups, keeping all blocks separate."""
-    _check_order(order)
-    _check_dims(K, left, right)
-    overlap = left.blocks() & right.blocks()
-    if overlap:
+    _check_shape((left, right), K, order)
+    if overlap := left.blocks() & right.blocks():
         raise ValueError(f"overlapping block tags between factors: {sorted(overlap)}")
     return _moyal_sum(left, right, K, order)
 
 
 def star2(f: Poly, g: Poly, K: PropagatorMatrix, order: int | None = None) -> Poly:
-    """Star product of two ordinary polynomials on the same variables."""
-    _check_ordinary(f, g)
-    _check_order(order)
-    _check_dims(K, f, g)
-    return _moyal_sum(f, g, K, order)
+    """Star product of two ordinary polynomials on the same variables: the
+    two-factor :func:`star_multi`."""
+    return star_multi((f, g), K, order)
 
 
 def star_multi(
     factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None
 ) -> Poly:
-    """Star product of several ordinary factors: :func:`star2` folded left.
+    """Star product of several ordinary factors: the pairwise closed-form
+    sum folded left over the factors.
 
-    Truncating each partial product at ``order`` is exact, because the
-    product never lowers a term's hbar degree.  The graph sum
-    :func:`starwick.graphs.star_via_graphs` computes the same product by
-    an independent route and is the oracle this fold is tested against.
+    The factors are checked once, by the argument contract of every star
+    product (:func:`_check_factors`).  Truncating each partial product at
+    ``order`` is exact, because the product never lowers a term's hbar
+    degree.  The graph sum :func:`starwick.graphs.star_via_graphs`
+    computes the same product by an independent route and is the oracle
+    this fold is tested against.
     """
     factors = _check_factors(factors, K, order)
-    result = factors[0]
-    if order is not None:
-        result = result.truncate_hbar(order)
+    result = factors[0] if order is None else factors[0].truncate_hbar(order)
     for f in factors[1:]:
-        result = star2(result, f, K, order)
+        result = _moyal_sum(result, f, K, order)
     return result
 
 
 def poisson_bracket(f: Poly, g: Poly, K: PropagatorMatrix) -> Poly:
     """Antisymmetrized first-order part ``sum_{i!=j} (K_ij - K_ji) d_i f d_j g``."""
-    _check_ordinary(f, g)
-    _check_dims(K, f, g)
+    _check_factors((f, g), K)
     acc = Poly.zero(f.dim)
     for i in range(1, K.dim + 1):
         dfi = f.derivative(i)
         if dfi.is_zero():
             continue
-        for j in range(1, K.dim + 1):
-            if i == j:
-                continue
+        for j in range(1, K.dim + 1):  # K_ii - K_ii is zero and skipped
             c = K.entries[i - 1][j - 1] - K.entries[j - 1][i - 1]
             if c.is_zero():
                 continue
@@ -528,24 +533,15 @@ def change_propagator(
     exactly; see :func:`reexpand`.  Terms whose derivatives annihilate a
     factor are dropped.
 
-    The coefficients are the weights of :func:`star2`'s walk
-    (:func:`_moyal_weights`) over every factor pair with ``old - new`` as the
-    matrix, sorted by total order, then by ``orders``.  The tests'
+    The coefficients are the weights of the star products' Moyal walk
+    (:func:`_moyal_weights`) over every factor pair with ``old - new`` as
+    the matrix, sorted by total order, then by ``orders``.  The tests'
     ``change_propagator_oracle`` builds them one hbar layer at a time.
     """
     factors = _check_factors(factors, old, order)
     if old.dim != new.dim:
         raise ValueError("propagator matrices must share a dimension")
-    diff, m = old - new, len(factors)
-    cells = [(a, i, b, j, e) for a in range(m) for b in range(a + 1, m)
-             for i, row in enumerate(diff.entries) for j, e in enumerate(row) if e]
-    # Each factor pair takes one derivative per side, so half the total degree bounds |M|.
-    kmax = sum(f.total_degree() for f in factors) // 2
-    if order is not None:
-        kmax = min(kmax, order)
-    packing = _Packing([e for *_, e in cells], kmax, factors)
-    alive = [packing.derivatives(f, old.dim)[0] for f in factors]
-    weights, den = _moyal_weights(cells, packing, kmax, old.dim, alive)
+    packing, _, weights, den = _moyal_weights(factors, old - new, order)
     terms = [PropagatorChangeTerm(coeff, orders) for orders, w in weights.items()
              if (coeff := packing.coeff_element(w.items(), den))]
     return sorted(terms, key=lambda t: (sum(map(sum, t.orders)), t.orders))

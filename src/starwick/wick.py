@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 from .algebra import CoeffElement, CoeffMonomial, Poly
 from .combinat import (
-    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _count_paths, _fold,
+    AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _count_over, _fold,
     _int_sequence, _row_states, _MAX_MATRICES,
 )
 from .star import (
@@ -180,16 +180,12 @@ def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple
     entries = [spec.product.entries[i][j] for i, j in pairs]
     # When each entry is its own symbol to the first power, as
     # ``PropagatorMatrix.family`` builds them, every matrix is a term of its
-    # own, so the matrices are counted first and too many are refused.  The
-    # product of each row's most moves bounds the count at a tenth of its
-    # cost, so the count is skipped when that bound is within the budget.
+    # own, so the matrices are counted first and too many are refused.
     monomials = [tuple(m for m, _ in e.items()) for e in entries]
     own_symbols = len(set(monomials)) == len(monomials) and all(
         len(ms) == 1 and ms[0].degree() == 1 == len(ms[0].symbols) for ms in monomials)
-    if own_symbols and math.prod(max(map(len, layer.values())) for layer in layers) > _MAX_MATRICES:
-        count = _fold(layers, 1, _count_paths)
-        if count > _MAX_MATRICES:
-            raise ValueError(f"{count} terms exceed the matrix budget of {_MAX_MATRICES}")
+    if own_symbols and (count := _count_over(layers, _MAX_MATRICES)):
+        raise ValueError(f"{count} terms exceed the matrix budget of {_MAX_MATRICES}")
     packing = _Packing(entries, h)
     bases, scale = packing.scaled(entries, 0)
     product = packing.product
@@ -289,9 +285,7 @@ def wick_theorem_expand(
         raise ValueError("propagator matrices must share a dimension")
     d = len(factors)
     if d != K.dim:
-        raise ValueError(
-            f"expected one factor per matrix dimension ({K.dim}), got {d}"
-        )
+        raise ValueError(f"expected one factor per matrix dimension ({K.dim}), got {d}")
     degrees = [_own_variable_degree(f, i + 1) for i, f in enumerate(factors)]
     kmax = sum(degrees) // 2
     if order is not None:

@@ -47,6 +47,9 @@ class TestGrammar:
         assert parse("K[K;2,1]", 2) != parse("K[K;1,2]", 2)
 
 
+LONG = "1" * 5000
+TOO_LONG = "integer literal of 5000 digits is too long"
+
 # Every refusal of the reader: input, dimension, message, position.
 REFUSALS = [
     ("x1 $ x2", 1, "unexpected character '$'", 3),
@@ -71,6 +74,13 @@ REFUSALS = [
     ("x1 x1 $", 1, "unexpected character '$'", 6),
     pytest.param("(" * 101 + "x1" + ")" * 101, 1, "parentheses nested deeper than 100", 100,
                  id="nested-101"),
+    # Integer literals Python will not convert (more than 4,300 digits).
+    pytest.param("x1 + " + LONG, 1, TOO_LONG, 5, id="long-number"),
+    pytest.param("1/" + LONG, 1, TOO_LONG, 2, id="long-denominator"),
+    pytest.param("x1^" + LONG, 1, TOO_LONG, 3, id="long-exponent"),
+    pytest.param("x" + LONG, 1, TOO_LONG, 1, id="long-variable-index"),
+    pytest.param("K[K;" + LONG + ",1]", 1, TOO_LONG, 4, id="long-symbol-row"),
+    pytest.param("K[K;1," + LONG + "]", 1, TOO_LONG, 6, id="long-symbol-column"),
 ]
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starwick import (
+    AdjacencyMatrix,
+    BernoulliGraph,
     CoeffElement,
     CoeffMonomial,
     Poly,
@@ -15,6 +17,7 @@ from starwick import (
     VarMonomial,
     apply_bivector,
     change_propagator,
+    kontsevich_apply,
     poisson_bracket,
     reexpand,
     star2,
@@ -255,7 +258,10 @@ FACTOR_LIST_ENTRY_POINTS = {
 BAD_FACTOR_LISTS = {
     "empty": (lambda: [], None, "at least one factor is required"),
     "block_tagged": (lambda: [x(1, 2, block=1), x(2, 2)], None, "ordinary"),
-    "dimension_mismatch": (lambda: [x(1, 3), x(2, 3)], None, "dimension mismatch"),
+    "dimension_mismatch": (lambda: [x(1, 3), x(2, 3)], None,
+                           r"^dimension mismatch: polynomial in 3 variables, matrix 2$"),
+    "dimension_below": (lambda: [x(1, 1), x(1, 1)], None,
+                        r"^dimension mismatch: polynomial in 1 variables, matrix 2$"),
     "negative_order": (lambda: [x(1, 2), x(2, 2)], -1, "non-negative"),
 }
 
@@ -266,6 +272,33 @@ def test_factor_lists_are_checked_alike(entry, case):
     factors, order, message = BAD_FACTOR_LISTS[case]
     with pytest.raises(ValueError, match=message):
         FACTOR_LIST_ENTRY_POINTS[entry](factors(), PropagatorMatrix.family("K", 2), order)
+
+
+# The entry points that take two factors (one for apply_bivector), called
+# on a list of BAD_FACTOR_LISTS, each with the faults it can take.  star_tensor
+# puts the second factor on block 1 and takes block-tagged factors, so a
+# tagged list is refused there for overlapping blocks instead.
+DIMENSIONS = ("dimension_mismatch", "dimension_below")
+PAIR_ENTRY_POINTS = {
+    "star2": (lambda fs, K, order: star2(*fs, K, order),
+              ("block_tagged", *DIMENSIONS, "negative_order")),
+    "star_tensor": (lambda fs, K, order: star_tensor(fs[0], fs[1].relabel_blocks({0: 1}), K, order),
+                    (*DIMENSIONS, "negative_order")),
+    "poisson_bracket": (lambda fs, K, order: poisson_bracket(*fs, K), ("block_tagged", *DIMENSIONS)),
+    "apply_bivector": (lambda fs, K, order: apply_bivector(fs[0], K, (0,), (0,)), DIMENSIONS),
+    "kontsevich_apply": (
+        lambda fs, K, order: kontsevich_apply(
+            BernoulliGraph(2, AdjacencyMatrix.from_rows([[0, 1], [1, 0]])), fs, K),
+        ("block_tagged", *DIMENSIONS)),
+}
+
+
+@pytest.mark.parametrize("entry, case", [(entry, case) for entry, (_, cases)
+                                         in PAIR_ENTRY_POINTS.items() for case in cases])
+def test_pair_entry_points_are_checked_alike(entry, case):
+    factors, order, message = BAD_FACTOR_LISTS[case]
+    with pytest.raises(ValueError, match=message):
+        PAIR_ENTRY_POINTS[entry][0](factors(), PropagatorMatrix.family("K", 2), order)
 
 
 class TestPoissonBracket:
