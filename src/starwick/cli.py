@@ -51,9 +51,26 @@ class _Parser(argparse.ArgumentParser):
         return parsed
 
 
+def _int(text: str) -> int:
+    """``int(text)`` as an option value.  Python will not convert an integer
+    longer than its digit limit (4,300 by default), and that is a usage
+    error that gives the length, not the digits, as in
+    :func:`starwick.exprparse._int`.  Other text raises ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        if not digits.isdecimal():
+            raise
+        raise argparse.ArgumentTypeError(f"integer of {len(digits)} digits is too long") from None
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+
+
 def _parse_n(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
@@ -61,7 +78,7 @@ def _parse_n(text: str) -> tuple[int, ...]:
 def _order(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return _int(text)
 
 
 def _weights(text: str) -> tuple[Fraction, ...]:
@@ -214,15 +231,15 @@ def _cmd_functional_star(args) -> str:
 
 # Arguments shared between subcommands, each declared once: name -> (flag, options).
 _ARGS = {
-    "dim": ("--dim", dict(type=int, required=True, help="number of variables")),
+    "dim": ("--dim", dict(type=_int, required=True, help="number of variables")),
     "order": ("--order", dict(type=_order, help="hbar truncation order")),
     "family": ("--family", dict(type=_family, default="K", help="propagator family name")),
     "sym": ("--sym", dict(type=_family, action="append", default=[], metavar="FAMILY",
                           help="declare a family symmetric (repeatable)")),
     "exprs": ("exprs", dict(nargs="+", help="polynomial expressions")),
     "exprs2": ("exprs", dict(nargs=2, help="two polynomial expressions")),
-    "index": ("index", dict(type=int, help="variable index (1-based)")),
-    "power": ("power", dict(type=int, help="power")),
+    "index": ("index", dict(type=_int, help="variable index (1-based)")),
+    "power": ("power", dict(type=_int, help="power")),
     "n": ("--n", dict(type=_parse_n, required=True, help="comma-separated integers")),
     "grid": ("--grid", dict(required=True, metavar="FILE", help="kernel grid JSON file")),
     "json": ("--json", dict(action="store_true", help="print JSON")),
@@ -249,8 +266,8 @@ _COMMANDS = (
     ("expect-oracle", "brute-force Wick-monomial expectation",
      partial(_cmd_expect, lambda spec: str(expectation_oracle(spec))), ("n", "family")),
     ("enum-adj", "enumerate adjacency matrices", _cmd_enum_adj, (
-        ("--dim", dict(type=int, default=2, help="matrix size")),
-        ("--deg", dict(type=int, help="total degree")),
+        ("--dim", dict(type=_int, default=2, help="matrix size")),
+        ("--deg", dict(type=_int, help="total degree")),
         ("--n", dict(type=_parse_n, help="prescribed row sums")),
         "json",
     )),

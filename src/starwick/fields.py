@@ -3,9 +3,11 @@
 A grid holds sample points of the underlying space together with the
 kernel matrix ``K(x_i, x_j)``, the field samples ``phi(x_i)`` and a
 numeric value for hbar.  Rational mode keeps everything exact; float
-mode trades exactness for range.  Field-level operations factor through
-the symbolic engine and substitution (the contract the tests pin down);
-functional star products contract each term's Feynman graph by factor.
+mode trades exactness for range.  Field operations specialize the kernel
+first: they run the function-level engines on the grid's kernel numbers,
+and the tests hold the engines over the family ``K[K;i,j]``, specialized
+afterwards, as the oracle.  Functional star products cross-sample the
+kernel per node pair, so they contract each term's Feynman graph by factor.
 """
 
 from __future__ import annotations
@@ -211,39 +213,41 @@ def specialize(
     return float(value) if grid.mode == "float" else Fraction(value)
 
 
+def _kernel(grid: KernelGrid, d: int, noun: str = "variables") -> PropagatorMatrix:
+    """The grid kernel's top-left ``d x d`` block as exact entries (a float
+    converts exactly): the values :func:`specialize` gives ``K[K;i,j]``."""
+    if d > grid.size:
+        raise ValueError(f"more {noun} than sample points")
+    return PropagatorMatrix.from_entries([[Fraction(v) for v in row[:d]] for row in grid.kernel[:d]])
+
+
 def field_star(f: Poly, g: Poly, grid: KernelGrid, order: int | None = None) -> Num:
     """Star product of two densities at coincident sample points."""
-    K = PropagatorMatrix.family("K", f.dim)
-    return specialize(star2(f, g, K, order), grid)
+    return specialize(star2(f, g, _kernel(grid, f.dim), order), grid)
 
 
 def field_poisson(f: Poly, g: Poly, grid: KernelGrid) -> Num:
     """Field-level bracket: antisymmetrized kernel against both gradients."""
-    K = PropagatorMatrix.family("K", f.dim)
-    return specialize(poisson_bracket(f, g, K), grid)
+    return specialize(poisson_bracket(f, g, _kernel(grid, f.dim)), grid)
 
 
 def field_wick_power(index: int, power: int, grid: KernelGrid) -> Num:
     """Wick power of the field sample at one point: :func:`starwick.wick.wick_power`
-    over the grid kernel family, read through :func:`specialize`."""
+    read through :func:`specialize`."""
     if not 1 <= index <= grid.size:
         raise ValueError(f"point index {index} out of range 1..{grid.size}")
-    return specialize(wick_power(index, power, PropagatorMatrix.family("K", grid.size)), grid)
+    return specialize(wick_power(index, power, _kernel(grid, grid.size)), grid)
 
 
 def field_expectation(powers: Sequence[int], grid: KernelGrid) -> Num:
     """Expectation of a field Wick monomial on the grid kernel:
     :func:`starwick.wick.expectation_formula` read through :func:`specialize`."""
     powers = tuple(powers)
-    d = len(powers)
-    if d > grid.size:
-        raise ValueError("more powers than sample points")
-    spec = WickMonomialSpec(
-        powers,
-        PropagatorMatrix.family("K", d, zero_diagonal=True),
-        PropagatorMatrix.family("K", d),
-    )
-    return specialize(Poly.constant(expectation_formula(spec), d), grid)
+    K = _kernel(grid, len(powers), "powers")
+    # A Wick power reads only the ordering's diagonal, so the zero ordering
+    # stands for the zero-diagonal family of ``expect``.
+    spec = WickMonomialSpec(powers, PropagatorMatrix.zero(K.dim), K)
+    return specialize(Poly.constant(expectation_formula(spec), K.dim), grid)
 
 
 @dataclass(frozen=True)

@@ -382,9 +382,11 @@ def _moyal_weights(factors: Sequence[Poly], K: PropagatorMatrix, order: int | No
     with its denominator (:meth:`_Packing.derivatives`), and the weights
     ``W(r)`` as packed integer terms over the returned denominator.  A cell
     ``(a, i, b, j, K_ij)`` with ``a < b`` links ``x_i`` of factor ``a`` to
-    ``x_j`` of factor ``b``.  ``W(r)`` sums ``hbar^|M| prod K^M / M!`` over
-    the multiplicity maps ``M`` on the cells with ``|M| <= kmax``, where
-    ``r[a]`` is the derivative multi-index that ``M`` puts on factor ``a``.
+    ``x_j`` of factor ``b``; it is live when both factors hold their variable,
+    in some block, and any other cell kills a factor.  ``W(r)`` sums
+    ``hbar^|M| prod K^M / M!`` over the multiplicity maps ``M`` on the live
+    cells with ``|M| <= kmax``, where ``r[a]`` is the derivative multi-index
+    that ``M`` puts on factor ``a``.
     Each cell takes one derivative from each of two factors, so ``kmax`` is
     at most half the total degree and at most what the factors other than
     the widest one can give; ``order`` cuts it further.  Every node of the
@@ -395,8 +397,10 @@ def _moyal_weights(factors: Sequence[Poly], K: PropagatorMatrix, order: int | No
     ``kmax - |M|``.
     """
     degrees = [f.total_degree() for f in factors]
+    present = [{i - 1 for vm, _ in f.items() for (_, i), _ in vm.items} for f in factors]
     cells = [(a, i, b, j, e) for a in range(len(factors)) for b in range(a + 1, len(factors))
-             for i, row in enumerate(K.entries) for j, e in enumerate(row) if e]
+             for i, row in enumerate(K.entries) if i in present[a]
+             for j, e in enumerate(row) if e and j in present[b]]
     kmax = min(sum(degrees) // 2, sum(degrees) - max(degrees)) if cells else 0
     if order is not None:
         kmax = min(kmax, order)

@@ -395,9 +395,10 @@ class TestFieldCommands:
     @pytest.mark.parametrize(
         "argv, message",
         [(["field-expect", "--n", "1,1,1,1,1,1,1"], "more powers than sample points"),
+         (["field-expect", "--n", ",".join(["1"] * 100_000)], "more powers than sample points"),
          (["functional-star", "--dim", "1", "--nodes", "c", "--weights", "1", "x1", "x1"],
           "unknown sample point 'c'")],
-        ids=["seven-powers", "unknown-node"],
+        ids=["seven-powers", "many-powers", "unknown-node"],
     )
     def test_grid_points_bound_the_request(self, capsys, tmp_path, argv, message):
         points = [f"p{i}" for i in range(1, 7)]
@@ -667,6 +668,72 @@ def test_runaway_tables_refused_by_the_budgets(argv, message):
     # Without the budgets each runs for minutes or grows past 5 GB.
     proc = _run_cli(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+def _write_grid(tmp_path, size, mode="rational"):
+    """A ``size``-point grid of seeded small kernel and field values."""
+    rng = random.Random(size)
+    if mode == "float":
+        value, hbar = lambda: round(rng.uniform(-1, 1), 6), 0.5  # noqa: E731
+    else:
+        value, hbar = lambda: f"{rng.randint(-3, 3)}/{rng.randint(1, 4)}", "1/2"  # noqa: E731
+    points = [f"p{i}" for i in range(size)]
+    path = tmp_path / f"grid-{mode}-{size}.json"
+    path.write_text(json.dumps({
+        "points": points, "kernel": [[value() for _ in points] for _ in points],
+        "field": [value() for _ in points], "hbar": hbar, "mode": mode}))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("threes", [8, 10])
+def test_field_expect_folds_grid_numbers(tmp_path, mode, threes):
+    # On the grid's numbers the fold holds one number per row state: eight 3s
+    # took seconds and ten 3s were refused (103,050,570 matrix terms) while
+    # the fold ran over the symbol family.
+    proc = _run_cli(["field-expect", "--grid", _write_grid(tmp_path, 10, mode),
+                     "--n", ",".join(["3"] * threes)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    value = (float if mode == "float" else Fraction)(proc.stdout)
+    assert value != 0
+
+
+def test_field_expect_keeps_the_row_state_budget(tmp_path):
+    proc = _run_cli(["field-expect", "--grid", _write_grid(tmp_path, 12), "--n", ",".join(["6"] * 12)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: row-state table exceeds the budget of 1000000 partial rows\n")
+
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["star", "--dim", LONG, "x1"], "--dim"),
+     (["star", "--dim", "1", "--order", LONG, "x1"], "--order"),
+     (["enum-adj", "--deg", LONG], "--deg"),
+     (["enum-adj", "--dim", "-" + LONG, "--deg", "2"], "--dim"),
+     (["wick-power", "--dim", "1", LONG, "2"], "index"),
+     (["wick-invert", "--dim", "1", "1", LONG], "power"),
+     (["expect", "--n", "1," + LONG], "--n"),
+     (["field-expect", "--grid", "unused.json", "--n", LONG], "--n")],
+    ids=["dim", "order", "deg", "negative-dim", "index", "power", "expect-n", "field-expect-n"],
+)
+def test_long_integer_options_name_their_length(capsys, argv, option):
+    # Python converts at most 4,300 digits; the error gives the length, not
+    # the 5,000 digits.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: argument {option}: integer of 5000 digits is too long\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["star", "--dim", "x", "x1"], "argument --dim: invalid int value: 'x'"),
+     (["expect", "--n", "1,x"], "argument --n: expected a comma-separated integer list, got '1,x'")],
+    ids=["dim", "n"],
+)
+def test_malformed_integer_options_keep_their_message(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -14,18 +16,23 @@ from starwick import (
     PropagatorMatrix,
     PropagatorSymbol,
     QuadratureRule,
+    WickMonomialSpec,
     change_propagator,
+    expectation_formula,
     field_expectation,
     field_poisson,
     field_star,
     field_wick_power,
     functional_star,
+    poisson_bracket,
     reexpand,
     specialize,
     star2,
     star_tensor,
     wick_power,
 )
+from starwick.cli import main
+from starwick.exprparse import parse
 
 from helpers import all_pairings, functional_star_oracle, rand_poly, rand_rational
 
@@ -616,6 +623,107 @@ class TestCommutingDiagram:
             exact = float(exact)
             scale = max(abs(sym_val), abs(exact), 1.0)
             assert abs(sym_val - exact) <= 1e-12 * scale
+
+
+def symbolic_first(op, grid, *args):
+    """A field op the long way round: its engine over the symbol family
+    ``K[K;i,j]``, then :func:`specialize`, so the kernel is substituted last.
+    Returns the engine's polynomial and its specialized value."""
+    if op == "star":
+        f, g, order = args
+        p = star2(f, g, PropagatorMatrix.family("K", f.dim), order)
+    elif op == "poisson":
+        f, g = args
+        p = poisson_bracket(f, g, PropagatorMatrix.family("K", f.dim))
+    elif op == "wick_power":
+        p = wick_power(*args, PropagatorMatrix.family("K", grid.size))
+    else:
+        (powers,) = args
+        d = len(powers)
+        spec = WickMonomialSpec(powers, PropagatorMatrix.family("K", d, zero_diagonal=True),
+                                PropagatorMatrix.family("K", d))
+        p = Poly.constant(expectation_formula(spec), d)
+    return p, specialize(p, grid)
+
+
+def absolute_value(p, grid):
+    """:func:`specialize` with every coefficient and grid number made
+    non-negative: it bounds the sum of the magnitudes of the summands."""
+    total = 0
+    for vm, ce in p.items():
+        for mono, q in ce.items():
+            term = abs(q) * abs(grid.hbar) ** mono.hbar
+            for sym, e in mono.symbols:
+                term *= abs(grid.kernel[sym.row - 1][sym.col - 1]) ** e
+            for (_, i), e in vm.items:
+                term *= abs(grid.field[i - 1]) ** e
+            total += term
+    return total
+
+
+NUMERIC_FIRST = {
+    "star": lambda grid, f, g, order: field_star(f, g, grid, order),
+    "poisson": lambda grid, f, g: field_poisson(f, g, grid),
+    "wick_power": lambda grid, index, power: field_wick_power(index, power, grid),
+    "expectation": lambda grid, powers: field_expectation(powers, grid),
+}
+
+
+def field_case(rng, op, d):
+    """Arguments of ``op`` in ``d`` variables.  Star and bracket densities
+    carry coefficients in ``K[K;i,j]`` of their own, stored as ``--sym K``
+    stores them (lower index first), and in two other families."""
+    if op in ("star", "poisson"):
+        f, g = rand_density(rng, d), rand_density(rng, d)
+        i, j = sorted((rng.randint(1, d), rng.randint(1, d)))
+        f = f + Poly.constant(CoeffElement.from_symbol(PropagatorSymbol("K", i, j)), d)
+        g = g * (CoeffElement.one() + CoeffElement.from_symbol(PropagatorSymbol("K", j, i)))
+        return (f, g, rng.choice([None, 0, 1, 2])) if op == "star" else (f, g)
+    if op == "wick_power":
+        return rng.randint(1, d), rng.randint(0, 6)
+    return (tuple(rng.randint(0, 3) for _ in range(d)),)
+
+
+class TestNumericFirst:
+    """The field ops run their engines on the grid's kernel numbers; the
+    engines over the symbol family, specialized afterwards, are the oracle."""
+
+    @pytest.mark.parametrize("op", NUMERIC_FIRST)
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_matches_symbolic_first(self, op, mode):
+        rng = random.Random(f"{op}-{mode}")
+        for _ in range(12):
+            d = rng.randint(1, 3)
+            grid = rand_grid(rng, d + rng.randint(0, 2), mode)
+            args = field_case(rng, op, d)
+            value = NUMERIC_FIRST[op](grid, *args)
+            p, expected = symbolic_first(op, grid, *args)
+            if mode == "rational":
+                assert type(value) is Fraction and value == expected
+            else:
+                assert isinstance(value, float)
+                assert abs(value - expected) <= 1e-12 * absolute_value(p, grid)
+
+    def test_cli_sym_densities_match_symbolic_first(self, tmp_path):
+        rng = random.Random(40)
+        for _ in range(6):
+            grid = rand_grid(rng, 3)
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps(grid.to_json()))
+            texts = ["x1*x2^2 + K[K;2,1]*x3", "K[K;1,3]*hbar*x2 + x3^2*x1"]
+            f, g = (parse(t, 3, {"K"}) for t in texts)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["field-star", "--grid", str(path), "--sym", "K", *texts]) == 0
+            assert Fraction(out.getvalue()) == symbolic_first("star", grid, f, g, None)[1]
+
+    @pytest.mark.parametrize("op", [field_star, field_poisson], ids=lambda op: op.__name__)
+    def test_more_variables_than_sample_points_refused(self, op):
+        # x1 at dimension 3 uses only the first kernel entry, and specialize
+        # would answer; the dimension decides.
+        grid = grid2([[1, 2], [3, 4]], [5, 6])
+        with pytest.raises(ValueError, match="^more variables than sample points$"):
+            op(x(1, 3), x(1, 3), grid)
 
 
 class TestFieldWickTheorem:

@@ -516,6 +516,65 @@ class TestPackedWidths:
             )
 
 
+def factor_in(rng, d, variables, block=0):
+    """A random factor of degree at most 3 in ``variables`` only, each of
+    them present."""
+    out = Poly.zero(d)
+    for i in variables:
+        piece = Poly.constant(rand_rational(rng), d) * x(i, d, block)
+        for _ in range(rng.randint(0, 2)):
+            piece = piece * x(rng.choice(variables), d, block)
+        out = out + piece
+    return out + Poly.constant(rand_rational(rng), d)
+
+
+class TestLiveCells:
+    """Factors that miss variables: the Moyal walk keeps only cells whose
+    variables both of its factors hold."""
+
+    SUPPORTS = ((1,), (2, 3), (1, 4))
+
+    def test_star_multi_matches_graph_oracle(self):
+        rng = random.Random(3300)
+        for K in oracle_matrices(rng, 4):
+            fs = [factor_in(rng, 4, v) for v in self.SUPPORTS]
+            for order in (None, 1):
+                assert star_multi(fs[:2], K, order) == star_via_graphs(fs[:2], K, order)
+                assert star_multi(fs, K, order) == star_via_graphs(fs, K, order)
+
+    def test_star_tensor_matches_oracle(self):
+        rng = random.Random(3400)
+        for K in oracle_matrices(rng, 4):
+            left = factor_in(rng, 4, (1,)) * factor_in(rng, 4, (4,), block=2)
+            right = factor_in(rng, 4, (2, 3), block=1)
+            assert star_tensor(left, right, K) == star_tensor_oracle(left, right, K)
+
+    def test_change_matches_oracle(self):
+        rng = random.Random(3500)
+        for old in oracle_matrices(rng, 4):
+            new = PropagatorMatrix.family("P", 4)
+            fs = [factor_in(rng, 4, v) for v in self.SUPPORTS]
+            for order in (None, 2):
+                assert change_propagator(fs, old, new, order) == change_propagator_oracle(
+                    fs, old, new, order)
+
+    def test_walk_derives_no_factor_in_a_variable_it_lacks(self, monkeypatch):
+        derivatives, asked = _Packing.derivatives, []
+
+        def recording(self, p, d):
+            at, den = derivatives(self, p, d)
+            held = {i - 1 for vm, _ in p.items() for (_, i), _ in vm.items}
+            return (lambda r: asked.append((r, held)) or at(r)), den
+
+        monkeypatch.setattr(_Packing, "derivatives", recording)
+        rng = random.Random(3600)
+        fs = [factor_in(rng, 4, v) for v in self.SUPPORTS]
+        star_multi(fs, PropagatorMatrix.family("K", 4))
+        change_propagator(fs, PropagatorMatrix.family("K", 4), PropagatorMatrix.family("P", 4))
+        assert asked
+        assert all(i in held for r, held in asked for i, n in enumerate(r) if n)
+
+
 class TestApplyBivector:
     def test_cancelling_entries_store_no_zero_terms(self):
         d, k = 2, K_sym(1, 2, "A")
