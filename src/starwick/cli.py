@@ -146,12 +146,8 @@ def _cmd_wick_invert(args) -> str:
 
 def _cmd_expect(engine, args) -> str:
     d = len(args.n)
-    spec = WickMonomialSpec(
-        args.n,
-        PropagatorMatrix.family(args.family, d, zero_diagonal=True),
-        PropagatorMatrix.family(args.family, d),
-    )
-    return engine(spec)
+    return engine(WickMonomialSpec(args.n, PropagatorMatrix.zero(d),
+                                   PropagatorMatrix.family(args.family, d)))
 
 
 def _cmd_enum_adj(args) -> str:
@@ -161,10 +157,9 @@ def _cmd_enum_adj(args) -> str:
         matrices = enumerate_adjacency_by_degree(args.dim, args.deg)
     else:
         matrices = enumerate_adjacency_by_rowsums(args.n)
-    rows = [m.tolist() for m in matrices]
-    if args.json:
-        return json.dumps(rows, separators=(",", ":"))
-    return "\n".join(json.dumps(r, separators=(",", ":")) for r in rows)
+    row = cache(lambda r: "[" + ",".join(map(str, r)) + "]")  # compact JSON, once per row
+    lines = ["[" + ",".join(map(row, m.rows)) + "]" for m in matrices]
+    return "[" + ",".join(lines) + "]" if args.json else "\n".join(lines)
 
 
 def _cmd_admissible(args) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -247,8 +248,9 @@ def _matrices(n: IntSequence, d: int) -> list[AdjacencyMatrix]:
     states of ``n``, in path order; the values of later vertices are dropped.
 
     More than ``_MAX_MATRICES`` paths (:func:`_count_over`) raise
-    ``ValueError``.  Then each state is folded to the upper rows of
-    all its completions, so a suffix shared by many prefixes is built once.
+    ``ValueError``.  Then each state is folded to the upper rows of all its
+    completions, tuples of row tuples, so a suffix shared by many prefixes
+    is built once; each path is flattened once, for one cell getter.
     """
     layers = _row_states(n)
     if not layers:
@@ -259,20 +261,21 @@ def _matrices(n: IntSequence, d: int) -> list[AdjacencyMatrix]:
     def suffixes(i, state, moves, below):
         out = []
         for row, rest in moves:
-            head = row[: d - 1 - i]
+            head = (row[: d - 1 - i],)
             out += [head + tail for tail in below[rest]]
         return out
 
-    # A path is its upper slots, row-major, then the end state's zero.  Cell
-    # (i, j) of the matrix reads slot (min, max) and the diagonal that zero;
-    # an extra trailing index keeps the getter's result a tuple when d is 1.
-    slot = {pair: s for s, pair in enumerate((i, j) for i in range(d) for j in range(i + 1, d))}
-    zero = len(slot)
-    cells = itemgetter(*[slot.get((min(i, j), max(i, j)), zero)
-                         for i in range(d) for j in range(d)], zero)
-    spans = [slice(i * d, i * d + d) for i in range(d)]
-    return [AdjacencyMatrix._raw(tuple([full[s] for s in spans]))
-            for full in map(cells, _fold(layers, [(0,)], suffixes))]
+    # A path is its upper slots, row-major, then the leaf's zero.  Row i's
+    # slots fill its cells right of the diagonal and column i below it, the
+    # diagonal reads the zero, and an extra index keeps a tuple at d = 1.
+    zero = d * (d - 1) // 2
+    index = [zero] * (d * d)
+    for i in range(d):
+        slots = range(i * (d - 1) - i * (i - 1) // 2, zero)[: d - 1 - i]
+        index[i * d + i + 1 : i * d + d] = index[i * d + i + d :: d] = slots
+    cells, spans = itemgetter(*index, zero), [slice(i * d, i * d + d) for i in range(d)]
+    paths = map(tuple, map(chain.from_iterable, _fold(layers, [((0,),)], suffixes)))
+    return [AdjacencyMatrix._raw(tuple([full[s] for s in spans])) for full in map(cells, paths)]
 
 
 def enumerate_adjacency_by_degree(

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     CoeffElement,
@@ -218,9 +218,15 @@ class _Packing:
     exponent, with no carry or borrow between fields.  Coefficients are
     integer numerators over one denominator, and :meth:`product` is the
     one multiply-and-collect loop on such terms.  :meth:`_decode` is the
-    one decoder of packed fields: :meth:`unpack` and :meth:`coeff_element`
-    build values from it, and :meth:`text` writes a coefficient sum as
-    canonical text with no value built.
+    one decoder of packed fields, read a chunk at a time: :meth:`unpack`
+    and :meth:`coeff_element` build values from it, and :meth:`text`
+    writes a coefficient sum as canonical text with no value built.
+
+    The order rule: keys of one degree and hbar sort lexicographically over
+    their symbol fields, first symbol first, each exponent ``e`` read as
+    ``(e - 1) & mask``, so positive ones ascend and zero comes last.  Such
+    keys have equal symbol totals, so a key with a zero where another has a
+    positive exponent still has a later nonzero field and sorts after it.
     """
 
     _CHUNK = 4  # fields that _decode reads, and memoizes, as one
@@ -309,70 +315,75 @@ class _Packing:
                 if terms is None:
                     terms = grouped[key >> bits] = []
                 terms.append((key & coeff_mask, num))
-        memo: dict = {}
-        return Poly._raw(dim, {
-            VarMonomial._raw(self._decode(vk, self.variables, memo)): self.coeff_element(terms, den)
-            for vk, terms in grouped.items()
-        })
+        return Poly._raw(dim, {VarMonomial._raw(sum(fields, ())): ce for fields, ce in zip(
+            self._decode(list(grouped), {}, self.variables), self._elements(grouped.values(), den))})
 
     def coeff_element(self, terms: Iterable[tuple[int, int]], den: int) -> CoeffElement:
         """The coefficient ``sum key * numerator / den`` over packed coefficient keys."""
-        monos, out = self._monomials, {}
-        for key, num in terms:
-            if num:
-                mono = monos.get(key)
-                if mono is None:
-                    symbols = self._decode(key >> self.width, self.symbols, self._chunks)
-                    mono = monos[key] = CoeffMonomial._raw(key & self.mask, symbols)
-                out[mono] = num // den if num % den == 0 else Fraction(num, den)
-        return CoeffElement._raw(out)
+        return self._elements([[(key, num) for key, num in terms if num]], den)[0]
+
+    def _elements(self, groups: Iterable[list[tuple[int, int]]], den: int) -> list[CoeffElement]:
+        """:meth:`coeff_element` of each group of nonzero terms, decoding new keys as one batch."""
+        monos, width = self._monomials, self.width
+        if new := list({key for terms in groups for key, _ in terms if key not in monos}):
+            decoded = self._decode([key >> width for key in new], self._chunks, self.symbols)
+            for key, fields in zip(new, decoded):
+                monos[key] = CoeffMonomial._raw(key & self.mask, sum(fields, ()))
+        return [CoeffElement._raw({monos[key]: num // den if num % den == 0 else Fraction(num, den)
+                                   for key, num in terms}) for terms in groups]
 
     def text(self, terms: Iterable[tuple[int, int]], den: int) -> str:
         """``str(self.coeff_element(terms, den))`` for ``den > 0``, written
         straight from the packed keys with no monomial, element or
-        ``Fraction`` built.  Symbol fields are in sorted symbol order, so
-        ``(degree, hbar, fields)`` sorts as :meth:`CoeffMonomial.sort_key`."""
-        rows, ranks, memo, mask = [], range(len(self.symbols)), {}, self.mask
-        for key, num in terms:
-            if num:
-                # The degree, the sum of the fields, is at most mask: it is
-                # key modulo mask, read as mask when that is 0 and key is not.
-                rows.append(((key - 1) % mask + 1 if key else 0, key & mask,
-                             self._decode(key >> self.width, ranks, memo), num))
-        names, parts, entries = [s.text() for s in self.symbols], {}, []
-        for _, hbar, fields, num in sorted(rows):
-            body = ["hbar" if hbar == 1 else f"hbar^{hbar}"] if hbar else []
-            for part in fields:
-                text = parts.get(part)
-                if text is None:
-                    f, e = part
-                    text = parts[part] = names[f] if e == 1 else f"{names[f]}^{e}"
-                body.append(text)
+        ``Fraction`` built.  Terms sort by degree, hbar and the order rule,
+        which is :meth:`CoeffMonomial.sort_key` because keys of one degree
+        and hbar have equal symbol totals.  :meth:`_decode` reads each
+        distinct chunk once, as its rank under the rule and its text."""
+        width, mask, size = self.width, self.mask, self._CHUNK
+        names = [(width * (size - 1 - f % size), name)  # hbar is field 0, then the symbols
+                 for f, name in enumerate(["hbar", *(s.text() for s in self.symbols)])]
+
+        def read(pairs: list) -> tuple[int, str]:
+            rank, body = (1 << width * size) - 1, ""  # every field zero, read as mask
+            for (shift, name), e in pairs:
+                rank -= mask + 1 - e << shift
+                body += f"*{name}" if e == 1 else f"*{name}^{e}"
+            return rank, body
+
+        terms = [(key, num) for key, num in terms if num]
+        keys = [key for key, _ in terms]
+        # The degree, the sum of the fields, is at most mask: it is key
+        # modulo mask, read as mask when that is 0 and key is not.
+        rows = sorted(zip([(key - 1) % mask + 1 if key else 0 for key in keys],
+                          [key & mask for key in keys],
+                          self._decode(keys, {}, names, read), terms))
+        entries = []
+        for *_, chunks, (_, num) in rows:
             g = math.gcd(num, den)
-            entries.append((num // g, den // g, "*".join(body)))
+            entries.append((num // g, den // g, "".join([text for _, text in chunks])[1:]))
         return _render_terms(entries)
 
-    def _decode(self, packed: int, names: Sequence, memo: dict) -> tuple:
-        """The nonzero fields of ``packed`` as ``(names[field], exponent)``
-        pairs from field 0 up.  ``memo`` holds the chunks of ``_CHUNK``
-        fields already decoded with these ``names``."""
-        width, mask, out, first = self.width, self.mask, (), 0
-        step = width * self._CHUNK
-        while packed:
-            key = first << step | packed & ((1 << step) - 1)
-            got = memo.get(key)
-            if got is None:
-                got, chunk, field = [], key & ((1 << step) - 1), first
+    def _decode(self, packed: list[int], memo: dict, names: Sequence, read=tuple) -> Iterator:
+        """Per key of ``packed``, ``read(pairs)`` of each chunk of ``_CHUNK``
+        fields up to the last one any key uses, ``pairs`` being the nonzero
+        fields as ``(names[field], exponent)``.  Keys are cut a chunk column
+        at a time, and ``memo`` keeps the chunks read with these arguments."""
+        width, mask, size = self.width, self.mask, self._CHUNK
+        step = width * size
+        low, top, columns = (1 << step) - 1, max(packed, default=0), []
+        while not columns or top >> step * len(columns):
+            shift, tag = step * len(columns), len(columns) << step
+            keys = [key >> shift & low | tag for key in packed]
+            for key in set(keys).difference(memo):
+                pairs, chunk, field = [], key & low, (key >> step) * size
                 while chunk:
                     if chunk & mask:
-                        got.append((names[field], chunk & mask))
+                        pairs.append((names[field], chunk & mask))
                     chunk >>= width
                     field += 1
-                got = memo[key] = tuple(got)
-            out += got
-            packed >>= step
-            first += self._CHUNK
-        return out
+                memo[key] = read(pairs)
+            columns.append(map(memo.__getitem__, keys))
+        return zip(*columns)
 
 
 def _moyal_weights(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None):

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from starwick import (
-    PropagatorMatrix, WickMonomialSpec, cli, expectation_formula, expectation_oracle,
+    PropagatorMatrix, WickMonomialSpec, cli, enumerate_adjacency_by_degree,
+    enumerate_adjacency_by_rowsums, expectation_formula, expectation_oracle,
 )
 from starwick.cli import build_parser, main
 from starwick.wick import _MAX_EXPECT_POWER
@@ -29,7 +30,9 @@ def run(capsys, *argv):
 
 
 def expect_spec(n):
-    """The Wick monomial that ``expect --n`` and ``expect-oracle --n`` build."""
+    """The Wick monomial of ``expect --n`` and ``expect-oracle --n``.  They
+    order by the zero matrix, and this spec by the zero-diagonal family,
+    which gives the same values (``test_zero_ordering_is_the_zero_diagonal_family``)."""
     return WickMonomialSpec(n, PropagatorMatrix.family("K", len(n), zero_diagonal=True),
                             PropagatorMatrix.family("K", len(n)))
 
@@ -152,6 +155,36 @@ class TestCombinatCommands:
         code, out, _ = run(capsys, "enum-adj", "--n", "1,1,1,1", "--json")
         assert code == 0
         assert len(json.loads(out)) == 3
+
+    @staticmethod
+    def json_lines(matrices, as_json):
+        """The oracle: ``enum-adj`` output as the per-matrix ``json.dumps``
+        it was written with before each distinct row was written once."""
+        rows = [m.tolist() for m in matrices]
+        if as_json:
+            return json.dumps(rows, separators=(",", ":"))
+        return "\n".join(json.dumps(r, separators=(",", ":")) for r in rows)
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+    @pytest.mark.parametrize("selector", [
+        ("--n", "2,2,2"), ("--n", "3,1"), ("--n", "2,1,2,1,2"), ("--n", "0,3,1,2"),
+        ("--dim", "1", "--deg", "0"), ("--dim", "3", "--deg", "4"), ("--dim", "4", "--deg", "6"),
+    ], ids=" ".join)
+    def test_enum_adj_writes_the_json_of_each_matrix(self, capsys, selector, as_json):
+        if selector[0] == "--n":
+            matrices = enumerate_adjacency_by_rowsums(tuple(map(int, selector[1].split(","))))
+        else:
+            matrices = enumerate_adjacency_by_degree(int(selector[1]), int(selector[3]))
+        flags = ["--json"] * as_json
+        assert run(capsys, "enum-adj", *selector, *flags) == (
+            0, self.json_lines(matrices, as_json) + "\n", "")
+
+    def test_enum_adj_edge_outputs(self, capsys):
+        assert run(capsys, "enum-adj", "--n", "3,1") == (0, "\n", "")
+        assert run(capsys, "enum-adj", "--n", "3,1", "--json") == (0, "[]\n", "")
+        assert run(capsys, "enum-adj", "--dim", "1", "--deg", "0") == (0, "[[0]]\n", "")
+        assert run(capsys, "enum-adj", "--n", "2,2,2", "--json") == (
+            0, "[[[0,1,1],[1,0,1],[1,1,0]]]\n", "")
 
     def test_enum_adj_needs_one_selector(self, capsys):
         code, _, err = run(capsys, "enum-adj", "--dim", "2")

@@ -622,22 +622,30 @@ class TestScalarRuleOnPackedTerms:
 
 @st.composite
 def packed_sums(draw):
-    """A packing over up to six symbols of one or two families, with row and
-    column indices up to 12, and ``(terms, den)`` on keys within its bound:
-    numerators of either sign, zeros (cancelled terms), and denominators
-    that leave some coefficients non-integral."""
+    """A packing over up to twelve symbols of one or two families, that is
+    up to three chunks of ``_Packing._CHUNK`` fields, with row and column
+    indices up to 12, and ``(terms, den)`` on keys within its bound:
+    numerators of either sign, zeros (cancelled terms), mixed hbar degrees,
+    keys with an all-zero chunk between nonzero ones, and denominators that
+    leave some coefficients non-integral."""
     families = draw(st.sampled_from([("K",), ("K", "P")]))
     symbols = draw(st.lists(st.builds(PropagatorSymbol, st.sampled_from(families),
                                       st.integers(1, 12), st.integers(1, 12)),
-                            max_size=6, unique=True))
+                            max_size=12, unique=True))
     k = draw(st.integers(1, 3))
     packing = _Packing([CoeffElement.from_symbol(s) for s in symbols], k)
     # Each of the k entries has degree 1, if any, and may carry one more hbar.
     factors = st.lists(st.integers(-1, len(symbols) - 1), max_size=k * (1 + bool(symbols)))
+    picks = draw(st.lists(factors, max_size=12))
+    if len(symbols) > 2 * _Packing._CHUNK:
+        # The first and last symbol in packing order sit in the first and
+        # the third or a later chunk, so every chunk between them is zero.
+        ends = [symbols.index(packing.symbols[0]), symbols.index(packing.symbols[-1])]
+        picks += [ends + [-1] * hbar for hbar in range(2 * k - 1)]
     terms = {}
-    for picks in draw(st.lists(factors, max_size=12)):
-        exps = Counter(symbols[i] for i in picks if i >= 0)
-        key = packing.coeff_key(CoeffMonomial.make(picks.count(-1), exps))
+    for picked in picks:
+        exps = Counter(symbols[i] for i in picked if i >= 0)
+        key = packing.coeff_key(CoeffMonomial.make(picked.count(-1), exps))
         terms[key] = draw(st.integers(-40, 40))
     return packing, list(terms.items()), draw(st.integers(1, 12))
 
@@ -654,6 +662,20 @@ class TestPackedText:
         packing = _Packing([CoeffElement.from_symbol(high), CoeffElement.from_symbol(low)], 1)
         keys = [packing.coeff_key(CoeffMonomial.make(0, {s: 1})) for s in (high, low)]
         assert packing.text(zip(keys, (3, -1)), 2) == "-1/2*K[K;1,2] + 3/2*K[K;1,10]"
+
+    @pytest.mark.parametrize("last", [2, 4], ids=["same-chunk", "next-chunk"])
+    def test_mixed_product_sorts_before_either_square(self, last):
+        """``s1*s2 < s1^2 < s2^2`` for ``s1 < s2``, whether ``s2`` is in the
+        chunk of ``s1`` or the next one; no integer order of the packed keys
+        gives it."""
+        symbols = [PropagatorSymbol("K", 1, j) for j in range(2, 2 + 8)]
+        s1, s2 = symbols[0], symbols[last]
+        packing = _Packing([CoeffElement.from_symbol(s) for s in symbols], 1)
+        keys = [packing.coeff_key(CoeffMonomial.make(0, exps))
+                for exps in ({s2: 2}, {s1: 2}, {s1: 1, s2: 1})]
+        text = packing.text(zip(keys, (1, 1, 1)), 1)
+        assert text == str(packing.coeff_element(zip(keys, (1, 1, 1)), 1))
+        assert text == f"{s1.text()}*{s2.text()} + {s1.text()}^2 + {s2.text()}^2"
 
     def test_empty_sum_is_zero(self):
         packing = _Packing([CoeffElement.from_symbol(PropagatorSymbol("K", 1, 2))], 2)

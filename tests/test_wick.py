@@ -27,6 +27,7 @@ from starwick import (
 )
 
 import starwick.wick
+from starwick.cli import main
 from starwick.wick import _MAX_EXPECT_POWER, _hermite_terms
 
 from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix, rand_rational
@@ -421,6 +422,31 @@ class TestExpectationOracle:
             spec = spec_for(n)
             scale = math.prod(math.factorial(v) for v in n)
             assert expectation_oracle(spec) == expectation_formula(spec) * scale, n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_ordering_is_the_zero_diagonal_family(self, seed):
+        """A Wick power reads only its ordering's diagonal, so the zero
+        matrix, which ``expect`` and ``expect-oracle`` build, gives what the
+        zero-diagonal family gives."""
+        rng = random.Random(2200 + seed)
+        for _ in range(4):
+            n = ()
+            while not (n and is_admissible(n)):
+                n = tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 4)))
+            n += (0,) * (seed % 2)
+            product = PropagatorMatrix.family("P", len(n), symmetric=seed % 2 == 0)
+            family = PropagatorMatrix.family("K", len(n), zero_diagonal=True)
+            assert expectation_oracle(WickMonomialSpec(n, PropagatorMatrix.zero(len(n)), product)) \
+                == expectation_oracle(WickMonomialSpec(n, family, product)), n
+
+    @pytest.mark.parametrize("n, text", [
+        ("1,1,2,2", "2*K[K;1,2]*K[K;3,4]^2 + 4*K[K;1,3]*K[K;2,4]*K[K;3,4]"
+                    " + 4*K[K;1,4]*K[K;2,3]*K[K;3,4]"),
+        ("2,2,2", "8*K[K;1,2]*K[K;1,3]*K[K;2,3]"),
+    ])
+    def test_oracle_command_text(self, capsys, n, text):
+        assert main(["expect-oracle", "--n", n]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
     def test_requires_zero_diagonal_ordering(self):
         d = 2
