@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Sequence
 
 from .algebra import Poly
@@ -28,7 +28,7 @@ from .exprparse import ParseError, parse, _IDENT_RE
 from .fields import KernelGrid, QuadratureRule, _decode_number, field_expectation, field_star
 from .fields import functional_star
 from .graphs import export_dot, graph_from_matrix, star_via_graphs, to_feynman
-from .star import PropagatorMatrix, poisson_bracket, star_multi, _Packing
+from .star import PropagatorMatrix, poisson_bracket, _Packing, _star_text
 from .wick import WickMonomialSpec, expectation_oracle, wick_power, wick_unpower, _expectation_terms
 
 
@@ -107,9 +107,15 @@ def _num_text(value) -> str:
     return str(value) if isinstance(value, Fraction) else repr(value)
 
 
+@lru_cache(maxsize=16)
+def _family_of(name: str, dim: int, symmetric: bool = False) -> PropagatorMatrix:
+    """``PropagatorMatrix.family``, built once per name, dimension and
+    symmetry and then reused: the matrix is immutable."""
+    return PropagatorMatrix.family(name, dim, symmetric=symmetric)
+
+
 def _family_matrix(args) -> PropagatorMatrix:
-    symmetric = args.family in args.sym
-    return PropagatorMatrix.family(args.family, args.dim, symmetric=symmetric)
+    return _family_of(args.family, args.dim, args.family in args.sym)
 
 
 def _parse_exprs(args, dim: int) -> list[Poly]:
@@ -122,8 +128,7 @@ def _load_grid(path: str) -> KernelGrid:
 
 
 def _cmd_star(engine, args) -> str:
-    factors = _parse_exprs(args, args.dim)
-    return str(engine(factors, _family_matrix(args), args.order))
+    return engine(_parse_exprs(args, args.dim), _family_matrix(args), args.order)
 
 
 def _cmd_poisson(args) -> str:
@@ -146,8 +151,7 @@ def _cmd_wick_invert(args) -> str:
 
 def _cmd_expect(engine, args) -> str:
     d = len(args.n)
-    return engine(WickMonomialSpec(args.n, PropagatorMatrix.zero(d),
-                                   PropagatorMatrix.family(args.family, d)))
+    return engine(WickMonomialSpec(args.n, PropagatorMatrix.zero(d), _family_of(args.family, d)))
 
 
 def _cmd_enum_adj(args) -> str:
@@ -242,13 +246,16 @@ _ARGS = {
 
 # One row per subcommand: name, help, handler, and its arguments, each a
 # key of _ARGS or a one-off (flag, options) pair.  A shared handler is given
-# its engine through a lambda that reads the module attribute at call time,
-# so a wrapper later installed on that attribute (a tracer) sees the call.
+# its engine, which returns the text to print.  star's engine is
+# star._star_text, which writes the last product straight from its packed
+# sum and calls star_multi only for the factors before it; the other
+# engines are lambdas that read the module attribute at call time, so a
+# wrapper later installed on that attribute (a tracer) sees the call.
 _COMMANDS = (
     ("star", "multi-factor star product",
-     partial(_cmd_star, lambda *a: star_multi(*a)), ("dim", "order", "family", "sym", "exprs")),
+     partial(_cmd_star, _star_text), ("dim", "order", "family", "sym", "exprs")),
     ("star-graphs", "star product assembled from graphs",
-     partial(_cmd_star, lambda *a: star_via_graphs(*a)),
+     partial(_cmd_star, lambda *a: str(star_via_graphs(*a))),
      ("dim", "order", "family", "sym", "exprs")),
     ("poisson", "Poisson bracket of two polynomials", _cmd_poisson,
      ("dim", "family", "sym", "exprs2")),

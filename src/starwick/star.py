@@ -33,9 +33,17 @@ That walk and :func:`starwick.wick.expectation_formula` share one packed
 format, :class:`_Packing`, whose one sizing rule is that the products of
 ``polys`` with ``k`` entries have no exponent above the sum of each
 poly's total degree or widest coefficient plus ``k`` times one more than
-the widest entry.  One decoder reads packed keys back, both into
-``Poly`` and ``CoeffElement`` values and, through :meth:`_Packing.text`,
-straight into canonical text.
+the widest entry.  One decoder reads packed keys back.  Values, the
+``Poly`` of a product and the ``CoeffElement`` of a sum, go through
+:meth:`_Packing.unpack` and :meth:`_Packing.coeff_element`; text goes
+through the one writer, :meth:`_Packing.text`, which writes a packed sum
+as canonical text with no value built, its terms grouped by variable
+monomial in :meth:`Poly.sorted_terms`'s order.  The ``star`` command
+prints :func:`_star_text`, which folds every factor but the last with
+:func:`star_multi` and writes the last product with that writer; the
+``expect`` command prints the one-group case, a coefficient sum.  A
+product of two factors is refused above ``_MAX_PRODUCT_TERMS`` packed
+terms.
 
 For polynomial inputs every series terminates, so ``order=None`` means
 "run to termination" and yields the exact product; an explicit order
@@ -218,15 +226,20 @@ class _Packing:
     exponent, with no carry or borrow between fields.  Coefficients are
     integer numerators over one denominator, and :meth:`product` is the
     one multiply-and-collect loop on such terms.  :meth:`_decode` is the
-    one decoder of packed fields, read a chunk at a time: :meth:`unpack`
-    and :meth:`coeff_element` build values from it, and :meth:`text`
-    writes a coefficient sum as canonical text with no value built.
+    one decoder of packed fields, read a chunk at a time.  :meth:`unpack`
+    and :meth:`coeff_element` build values from it, for callers that need
+    values; :meth:`text` is the one writer, which writes a packed sum as
+    canonical text with no value built.
 
-    The order rule: keys of one degree and hbar sort lexicographically over
-    their symbol fields, first symbol first, each exponent ``e`` read as
-    ``(e - 1) & mask``, so positive ones ascend and zero comes last.  Such
-    keys have equal symbol totals, so a key with a zero where another has a
-    positive exponent still has a later nonzero field and sorts after it.
+    The order rule for coefficients: keys of one degree and hbar sort
+    lexicographically over their symbol fields, first symbol first, each
+    exponent ``e`` read as ``(e - 1) & mask``, so positive ones ascend and
+    zero comes last.  Such keys have equal symbol totals, so a key with a
+    zero where another has a positive exponent still has a later nonzero
+    field and sorts after it.  Variable groups sort the other way, as
+    :meth:`Poly.sorted_terms` does: degree descending, then the variable
+    fields lexicographically, first variable first, each exponent read as
+    itself and the larger first.
     """
 
     _CHUNK = 4  # fields that _decode reads, and memoizes, as one
@@ -305,18 +318,28 @@ class _Packing:
         return at, den
 
     def unpack(self, total: dict[int, int], den: int, order: int | None, dim: int) -> Poly:
-        """The polynomial ``sum key * numerator / den``, cut above hbar^order."""
-        mask, bits = self.mask, self.coeff_bits
-        coeff_mask = (1 << bits) - 1
-        grouped: dict[int, list[tuple[int, int]]] = {}
-        for key, num in total.items():
-            if num and (order is None or key & mask <= order):
-                terms = grouped.get(key >> bits)
-                if terms is None:
-                    terms = grouped[key >> bits] = []
-                terms.append((key & coeff_mask, num))
+        """The polynomial ``sum key * numerator / den``, cut above hbar^order,
+        as a value; :meth:`text` writes the same sum's text without it."""
+        grouped = self._grouped(total.items(), order)
         return Poly._raw(dim, {VarMonomial._raw(sum(fields, ())): ce for fields, ce in zip(
             self._decode(list(grouped), {}, self.variables), self._elements(grouped.values(), den))})
+
+    def _grouped(self, terms: Iterable[tuple[int, int]], order: int | None) -> dict[int, list]:
+        """The nonzero terms at or below hbar^order as ``(coefficient key,
+        numerator)`` lists, keyed by their variable field."""
+        mask, bits = self.mask, self.coeff_bits
+        if not self.variables:  # every key is a coefficient key
+            rows = [(key, num) for key, num in terms
+                    if num and (order is None or key & mask <= order)]
+            return {0: rows} if rows else {}
+        low, grouped = (1 << bits) - 1, {}
+        for key, num in terms:
+            if num and (order is None or key & mask <= order):
+                rows = grouped.get(key >> bits)
+                if rows is None:
+                    rows = grouped[key >> bits] = []
+                rows.append((key & low, num))
+        return grouped
 
     def coeff_element(self, terms: Iterable[tuple[int, int]], den: int) -> CoeffElement:
         """The coefficient ``sum key * numerator / den`` over packed coefficient keys."""
@@ -332,35 +355,79 @@ class _Packing:
         return [CoeffElement._raw({monos[key]: num // den if num % den == 0 else Fraction(num, den)
                                    for key, num in terms}) for terms in groups]
 
-    def text(self, terms: Iterable[tuple[int, int]], den: int) -> str:
-        """``str(self.coeff_element(terms, den))`` for ``den > 0``, written
-        straight from the packed keys with no monomial, element or
-        ``Fraction`` built.  Terms sort by degree, hbar and the order rule,
+    def text(self, terms: Iterable[tuple[int, int]], den: int, order: int | None = None) -> str:
+        """``str(self.unpack(dict(terms), den, order, dim))`` for ``den > 0``,
+        written straight from the packed keys with no monomial, element,
+        ``Poly`` or ``Fraction`` built; on coefficient keys alone that is
+        ``str(self.coeff_element(terms, den))``.
+
+        Terms group by their variable field, and the groups sort as
+        :meth:`Poly.sorted_terms` does: degree descending, then the variable
+        fields lexicographically, first variable first, larger exponent
+        first.  Coefficient keys sort by degree, hbar and the order rule,
         which is :meth:`CoeffMonomial.sort_key` because keys of one degree
         and hbar have equal symbol totals.  :meth:`_decode` reads each
-        distinct chunk once, as its rank under the rule and its text."""
+        distinct chunk once, as its rank and its text.  With one group the
+        sort of its rows is the whole order; with more, each distinct
+        coefficient key is ranked once and each group sorts its rows on
+        that integer rank."""
         width, mask, size = self.width, self.mask, self._CHUNK
-        names = [(width * (size - 1 - f % size), name)  # hbar is field 0, then the symbols
-                 for f, name in enumerate(["hbar", *(s.text() for s in self.symbols)])]
+        groups = self._grouped(terms, order)
 
-        def read(pairs: list) -> tuple[int, str]:
-            rank, body = (1 << width * size) - 1, ""  # every field zero, read as mask
-            for (shift, name), e in pairs:
-                rank -= mask + 1 - e << shift
-                body += f"*{name}" if e == 1 else f"*{name}^{e}"
-            return rank, body
+        def ranked(keys: list[int], fields: Iterable[str], base: int, offset: int,
+                   payload: Iterable) -> list[tuple]:
+            """``(degree, field 0, chunk readings, payload)`` per key, sorted.
+            A chunk reads as its rank, ``base`` plus ``e - offset`` per field
+            ``e``, first field most significant, and its text over the field
+            names ``fields``.  The degree, the sum of the fields, is at most
+            mask: it is key modulo mask, read as mask when that is 0 and key
+            is not."""
+            names = [(width * (size - 1 - f % size), name) for f, name in enumerate(fields)]
 
-        terms = [(key, num) for key, num in terms if num]
-        keys = [key for key, _ in terms]
-        # The degree, the sum of the fields, is at most mask: it is key
-        # modulo mask, read as mask when that is 0 and key is not.
-        rows = sorted(zip([(key - 1) % mask + 1 if key else 0 for key in keys],
-                          [key & mask for key in keys],
-                          self._decode(keys, {}, names, read), terms))
+            def read(pairs: list) -> tuple[int, str]:
+                rank, body = base, ""
+                for (shift, name), e in pairs:
+                    rank += e - offset << shift
+                    body += f"*{name}" if e == 1 else f"*{name}^{e}"
+                return rank, body
+
+            return sorted(zip([(key - 1) % mask + 1 if key else 0 for key in keys],
+                              [key & mask for key in keys],
+                              self._decode(keys, {}, names, read), payload))
+
+        def ranked_coefficients(keys: list[int], payload: Iterable) -> list[tuple]:
+            """A field ``e`` ranks as ``(e - 1) & mask``: every field zero
+            reads as mask, and a nonzero field takes ``mask + 1 - e`` off it."""
+            return ranked(keys, ["hbar", *(s.text() for s in self.symbols)],
+                          (1 << width * size) - 1, mask + 1, payload)
+
+        def ranked_groups(keys: list[int]) -> list[tuple]:
+            """A field ranks as its exponent, so that read from the end the
+            groups sort descending."""
+            return ranked(keys, (f"x{i}" if b == 0 else f"x{i}@{b}" for b, i in self.variables),
+                          0, 0, keys)
+
         entries = []
-        for *_, chunks, (_, num) in rows:
-            g = math.gcd(num, den)
-            entries.append((num // g, den // g, "".join([text for _, text in chunks])[1:]))
+        if len(groups) == 1:  # the sort of the rows is the whole order
+            [(group, rows)] = groups.items()
+            vtext = ""
+            if group:
+                [(*_, chunks, _)] = ranked_groups([group])
+                vtext = "".join([text for _, text in chunks])
+            for *_, chunks, (_, num) in ranked_coefficients([key for key, _ in rows], rows):
+                g = math.gcd(num, den)
+                entries.append((num // g, den // g,
+                                ("".join([text for _, text in chunks]) + vtext)[1:]))
+            return _render_terms(entries)
+        keys = list({key for rows in groups.values() for key, _ in rows})
+        order_of = ranked_coefficients(keys, keys)
+        rank = {key: n for n, (*_, key) in enumerate(order_of)}
+        texts = ["".join([text for _, text in chunks]) for *_, chunks, _ in order_of]
+        for *_, chunks, group in reversed(ranked_groups(list(groups))):
+            vtext = "".join([text for _, text in chunks])
+            for n, num in sorted([(rank[key], num) for key, num in groups[group]]):
+                g = math.gcd(num, den)
+                entries.append((num // g, den // g, (texts[n] + vtext)[1:]))
         return _render_terms(entries)
 
     def _decode(self, packed: list[int], memo: dict, names: Sequence, read=tuple) -> Iterator:
@@ -443,28 +510,52 @@ def _moyal_weights(factors: Sequence[Poly], K: PropagatorMatrix, order: int | No
     return packing, derived, weights, top * scale**kmax
 
 
-def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) -> Poly:
-    """The closed-form product of two block groups.
+# The most terms the packed product of two factors may hold, summed over
+# its partial sums on the left factor's derivatives or in its total,
+# checked once per partial sum.  ``star --dim 3`` on ``(x1+x2+x3)^10``
+# twice holds 352,716 and then 856,596 terms and answers; on ``^12`` the
+# partial sums reach 1,352,078 and the total would reach 3.47 million.
+_MAX_PRODUCT_TERMS = 10**6
+
+
+def _moyal_total(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None):
+    """The closed-form product of two block groups as packed terms: the
+    packing, the ``key -> numerator`` total and the denominator.
 
     Sums ``hbar^|M| prod_ij K_ij^M_ij / M_ij! * D^r left * D^c right`` over
     the non-negative integer matrices ``M`` on the nonzero cells of ``K``,
     where ``r`` and ``c`` are the row and column sums of ``M`` and ``D_i``
     is the derivative in ``x_i`` summed over one side's blocks.  Monomials
     are packed integers (:class:`_Packing`) and coefficients are integer
-    numerators over one common denominator; one ``Fraction`` is built per
-    output term.
+    numerators over one common denominator.  More than
+    ``_MAX_PRODUCT_TERMS`` terms in the partial sums or the total raise
+    ``ValueError``.
     """
     packing, [(left_at, left_den), (right_at, right_den)], weights, weight_den = (
         _moyal_weights((left, right), K, order))
 
+    def check(size: int) -> None:
+        if size > _MAX_PRODUCT_TERMS:
+            raise ValueError(f"star product exceeds the budget of {_MAX_PRODUCT_TERMS} terms")
+
     # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
     absorbed: dict[tuple[int, ...], dict[int, int]] = {}
+    size = 0
     for (rs, cs), w in weights.items():
-        packing.product(w.items(), left_at(rs), absorbed.setdefault(cs, {}))
+        acc = absorbed.setdefault(cs, {})
+        before = len(acc)
+        check(size := size + len(packing.product(w.items(), left_at(rs), acc)) - before)
     total: dict[int, int] = {}
     for cs, acc in absorbed.items():
-        packing.product(acc.items(), right_at(cs), total)
-    return packing.unpack(total, left_den * right_den * weight_den, order, left.dim)
+        check(len(packing.product(acc.items(), right_at(cs), total)))
+    return packing, total, left_den * right_den * weight_den
+
+
+def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) -> Poly:
+    """:func:`_moyal_total` as a polynomial; one ``Fraction`` is built per
+    output term that is not integral."""
+    packing, total, den = _moyal_total(left, right, K, order)
+    return packing.unpack(total, den, order, left.dim)
 
 
 def star_tensor(
@@ -501,6 +592,17 @@ def star_multi(
     for f in factors[1:]:
         result = _moyal_sum(result, f, K, order)
     return result
+
+
+def _star_text(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None) -> str:
+    """``str(star_multi(factors, K, order))``: every factor but the last is
+    folded by :func:`star_multi`, and the last product is written straight
+    from its packed sum by :meth:`_Packing.text`."""
+    *head, last = _check_factors(factors, K, order)
+    if not head:
+        return str(star_multi(factors, K, order))
+    packing, total, den = _moyal_total(star_multi(head, K, order), last, K, order)
+    return packing.text(total.items(), den, order)
 
 
 def poisson_bracket(f: Poly, g: Poly, K: PropagatorMatrix) -> Poly:

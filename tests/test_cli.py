@@ -16,10 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from starwick import (
-    PropagatorMatrix, WickMonomialSpec, cli, enumerate_adjacency_by_degree,
+    Poly, PropagatorMatrix, WickMonomialSpec, cli, enumerate_adjacency_by_degree,
     enumerate_adjacency_by_rowsums, expectation_formula, expectation_oracle,
 )
 from starwick.cli import build_parser, main
+from starwick.star import _Packing
 from starwick.wick import _MAX_EXPECT_POWER
 
 
@@ -49,6 +50,48 @@ class TestStarCommands:
         code2, out2, _ = run(capsys, "star-graphs", *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("exprs", [
+        ["x1", "x2"],
+        ["(x1 + x2)^2", "x1*x2 - 1/2"],
+        ["x1^2 - 3*x2", "2/3*x1*x2 + x3", "x2 + hbar*x3"],
+        ["x1*x3^2 + x4*x5", "x5^2 - x1 + 7/5"],
+    ], ids=["linear", "square", "three-factors", "five-variables"])
+    @pytest.mark.parametrize("options", [[], ["--sym", "K"], ["--order", "1"],
+                                         ["--sym", "K", "--order", "1"]],
+                             ids=["plain", "sym", "order1", "sym-order1"])
+    def test_star_and_star_graphs_print_the_same_text(self, capsys, exprs, options):
+        dim = "5" if "x5" in " ".join(exprs) else "3"
+        code1, out1, _ = run(capsys, "star", "--dim", dim, *options, *exprs)
+        code2, out2, _ = run(capsys, "star-graphs", "--dim", dim, *options, *exprs)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    @pytest.mark.parametrize("exprs, unpacked", [
+        (["(x1 - 2*x2)^3", "(3*x1 + x2)^2"], 0),
+        (["(x1 - 2*x2)^3", "(3*x1 + x2)^2", "(x1 + x2)^2"], 1),
+    ], ids=["two-factors", "three-factors"])
+    def test_star_writes_the_last_product_without_decoding(
+            self, monkeypatch, capsys, exprs, unpacked):
+        """No ``Poly.__str__`` and no ``_Packing.coeff_element`` on the final
+        product; only the factors before the last are unpacked to a ``Poly``."""
+        calls = []
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((Poly, "__str__"), (_Packing, "coeff_element"), (_Packing, "unpack")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        argv = ["--dim", "2", "--sym", "K", *exprs]
+        assert main(["star", *argv]) == 0
+        out = capsys.readouterr().out
+        assert calls == ["unpack"] * unpacked
+        monkeypatch.undo()
+        assert main(["star-graphs", *argv]) == 0
+        assert capsys.readouterr().out == out
 
     def test_poisson(self, capsys):
         code, out, _ = run(capsys, "poisson", "--dim", "2", "x1", "x2")
@@ -694,11 +737,14 @@ def _run_cli(argv, timeout=10):
      (["enum-adj", "--n", ",".join(["3"] * 10)],
       "error: 103050570 matrices exceed the enumeration budget of 200000\n"),
      (["expect", "--n", ",".join(["3"] * 10)],
-      "error: 103050570 terms exceed the matrix budget of 200000\n")],
-    ids=["enum-adj-deg", "expect-6x12", "enum-adj-3x10", "expect-3x10"],
+      "error: 103050570 terms exceed the matrix budget of 200000\n"),
+     (["star", "--dim", "3", "(x1+x2+x3)^12", "(x1+x2+x3)^12"],
+      "error: star product exceeds the budget of 1000000 terms\n")],
+    ids=["enum-adj-deg", "expect-6x12", "enum-adj-3x10", "expect-3x10", "star-dense-12"],
 )
 def test_runaway_tables_refused_by_the_budgets(argv, message):
-    # Without the budgets each runs for minutes or grows past 5 GB.
+    # Without the budgets each runs for minutes or grows past 5 GB; the
+    # dense star product's total would reach 3.47 million terms.
     proc = _run_cli(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 

@@ -37,7 +37,8 @@ from helpers import (
     rand_rational,
     star_tensor_oracle,
 )
-from starwick.star import _Packing
+import starwick.star
+from starwick.star import _Packing, _moyal_total, _star_text
 from test_algebra import assert_scalar_rule, stored_values
 
 
@@ -681,3 +682,93 @@ class TestPackedText:
         packing = _Packing([CoeffElement.from_symbol(PropagatorSymbol("K", 1, 2))], 2)
         assert packing.text([], 1) == "0"
         assert packing.text([(0, 0), (packing.coeff_key(CoeffMonomial(hbar=1)), 0)], 3) == "0"
+
+
+def star_text_case(rng):
+    """1-3 factors from ``rand_poly`` at ``d`` from 1 to 5 (five variables
+    cross a ``_Packing._CHUNK`` boundary), a rational, hbar-carrying or
+    symbol matrix, and ``order`` ``None`` or 0-3."""
+    d = rng.randint(1, 5)
+    factors = [rand_poly(rng, d, max_degree=rng.randint(0, 3), terms=rng.randint(1, 3))
+               for _ in range(rng.randint(1, 3))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        K = rand_matrix(rng, d, symmetric=rng.random() < 0.5)
+    elif kind == 1:
+        K = PropagatorMatrix.from_entries(
+            [[rand_entry(rng, i, j) for j in range(1, d + 1)] for i in range(1, d + 1)])
+    else:
+        K = PropagatorMatrix.family("K", d, symmetric=rng.random() < 0.5)
+    return factors, K, rng.choice([None, 0, 1, 2, 3])
+
+
+class TestStarText:
+    """``_star_text`` writes the last product of the fold straight from its
+    packed sum; ``str(star_multi(...))`` is its oracle."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_matches_the_rendered_product(self, seed):
+        factors, K, order = star_text_case(random.Random(2300 + seed))
+        assert _star_text(factors, K, order) == str(star_multi(factors, K, order))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_block_groups_match_the_unpacked_sum(self, seed):
+        rng = random.Random(2400 + seed)
+        factors, K, order = star_text_case(rng)
+        left, right = factors[0], rand_poly(rng, K.dim, block=rng.randint(1, 3))
+        packing, total, den = _moyal_total(left, right, K, order)
+        assert packing.text(total.items(), den, order) == str(
+            packing.unpack(total, den, order, K.dim))
+
+    @pytest.mark.parametrize("factors, expected", [
+        ([Poly.zero(2), x(1, 2) + x(2, 2)], "0"),
+        ([x(1, 2) - x(1, 2), x(2, 2)], "0"),
+        ([Poly.constant(Fraction(3, 2), 2), Poly.constant(Fraction(-2, 9), 2)], "-1/3"),
+        ([Poly.constant(Fraction(3, 2), 2)], "3/2"),
+        ([x(1, 2) * Fraction(1, 2), x(2, 2) * 4], "2*x1*x2 + 2*hbar*K[K;1,2]"),
+    ], ids=["zero-factor", "cancelled-factor", "constants", "one-factor", "rational"])
+    def test_edge_products(self, factors, expected):
+        K = PropagatorMatrix.family("K", 2)
+        assert _star_text(factors, K) == str(star_multi(factors, K))
+        assert _star_text(factors, K) == expected
+
+    def test_variables_sort_across_a_chunk_boundary(self):
+        """Groups whose first difference is in the second chunk of
+        variable fields, x5 against x6, still sort by the variable order."""
+        d = 6
+        f, g = x(4, d) + x(5, d) * x(6, d), x(5, d) * x(6, d) + x(6, d) ** 2 + x(1, d) ** 2
+        K = PropagatorMatrix.family("K", d)
+        assert _star_text([f, g], K, 1) == str(star_multi([f, g], K, 1))
+
+    def test_the_term_budget_refuses(self, monkeypatch):
+        f = (x(1, 2) + x(2, 2)) ** 4
+        K = PropagatorMatrix.family("K", 2)
+        packing, total, den = _moyal_total(f, f, K, None)
+        monkeypatch.setattr(starwick.star, "_MAX_PRODUCT_TERMS", len(total) - 1)
+        with pytest.raises(ValueError, match=f"exceeds the budget of {len(total) - 1} terms"):
+            star_multi([f, f], K)
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            _star_text([f, f], K)
+
+    def test_the_budget_is_checked_per_absorbed_block(self, monkeypatch):
+        """A product past the budget is refused after the first block that
+        passes it, before the rest of the walk's products are taken."""
+        f = (x(1, 2) + x(2, 2)) ** 4
+        calls, walked = [], []
+        product, moyal_weights = _Packing.product, starwick.star._moyal_weights
+
+        def counted(*args):
+            calls.append(1)
+            return product(*args)
+
+        def weights(*args):
+            out = moyal_weights(*args)
+            walked.append(len(calls))  # the walk's own products
+            return out
+
+        monkeypatch.setattr(starwick.star, "_MAX_PRODUCT_TERMS", 0)
+        monkeypatch.setattr(starwick.star, "_moyal_weights", weights)
+        monkeypatch.setattr(_Packing, "product", staticmethod(counted))
+        with pytest.raises(ValueError, match="exceeds the budget of 0 terms"):
+            _moyal_total(f, f, PropagatorMatrix.family("K", 2), None)
+        assert len(calls) == walked[0] + 1
