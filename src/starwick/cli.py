@@ -137,11 +137,11 @@ def _cmd_poisson(args) -> str:
 
 
 def _cmd_wick_power(args) -> str:
-    return str(wick_power(args.index, args.power, _family_matrix(args), args.dim))
+    return str(wick_power(args.index, args.power, _family_of(args.family, args.dim), args.dim))
 
 
 def _cmd_wick_invert(args) -> str:
-    terms = wick_unpower(args.index, args.power, _family_matrix(args), args.dim)
+    terms = wick_unpower(args.index, args.power, _family_of(args.family, args.dim), args.dim)
     if args.json:
         return json.dumps(
             [{"degree": deg, "coeff": str(coeff)} for coeff, deg in terms]
@@ -158,7 +158,9 @@ def _cmd_enum_adj(args) -> str:
     if (args.deg is None) == (args.n is None):
         raise _UsageError("enum-adj needs exactly one of --deg or --n")
     if args.deg is not None:
-        matrices = enumerate_adjacency_by_degree(args.dim, args.deg)
+        matrices = enumerate_adjacency_by_degree(2 if args.dim is None else args.dim, args.deg)
+    elif args.dim is not None:
+        raise _UsageError("enum-adj --dim applies only with --deg")
     else:
         matrices = enumerate_adjacency_by_rowsums(args.n)
     row = cache(lambda r: "[" + ",".join(map(str, r)) + "]")  # compact JSON, once per row
@@ -187,6 +189,8 @@ def _cmd_ssyt(args) -> str:
 
 
 def _cmd_feynman(args) -> str | None:
+    if args.dot is not None and args.json:
+        raise _UsageError("feynman takes --dot or --json, not both")
     try:
         rows = json.loads(args.matrix)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -204,7 +208,7 @@ def _cmd_feynman(args) -> str | None:
 
 def _cmd_field_star(args) -> str:
     grid = _load_grid(args.grid)
-    f, g = _parse_exprs(args, grid.size)
+    f, g = (parse(text, grid.size) for text in args.exprs)
     return _num_text(field_star(f, g, grid, args.order))
 
 
@@ -215,7 +219,7 @@ def _cmd_field_expect(args) -> str:
 
 def _cmd_functional_star(args) -> str:
     grid = _load_grid(args.grid)
-    f, g = _parse_exprs(args, args.dim)
+    f, g = (parse(text, args.dim) for text in args.exprs)
     if args.nodes is not None:
         weights = args.weights or (Fraction(1),) * len(args.nodes)
         if len(weights) != len(args.nodes):
@@ -248,9 +252,12 @@ _ARGS = {
 # key of _ARGS or a one-off (flag, options) pair.  A shared handler is given
 # its engine, which returns the text to print.  star's engine is
 # star._star_text, which writes the last product straight from its packed
-# sum and calls star_multi only for the factors before it; the other
-# engines are lambdas that read the module attribute at call time, so a
-# wrapper later installed on that attribute (a tracer) sees the call.
+# sum and calls star_multi only for the factors before it.  star-graphs'
+# engine is a lambda so that it reads star_via_graphs at call time:
+# bench/layertrace.py traces graphs.star_via_graphs as a layer by rebinding
+# that name, which a partial holding the function would not see.  The
+# expect and expect-oracle lambdas only compose calls; _expectation_terms,
+# _Packing.text and expectation_oracle are not traced layers.
 _COMMANDS = (
     ("star", "multi-factor star product",
      partial(_cmd_star, _star_text), ("dim", "order", "family", "sym", "exprs")),
@@ -260,15 +267,15 @@ _COMMANDS = (
     ("poisson", "Poisson bracket of two polynomials", _cmd_poisson,
      ("dim", "family", "sym", "exprs2")),
     ("wick-power", "Wick power of one coordinate", _cmd_wick_power,
-     ("dim", "family", "sym", "index", "power")),
+     ("dim", "family", "index", "power")),
     ("wick-invert", "expand a plain power in Wick powers", _cmd_wick_invert,
-     ("dim", "family", "sym", "index", "power", "json")),
+     ("dim", "family", "index", "power", "json")),
     ("expect", "combinatorial Wick-monomial expectation",
      partial(_cmd_expect, lambda spec: _Packing.text(*_expectation_terms(spec))), ("n", "family")),
     ("expect-oracle", "brute-force Wick-monomial expectation",
      partial(_cmd_expect, lambda spec: str(expectation_oracle(spec))), ("n", "family")),
     ("enum-adj", "enumerate adjacency matrices", _cmd_enum_adj, (
-        ("--dim", dict(type=_int, default=2, help="matrix size")),
+        ("--dim", dict(type=_int, help="matrix size with --deg (default 2)")),
         ("--deg", dict(type=_int, help="total degree")),
         ("--n", dict(type=_parse_n, help="prescribed row sums")),
         "json",
@@ -282,10 +289,10 @@ _COMMANDS = (
         "json",
     )),
     ("field-star", "star product of densities on a grid", _cmd_field_star,
-     ("grid", "order", "sym", "exprs2")),
+     ("grid", "order", "exprs2")),
     ("field-expect", "field expectation on a grid", _cmd_field_expect, ("grid", "n")),
     ("functional-star", "quadrature star product of functionals", _cmd_functional_star, (
-        "grid", "dim", "order", "sym",
+        "grid", "dim", "order",
         ("--nodes", dict(type=_nodes, help="semicolon-separated label tuples")),
         ("--weights", dict(type=_weights, help="comma-separated rationals, one per node")),
         "exprs2",

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import Poly, PropagatorSymbol
 from .star import PropagatorMatrix, poisson_bracket, star2, star_tensor, _common_denominator
@@ -180,29 +180,20 @@ def _over_common_denominator(values: Sequence[Num], mode: str) -> tuple[list, in
     return _common_denominator(values)
 
 
-def specialize(
-    p: Poly,
-    grid: KernelGrid,
-    family_bindings: Mapping[str, Sequence[Sequence[Num]]] | None = None,
-) -> Num:
+def specialize(p: Poly, grid: KernelGrid) -> Num:
     """Substitute kernel values, field samples and hbar into a result.
 
-    Symbols ``K[f;i,j]`` take the value ``binding[f][i][j]``; with no
-    explicit bindings every family is read from the grid kernel.
-    Variables take the field sample of their index, in every block.
+    A symbol reads as written: ``K[F;i,j]`` takes ``grid.kernel[i-1][j-1]``
+    for every family ``F``, so ``K[K;2,1]`` is the second row's first
+    entry even when the kernel is not symmetric.  Variables take the field
+    sample of their index, in every block.
     """
     d = grid.size
 
     def sym_value(sym: PropagatorSymbol):
-        if family_bindings is None:
-            matrix = grid.kernel
-        elif sym.family in family_bindings:
-            matrix = family_bindings[sym.family]
-        else:
-            raise ValueError(f"unbound propagator family {sym.family!r}")
-        if sym.row > len(matrix) or sym.col > len(matrix[sym.row - 1]):
-            raise ValueError(f"symbol {sym.text()} exceeds the bound kernel")
-        return matrix[sym.row - 1][sym.col - 1]
+        if sym.row > d or sym.col > d:
+            raise ValueError(f"symbol {sym.text()} exceeds the {d}-point grid")
+        return grid.kernel[sym.row - 1][sym.col - 1]
 
     def var_value(block: int, index: int):
         if index > d:

@@ -226,6 +226,7 @@ class TestCombinatCommands:
         assert run(capsys, "enum-adj", "--n", "3,1") == (0, "\n", "")
         assert run(capsys, "enum-adj", "--n", "3,1", "--json") == (0, "[]\n", "")
         assert run(capsys, "enum-adj", "--dim", "1", "--deg", "0") == (0, "[[0]]\n", "")
+        assert run(capsys, "enum-adj", "--deg", "2") == (0, "[[0,1],[1,0]]\n", "")  # size 2
         assert run(capsys, "enum-adj", "--n", "2,2,2", "--json") == (
             0, "[[[0,1,1],[1,0,1],[1,1,0]]]\n", "")
 
@@ -315,9 +316,31 @@ class TestFieldCommands:
         assert out == "3\n"
 
     def test_field_star_sym(self, capsys, grid_file):
-        code, out, _ = run(capsys, "field-star", "--grid", grid_file, "--sym", "K", "x1", "x2")
-        assert code == 0
-        assert out == "3\n"
+        # A symbol on a grid reads the kernel entry as written, so field-star
+        # takes no --sym.
+        code, out, err = run(capsys, "field-star", "--grid", grid_file, "--sym", "K", "x1", "x2")
+        assert (code, out, err) == (1, "", "error: unrecognized arguments: --sym\n")
+
+    @pytest.mark.parametrize("grid, argv, expected", [
+        ({"points": ["a", "b"], "kernel": [["0", "1"], ["5", "0"]], "field": ["1", "1"],
+          "hbar": "1"}, ["field-star", "K[K;2,1]*x1", "1"], "5"),
+        ({"points": ["a", "b", "c"], "kernel": [["1", "2", "3"], ["2", "5", "7"],
+                                                ["3", "7", "11"]],
+          "field": ["1", "2", "-3"], "hbar": "1", "symmetric": True},
+         ["functional-star", "--dim", "2", "K[K;2,1]*x1", "x2"], "1681"),
+        ({"points": [f"p{i}" for i in range(10)],
+          "kernel": [[f"{(i * j) % 7 - 3}/{i % 4 + 1}" for j in range(10)] for i in range(10)],
+          "field": [f"{i % 5 - 2}/3" for i in range(10)], "hbar": "1/2"},
+         ["field-star", "K[K;2,1]*x1", "1"], "1"),
+    ], ids=["asymmetric", "cross-sampled", "ci-grid"])
+    def test_grid_symbols_read_as_written(self, capsys, tmp_path, grid, argv, expected):
+        # K[K;2,1] is kernel[2][1]: 5 on the asymmetric kernel, not the 1
+        # above the diagonal; under cross-sampling K(s_2, t_1) even on a
+        # symmetric kernel; and (-3/2) * (-2/3) on the CI smoke grid.
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        command, *rest = argv
+        assert run(capsys, command, "--grid", str(path), *rest) == (0, expected + "\n", "")
 
     def test_field_expect(self, capsys, grid_file):
         code, out, _ = run(capsys, "field-expect", "--grid", grid_file, "--n", "1,1")
@@ -548,8 +571,14 @@ class TestExitCodes:
             (["poisson", "--dim", "1", "--order", "1", "x1", "x1"], "--order"),
             (["poisson", "--dim", "1", "x1", "x1", "--order=1"], "--order"),
             (["expect", "--n", "1,1", "extra"], "extra"),
+            (["wick-power", "--dim", "3", "2", "4", "--sym", "K"], "--sym"),
+            (["wick-invert", "--dim", "3", "2", "4", "--sym", "K"], "--sym"),
+            (["field-star", "--grid", "unused.json", "--sym", "K", "x1", "x1"], "--sym"),
+            (["functional-star", "--grid", "unused.json", "--dim", "1", "--sym", "K", "x1", "x1"],
+             "--sym"),
         ],
-        ids=["option-then-value", "option-equals-value", "positional"],
+        ids=["option-then-value", "option-equals-value", "positional", "wick-power-sym",
+             "wick-invert-sym", "field-star-sym", "functional-star-sym"],
     )
     def test_unrecognized_argument_is_named(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
@@ -558,13 +587,27 @@ class TestExitCodes:
         assert err == f"error: unrecognized arguments: {named}\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enum-adj", "--n", "2,2,2", "--dim", "0"], "enum-adj --dim applies only with --deg"),
+            (["feynman", "[[0,2],[2,0]]", "--dot", "out.dot", "--json"],
+             "feynman takes --dot or --json, not both"),
+        ],
+        ids=["enum-adj-dim-with-n", "feynman-dot-with-json"],
+    )
+    def test_options_that_do_not_combine(self, capsys, tmp_path, monkeypatch, argv, message):
+        # Neither option is ignored: the pair is refused and nothing is written.
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["star", "--dim", "2", "--family", "a;b", "x1", "x2"],
             ["star", "--dim", "2", "--family", "", "x1", "x2"],
             ["star-graphs", "--dim", "2", "--sym", "K]", "x1", "x2"],
             ["poisson", "--dim", "2", "--sym", "1K", "x1", "x2"],
-            ["field-star", "--grid", "unused.json", "--sym", "K K", "x1", "x1"],
             ["expect", "--n", "2,2", "--family", "K["],
             ["expect-oracle", "--n", "1,1", "--family", "K-1"],
         ],
@@ -583,8 +626,8 @@ SURFACE = {
     "star": (["--dim", "--family", "--order", "--sym"], ["exprs"]),
     "star-graphs": (["--dim", "--family", "--order", "--sym"], ["exprs"]),
     "poisson": (["--dim", "--family", "--sym"], ["exprs"]),
-    "wick-power": (["--dim", "--family", "--sym"], ["index", "power"]),
-    "wick-invert": (["--dim", "--family", "--json", "--sym"], ["index", "power"]),
+    "wick-power": (["--dim", "--family"], ["index", "power"]),
+    "wick-invert": (["--dim", "--family", "--json"], ["index", "power"]),
     "expect": (["--family", "--n"], []),
     "expect-oracle": (["--family", "--n"], []),
     "enum-adj": (["--deg", "--dim", "--json", "--n"], []),
@@ -592,10 +635,10 @@ SURFACE = {
     "witness": (["--json", "--n"], []),
     "ssyt": (["--json", "--n"], []),
     "feynman": (["--dot", "--json"], ["matrix"]),
-    "field-star": (["--grid", "--order", "--sym"], ["exprs"]),
+    "field-star": (["--grid", "--order"], ["exprs"]),
     "field-expect": (["--grid", "--n"], []),
     "functional-star": (
-        ["--dim", "--grid", "--nodes", "--order", "--sym", "--weights"],
+        ["--dim", "--grid", "--nodes", "--order", "--weights"],
         ["exprs"],
     ),
 }

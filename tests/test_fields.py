@@ -246,23 +246,11 @@ class TestSpecialize:
         grid = grid2([[1]], [3])
         assert specialize(wick_power(1, 2, K), grid) == 10
 
-    def test_unbound_family(self):
-        p = Poly.constant(CoeffElement.from_symbol(PropagatorSymbol("Q", 1, 1)), 1)
-        grid = grid2([[1]], [1])
-        with pytest.raises(ValueError, match="unbound"):
-            specialize(p, grid, family_bindings={"K": grid.kernel})
-
     def test_index_overflow(self):
         p = Poly.constant(CoeffElement.from_symbol(PropagatorSymbol("K", 1, 3)), 3)
         grid = grid2([[0, 1], [1, 0]], [1, 1])
         with pytest.raises(ValueError, match="exceeds"):
             specialize(p, grid)
-
-    def test_binding_matrix_overflow(self):
-        p = Poly.constant(CoeffElement.from_symbol(PropagatorSymbol("Q", 3, 3)), 3)
-        grid = grid2([[0, 1, 0], [1, 0, 0], [0, 0, 0]], [1, 1, 1])
-        with pytest.raises(ValueError, match="exceeds"):
-            specialize(p, grid, family_bindings={"Q": [[Fraction(1)]]})
 
 
 class TestFieldStar:
@@ -711,10 +699,10 @@ class TestNumericFirst:
             path = tmp_path / "grid.json"
             path.write_text(json.dumps(grid.to_json()))
             texts = ["x1*x2^2 + K[K;2,1]*x3", "K[K;1,3]*hbar*x2 + x3^2*x1"]
-            f, g = (parse(t, 3, {"K"}) for t in texts)
+            f, g = (parse(t, 3) for t in texts)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                assert main(["field-star", "--grid", str(path), "--sym", "K", *texts]) == 0
+                assert main(["field-star", "--grid", str(path), *texts]) == 0
             assert Fraction(out.getvalue()) == symbolic_first("star", grid, f, g, None)[1]
 
     @pytest.mark.parametrize("op", [field_star, field_poisson], ids=lambda op: op.__name__)
@@ -738,9 +726,10 @@ class TestFieldWickTheorem:
             Kp = PropagatorMatrix.family("P", d)
             terms = change_propagator([f, g], K, Kp)
             symbolic = reexpand(terms, [f, g], Kp)
-            value = specialize(
-                symbolic,
-                grid_a,
-                family_bindings={"K": grid_a.kernel, "P": kernel_b},
+            kernels = {"K": grid_a.kernel, "P": kernel_b}
+            value = symbolic.evaluate(
+                lambda block, i: grid_a.field[i - 1],
+                lambda sym: kernels[sym.family][sym.row - 1][sym.col - 1],
+                grid_a.hbar,
             )
             assert value == field_star(f, g, grid_a)
