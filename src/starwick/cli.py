@@ -95,6 +95,13 @@ def _family(text: str) -> str:
     return text
 
 
+def _path(text: str) -> str:
+    """A file path to write; an empty one names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _nodes(text: str) -> tuple[tuple[str, ...], ...]:
     if not text:
         raise argparse.ArgumentTypeError("expected semicolon-separated label tuples, got ''")
@@ -137,11 +144,11 @@ def _cmd_poisson(args) -> str:
 
 
 def _cmd_wick_power(args) -> str:
-    return str(wick_power(args.index, args.power, _family_of(args.family, args.dim), args.dim))
+    return str(wick_power(args.index, args.power, _family_of(args.family, args.dim)))
 
 
 def _cmd_wick_invert(args) -> str:
-    terms = wick_unpower(args.index, args.power, _family_of(args.family, args.dim), args.dim)
+    terms = wick_unpower(args.index, args.power, _family_of(args.family, args.dim))
     if args.json:
         return json.dumps(
             [{"degree": deg, "coeff": str(coeff)} for coeff, deg in terms]
@@ -199,7 +206,7 @@ def _cmd_feynman(args) -> str | None:
     if args.json:
         return json.dumps(graph.to_json(), separators=(",", ":"))
     dot = export_dot(graph)
-    if args.dot:
+    if args.dot is not None:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dot)
         return None
@@ -285,7 +292,7 @@ _COMMANDS = (
     ("ssyt", "two-row tableau of an admissible sequence", _cmd_ssyt, ("n", "json")),
     ("feynman", "DOT export of the multigraph of a matrix", _cmd_feynman, (
         ("matrix", dict(help="adjacency matrix as JSON rows")),
-        ("--dot", dict(metavar="PATH", help="write DOT here")),
+        ("--dot", dict(type=_path, metavar="PATH", help="write DOT here")),
         "json",
     )),
     ("field-star", "star product of densities on a grid", _cmd_field_star,

@@ -68,22 +68,24 @@ def _encode_number(value: Num, mode: str):
 
 @dataclass(frozen=True)
 class KernelGrid:
-    """Sampled kernel and field data over labeled points."""
+    """Sampled kernel and field data over labeled points.
+
+    The kernel is read as written; a grid carries no symmetry label.
+    Symmetry lives in the symbols (``family(symmetric=True)`` and ``--sym``),
+    and a symbol on a grid takes ``kernel[i][j]`` (:func:`specialize`).
+    """
 
     points: tuple[str, ...]
     kernel: tuple[tuple[Num, ...], ...]
     field: tuple[Num, ...]
     hbar: Num
     mode: str = "rational"
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
         if not all(isinstance(p, str) for p in self.points):
             raise ValueError("sample point labels must be strings")
-        if not isinstance(self.symmetric, bool):
-            raise ValueError("grid symmetric must be true or false")
         if len(set(self.points)) != len(self.points):
             raise ValueError("sample point labels must be distinct")
         d = len(self.points)
@@ -97,11 +99,6 @@ class KernelGrid:
                 raise ValueError("float grid values must be finite")
         elif any(isinstance(v, bool) or not isinstance(v, (int, Fraction)) for v in values):
             raise ValueError("rational grid values must be integers or fractions")
-        if self.symmetric:
-            for i in range(d):
-                for j in range(d):
-                    if self.kernel[i][j] != self.kernel[j][i]:
-                        raise ValueError("grid declared symmetric but kernel is not")
 
     @property
     def size(self) -> int:
@@ -115,7 +112,6 @@ class KernelGrid:
         field: Sequence,
         hbar,
         mode: str = "rational",
-        symmetric: bool = False,
     ) -> "KernelGrid":
         return cls(
             tuple(_listed(points, "points")),
@@ -126,7 +122,6 @@ class KernelGrid:
             tuple(_decode_number(v, mode) for v in _listed(field, "field")),
             _decode_number(hbar, mode),
             mode,
-            symmetric,
         )
 
     @classmethod
@@ -142,14 +137,15 @@ class KernelGrid:
         missing = {"points", "kernel", "field"} - data.keys()
         if missing:
             raise ValueError(f"grid JSON missing keys: {sorted(missing)}")
-        mode = data.get("mode", "rational")
+        unknown = data.keys() - {"points", "kernel", "field", "hbar", "mode"}
+        if unknown:
+            raise ValueError(f"grid JSON has unknown keys: {sorted(unknown, key=repr)}")
         return cls.make(
             data["points"],
             data["kernel"],
             data["field"],
             data.get("hbar", 1),
-            mode,
-            data.get("symmetric", False),
+            data.get("mode", "rational"),
         )
 
     def to_json(self) -> dict:
@@ -159,7 +155,6 @@ class KernelGrid:
             "field": [_encode_number(v, self.mode) for v in self.field],
             "hbar": _encode_number(self.hbar, self.mode),
             "mode": self.mode,
-            "symmetric": self.symmetric,
         }
 
     def index(self, label: str) -> int:
@@ -185,8 +180,10 @@ def specialize(p: Poly, grid: KernelGrid) -> Num:
 
     A symbol reads as written: ``K[F;i,j]`` takes ``grid.kernel[i-1][j-1]``
     for every family ``F``, so ``K[K;2,1]`` is the second row's first
-    entry even when the kernel is not symmetric.  Variables take the field
-    sample of their index, in every block.
+    entry even when the kernel is not symmetric.  Symmetry lives in the
+    symbols: a ``family(symmetric=True)`` symbol already names its
+    ``(min, max)`` entry.  Variables take the field sample of their index,
+    in every block.
     """
     d = grid.size
 

@@ -72,11 +72,16 @@ from .algebra import (
 
 @dataclass(frozen=True)
 class PropagatorMatrix:
-    """Square grid of coefficient-algebra entries driving a star product."""
+    """Square grid of coefficient-algebra entries driving a star product.
+
+    Two matrices with equal entries are equal.  Symmetry is a property of
+    the symbols, not a label on the matrix: :meth:`family` with
+    ``symmetric=True`` (and ``--sym`` in the parser) writes ``K[F;j,i]`` as
+    ``K[F;i,j]``, and the engines read the entries as given.
+    """
 
     dim: int
     entries: tuple[tuple[CoeffElement, ...], ...]
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -85,13 +90,6 @@ class PropagatorMatrix:
             len(row) != self.dim for row in self.entries
         ):
             raise ValueError("entry grid must be dim x dim")
-        if self.symmetric:
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    if self.entries[i][j] != self.entries[j][i]:
-                        raise ValueError(
-                            "matrix declared symmetric but entries differ"
-                        )
 
     @classmethod
     def family(
@@ -105,7 +103,8 @@ class PropagatorMatrix:
 
         A symmetric family stores both ``(i, j)`` and ``(j, i)`` as the
         (min, max)-indexed symbol, so equal-by-symmetry entries are equal
-        on the nose.
+        on the nose.  With ``parse(..., symmetric_families)`` this is where
+        symmetry changes a symbol; the matrix itself carries no such label.
         """
         rows = []
         for i in range(1, dim + 1):
@@ -119,21 +118,19 @@ class PropagatorMatrix:
                 mono = CoeffMonomial._raw(0, ((PropagatorSymbol(name, a, b), 1),))
                 row.append(CoeffElement._raw({mono: 1}))
             rows.append(tuple(row))
-        return cls(dim, tuple(rows), symmetric=symmetric)
+        return cls(dim, tuple(rows))
 
     @classmethod
     def from_entries(
-        cls,
-        entries: Iterable[Iterable[CoeffElement | RationalLike]],
-        symmetric: bool = False,
+        cls, entries: Iterable[Iterable[CoeffElement | RationalLike]]
     ) -> "PropagatorMatrix":
         rows = tuple(tuple(_as_element(v) for v in row) for row in entries)
-        return cls(len(rows), rows, symmetric=symmetric)
+        return cls(len(rows), rows)
 
     @classmethod
     def zero(cls, dim: int) -> "PropagatorMatrix":
         z = CoeffElement.zero()
-        return cls(dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)), True)
+        return cls(dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
     def entry(self, i: int, j: int) -> CoeffElement:
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
@@ -147,7 +144,7 @@ class PropagatorMatrix:
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)
         )
-        return PropagatorMatrix(self.dim, rows, self.symmetric and other.symmetric)
+        return PropagatorMatrix(self.dim, rows)
 
     def has_zero_diagonal(self) -> bool:
         return all(self.entries[i][i].is_zero() for i in range(self.dim))

@@ -93,14 +93,11 @@ def _check_cap(quantity: str, value: int, cap: str) -> None:
 
 
 def _hermite_terms(
-    index: int, power: int, K: PropagatorMatrix, dim: int | None, sign: int
+    index: int, power: int, K: PropagatorMatrix, sign: int
 ) -> list[tuple[CoeffElement, int]]:
     """Nonzero ``(sign^k * c_k * hbar^k * K_ii^k, power - 2k)`` pairs."""
-    d = K.dim if dim is None else dim
-    if d != K.dim:
-        raise ValueError("dimension must match the propagator matrix")
-    if not 1 <= index <= d:
-        raise ValueError(f"variable index {index} out of range 1..{d}")
+    if not 1 <= index <= K.dim:
+        raise ValueError(f"variable index {index} out of range 1..{K.dim}")
     if power < 0:
         raise ValueError("power must be non-negative")
     _check_cap("power // 2", power // 2, "Hermite")
@@ -115,9 +112,9 @@ def _hermite_terms(
     return out
 
 
-def wick_power(index: int, power: int, K: PropagatorMatrix, dim: int | None = None) -> Poly:
+def wick_power(index: int, power: int, K: PropagatorMatrix) -> Poly:
     """Wick power of ``x_index``: the closed Hermite-type form."""
-    terms = _hermite_terms(index, power, K, dim, 1)
+    terms = _hermite_terms(index, power, K, 1)
     x = Poly.variable(index, K.dim)
     out = Poly.zero(K.dim)
     for coeff, degree in terms:
@@ -125,22 +122,19 @@ def wick_power(index: int, power: int, K: PropagatorMatrix, dim: int | None = No
     return out
 
 
-def wick_unpower(
-    index: int, power: int, K: PropagatorMatrix, dim: int | None = None
-) -> list[tuple[CoeffElement, int]]:
+def wick_unpower(index: int, power: int, K: PropagatorMatrix) -> list[tuple[CoeffElement, int]]:
     """Expand a plain power in Wick powers: ``(coefficient, degree)`` pairs.
 
     Substituting :func:`wick_power` back for each degree recovers
     ``x_index ** power`` exactly; the coefficients are those of the Wick
     power with hbar negated.
     """
-    return _hermite_terms(index, power, K, dim, -1)
+    return _hermite_terms(index, power, K, -1)
 
 
 def wick_monomial_star(spec: WickMonomialSpec, order: int | None = None) -> Poly:
     """Star product of the Wick powers ``:x_i^{n_i}:`` under ``spec.product``."""
-    d = len(spec.powers)
-    factors = [wick_power(i + 1, p, spec.ordering, d) for i, p in enumerate(spec.powers)]
+    factors = [wick_power(i + 1, p, spec.ordering) for i, p in enumerate(spec.powers)]
     return star_multi(factors, spec.product, order)
 
 

@@ -72,7 +72,7 @@ def rand_matrix(
         for i in range(dim):
             for j in range(i):
                 rows[i][j] = rows[j][i]
-    return PropagatorMatrix.from_entries(rows, symmetric=symmetric)
+    return PropagatorMatrix.from_entries(rows)
 
 
 def rand_entry(rng: random.Random, i: int, j: int, hbar: bool = True) -> CoeffElement | Fraction:

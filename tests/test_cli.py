@@ -326,7 +326,7 @@ class TestFieldCommands:
           "hbar": "1"}, ["field-star", "K[K;2,1]*x1", "1"], "5"),
         ({"points": ["a", "b", "c"], "kernel": [["1", "2", "3"], ["2", "5", "7"],
                                                 ["3", "7", "11"]],
-          "field": ["1", "2", "-3"], "hbar": "1", "symmetric": True},
+          "field": ["1", "2", "-3"], "hbar": "1"},
          ["functional-star", "--dim", "2", "K[K;2,1]*x1", "x2"], "1681"),
         ({"points": [f"p{i}" for i in range(10)],
           "kernel": [[f"{(i * j) % 7 - 3}/{i % 4 + 1}" for j in range(10)] for i in range(10)],
@@ -461,7 +461,7 @@ class TestFieldCommands:
             ({"hbar": [1], "mode": "float"}, "float mode cannot hold [1]"),
             ({"hbar": True}, "booleans are not numbers"),
             ({"hbar": True, "mode": "float"}, "booleans are not numbers"),
-            ({"symmetric": "false"}, "grid symmetric must be true or false"),
+            ({"symmetric": "false"}, "grid JSON has unknown keys: ['symmetric']"),
             ({"points": [1, None]}, "sample point labels must be strings"),
             ({"hbar": "1e999999999"},
              "rational mode refuses exponent notation in '1e999999999'"),
@@ -592,11 +592,15 @@ class TestExitCodes:
             (["enum-adj", "--n", "2,2,2", "--dim", "0"], "enum-adj --dim applies only with --deg"),
             (["feynman", "[[0,2],[2,0]]", "--dot", "out.dot", "--json"],
              "feynman takes --dot or --json, not both"),
+            (["feynman", "[[0,1],[1,0]]", "--dot", ""],
+             "argument --dot: expected a file path, got ''"),
         ],
-        ids=["enum-adj-dim-with-n", "feynman-dot-with-json"],
+        ids=["enum-adj-dim-with-n", "feynman-dot-with-json", "feynman-empty-dot"],
     )
     def test_options_that_do_not_combine(self, capsys, tmp_path, monkeypatch, argv, message):
         # Neither option is ignored: the pair is refused and nothing is written.
+        # An empty --dot path names no file, so it is refused the same way
+        # rather than read as "print the DOT text".
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []

@@ -84,7 +84,6 @@ grid_json = st.fixed_dictionaries({
     "field": st.just([1, -2]) | st.lists(json_values, min_size=2, max_size=2) | json_values,
     "hbar": st.just(1) | json_values,
     "mode": st.sampled_from(["rational", "float"]) | json_values,
-    "symmetric": st.booleans() | json_values,
 })
 
 
@@ -95,12 +94,6 @@ class TestGridCodec:
         assert data["kernel"][0][0] == "1/2"
         assert data["field"][1] == "-2/3"
         assert KernelGrid.from_json(json.dumps(data)) == grid
-        symmetric = KernelGrid.make(
-            ["a", "b"], [[1, Fraction(1, 3)], [Fraction(1, 3), 2]], [1, 2], 1,
-            symmetric=True,
-        )
-        assert symmetric.to_json()["symmetric"] is True
-        assert KernelGrid.from_json(json.dumps(symmetric.to_json())) == symmetric
 
     def test_json_round_trip_float(self):
         grid = grid2([[0.5, 1.0], [1.0, 0.25]], [3.0, -2.5], hbar=0.5, mode="float")
@@ -113,10 +106,6 @@ class TestGridCodec:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             grid2([[0, 1]], [1, 2])
-
-    def test_symmetric_declaration_checked(self):
-        with pytest.raises(ValueError):
-            KernelGrid.make(["a", "b"], [[0, 1], [2, 0]], [1, 1], 1, symmetric=True)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -198,10 +187,18 @@ class TestGridCodec:
             return
         assert isinstance(grid, KernelGrid)
 
-    @pytest.mark.parametrize("bad", ["false", "true", 0, 1, None, []])
-    def test_symmetric_must_be_a_json_boolean(self, bad):
-        data = {"points": ["a"], "kernel": [[1]], "field": [1], "symmetric": bad}
-        with pytest.raises(ValueError, match="symmetric must be true or false"):
+    @pytest.mark.parametrize("key, value", [
+        ("symmetric", True), ("symmetric", False), ("symmetric", "false"), ("symmetric", "true"),
+        ("symmetric", 0), ("symmetric", 1), ("symmetric", None), ("symmetric", []),
+        ("Hbar", "5"),
+    ], ids=["symmetric-true", "symmetric-false", "symmetric-string-false",
+            "symmetric-string-true", "symmetric-0", "symmetric-1", "symmetric-null",
+            "symmetric-list", "misspelt-hbar"])
+    def test_unknown_keys_refused(self, key, value):
+        # A grid takes only the keys it reads: a misspelt "Hbar" would
+        # otherwise compute with hbar = 1, and "symmetric" is no grid key.
+        data = {"points": ["a"], "kernel": [[1]], "field": [1], key: value}
+        with pytest.raises(ValueError, match=rf"unknown keys: \['{key}'\]"):
             KernelGrid.from_json(data)
 
     @pytest.mark.parametrize("points", [[1, None], ["a", None], [1, 2], [["a"], "b"]])
@@ -506,7 +503,7 @@ class TestFunctionalStar:
         dens = rng.sample([1, 2, 3, 5, 7], len(nodes))
         weights = tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), q) for q in dens)
 
-        exact = KernelGrid.make(points, kernel, field, hbar, "rational", symmetric)
+        exact = KernelGrid.make(points, kernel, field, hbar, "rational")
         rule = QuadratureRule(tuple(nodes), weights)
         assert functional_star(f, g, rule, exact, order) == functional_star_oracle(
             f, g, rule, exact, order
@@ -518,7 +515,6 @@ class TestFunctionalStar:
             [float(v) for v in field],
             float(hbar),
             "float",
-            symmetric,
         )
         float_rule = QuadratureRule(tuple(nodes), tuple(float(w) for w in weights))
         value = functional_star(f, g, float_rule, approx, order)

@@ -64,9 +64,11 @@ class TestPropagatorMatrix:
         K = PropagatorMatrix.family("K", 3, symmetric=True)
         assert K.entry(3, 1) == K.entry(1, 3) == K_sym(1, 3)
 
-    def test_symmetric_declaration_checked(self):
-        with pytest.raises(ValueError):
-            PropagatorMatrix.from_entries([[0, 1], [2, 0]], symmetric=True)
+    def test_equal_entries_compare_equal(self):
+        # A matrix is its entries: no symmetry label tells two of them apart.
+        assert PropagatorMatrix.zero(2) == PropagatorMatrix.from_entries([[0, 0], [0, 0]])
+        K = PropagatorMatrix.family("K", 2, symmetric=True)
+        assert K == PropagatorMatrix.from_entries(K.entries)
 
     def test_difference(self):
         K = PropagatorMatrix.family("K", 2)

@@ -111,7 +111,7 @@ class TestWickPower:
                  power - 2 * k)
                 for k in range(power // 2 + 1)
             ]
-            assert _hermite_terms(1, power, K, None, sign) == expected
+            assert _hermite_terms(1, power, K, sign) == expected
 
     def test_cap_admits_the_largest_power(self):
         K, p = PropagatorMatrix.family("K", 1), 2 * _MAX_EXPECT_POWER + 1
@@ -265,7 +265,7 @@ def general_spec(rng, n, hbar, symmetric=False):
     return WickMonomialSpec(
         tuple(n),
         PropagatorMatrix.family("K", d, zero_diagonal=True),
-        PropagatorMatrix.from_entries(rows, symmetric=symmetric),
+        PropagatorMatrix.from_entries(rows),
     )
 
 
@@ -316,7 +316,7 @@ class TestExpectationGeneralEntries:
         spec = WickMonomialSpec(
             (1, 1, 1, 1),
             PropagatorMatrix.family("K", 4, zero_diagonal=True),
-            PropagatorMatrix.from_entries(rows, symmetric=True),
+            PropagatorMatrix.from_entries(rows),
         )
         assert expectation_formula(spec).is_zero()
         assert expectation_oracle(spec).is_zero()
@@ -378,7 +378,7 @@ def oracle_case(kind, length, rng):
                 else:
                     entry = Fraction(rng.choice([-1, 0, 1]))
                 rows[i][j] = rows[j][i] = entry
-        product = PropagatorMatrix.from_entries(rows, symmetric=True)
+        product = PropagatorMatrix.from_entries(rows)
     return WickMonomialSpec(n, PropagatorMatrix.family("K", length, zero_diagonal=True), product)
 
 
@@ -504,7 +504,7 @@ class TestWickTheoremExpand:
                 [c if i != j else CoeffElement.zero() for j in range(count)]
                 for i in range(count)
             ]
-            Kp = PropagatorMatrix.from_entries(entries, symmetric=True)
+            Kp = PropagatorMatrix.from_entries(entries)
             zero = PropagatorMatrix.zero(count)
             factors = [x(i, count) for i in range(1, count + 1)]
             terms = wick_theorem_expand(factors, zero, Kp)
