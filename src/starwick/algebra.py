@@ -597,16 +597,6 @@ class Poly:
             )
         return Poly._raw(self._dim, out)
 
-    def derivative_multi(self, orders: Iterable[int], block: int = 0) -> "Poly":
-        """Iterated derivative; ``orders[i]`` is the order in variable ``i+1``."""
-        out = self
-        for index, count in enumerate(orders, start=1):
-            for _ in range(count):
-                if out.is_zero():
-                    return out
-                out = out.derivative(index, block=block)
-        return out
-
     def merge_blocks(self) -> "Poly":
         """Collapse every block onto block 0, identifying equal variable indices."""
         acc, one = _TermSum(), CoeffElement.one()

@@ -258,8 +258,8 @@ _ARGS = {
 # One row per subcommand: name, help, handler, and its arguments, each a
 # key of _ARGS or a one-off (flag, options) pair.  A shared handler is given
 # its engine, which returns the text to print.  star's engine is
-# star._star_text, which writes the last product straight from its packed
-# sum and calls star_multi only for the factors before it.  star-graphs'
+# star._star_text, which carries the product of every factor packed through
+# one fold and writes it straight from its packed terms.  star-graphs'
 # engine is a lambda so that it reads star_via_graphs at call time:
 # bench/layertrace.py traces graphs.star_via_graphs as a layer by rebinding
 # that name, which a partial holding the function would not see.  The

@@ -8,9 +8,12 @@ over the ``d x d`` non-negative integer matrices ``M``, where ``r`` and
 ``c`` are the row and column sums of ``M`` and ``D_i`` differentiates in
 ``x_i`` over one factor's blocks.  It is the exponential of the cross
 operator ``sum_ij K_ij d_i(f) d_j(g)`` written out index by index.  The
-product is associative, so :func:`star_multi`, the multi-factor
-product, is the pairwise product folded left over the factors, and
-:func:`star2` is the two-factor :func:`star_multi`.  The graph sum
+product is associative, so every star product here is one fold,
+:func:`_moyal_fold`: the pairwise product folded left over the factors,
+carried as packed terms from the first factor to the last and cut at
+``hbar^order`` after each step.  :func:`star_multi` and
+:func:`star_tensor` decode its result once, and :func:`star2` is the
+two-factor :func:`star_multi`.  The graph sum
 :func:`starwick.graphs.star_via_graphs`, which adds one internal vertex
 at a time through :func:`apply_bivector`, is the independent oracle for
 this fold.
@@ -18,8 +21,10 @@ this fold.
 Changing the propagator from ``K`` to ``K'`` is the same exponential over
 every pair of factors ``a < b``, with ``K - K'`` as the matrix.  One walk
 over the cell multiplicities, :func:`_moyal_weights`, yields the weights
-of both, so it serves :func:`star_multi`, :func:`star_tensor` and
-:func:`change_propagator`.
+of both, so it serves each step of the fold and :func:`change_propagator`,
+both on the one packing of their factors (:func:`_packed`).
+:func:`reexpand` folds each term's derived factors on the packing of the
+factors they come from.
 
 Every entry point to these products, here and in :mod:`starwick.graphs`
 and :mod:`starwick.wick`, checks its arguments once by one contract:
@@ -39,11 +44,12 @@ the widest entry.  One decoder reads packed keys back.  Values, the
 through the one writer, :meth:`_Packing.text`, which writes a packed sum
 as canonical text with no value built, its terms grouped by variable
 monomial in :meth:`Poly.sorted_terms`'s order.  The ``star`` command
-prints :func:`_star_text`, which folds every factor but the last with
-:func:`star_multi` and writes the last product with that writer; the
-``expect`` command prints the one-group case, a coefficient sum.  A
-product of two factors is refused above ``_MAX_PRODUCT_TERMS`` packed
-terms.
+prints :func:`_star_text`, which writes the fold's product with that
+writer, so no product of the fold is decoded; the ``expect`` command
+prints the one-group case, a coefficient sum.
+:func:`starwick.wick.expectation_oracle` decodes only the constant
+``hbar^m`` coefficient of its fold.  Each step of the fold is refused
+above ``_MAX_PRODUCT_TERMS`` packed terms.
 
 For polynomial inputs every series terminates, so ``order=None`` means
 "run to termination" and yields the exact product; an explicit order
@@ -285,18 +291,25 @@ class _Packing:
                     into[k1 + k2] = into.get(k1 + k2, 0) + n1 * n2
         return into
 
-    def derivatives(self, p: Poly, d: int):
-        """Lazy map ``r -> D^r p`` on packed terms, each entry derived once,
-        and the denominator of their numerators.
-
-        ``D_i`` lowers the field of ``x_i`` in every block of ``p``.
-        """
+    def pack(self, p: Poly) -> tuple[list[tuple[int, int]], int]:
+        """``p`` as packed ``(key, numerator)`` terms and their common denominator."""
         terms = [(sum(e << self.var_shift[v] for v, e in vm.items) + self.coeff_key(m), q)
                  for vm, ce in p.items() for m, q in ce.items()]
         nums, den = _common_denominator(q for _, q in terms)
-        mask, memo = self.mask, {(0,) * d: [(key, n) for (key, _), n in zip(terms, nums)]}
-        shifts = [[self.var_shift[(b, i)] for b in p.blocks() if (b, i) in self.var_shift]
-                  for i in range(1, d + 1)]
+        return [(key, n) for (key, _), n in zip(terms, nums)], den
+
+    def derivatives(self, terms: list[tuple[int, int]], d: int):
+        """Lazy map ``r -> D^r`` on packed terms, each entry derived once;
+        the indices ``i - 1`` of the variables ``x_i`` the terms hold, in
+        some block; and their total degree.
+
+        ``D_i`` lowers the field of ``x_i`` in every block.  A term's degree
+        is its variable field modulo ``mask``, read as ``mask`` when that is
+        0 and the field is not, as in :meth:`text`.
+        """
+        mask, bits, memo = self.mask, self.coeff_bits, {(0,) * d: terms}
+        shifts = [[s for (_, v), s in self.var_shift.items()
+                   if v == i and any(key >> s & mask for key, _ in terms)] for i in range(1, d + 1)]
 
         def at(r: tuple[int, ...]) -> list[tuple[int, int]]:
             out = memo.get(r)
@@ -312,26 +325,26 @@ class _Packing:
                 out = memo[r] = [(k, v) for k, v in acc.items() if v]
             return out
 
-        return at, den
+        return at, {i for i in range(d) if shifts[i]}, max(
+            (((key >> bits) - 1) % mask + 1 for key, _ in terms if key >> bits), default=0)
 
-    def unpack(self, total: dict[int, int], den: int, order: int | None, dim: int) -> Poly:
-        """The polynomial ``sum key * numerator / den``, cut above hbar^order,
-        as a value; :meth:`text` writes the same sum's text without it."""
-        grouped = self._grouped(total.items(), order)
+    def unpack(self, terms: Iterable[tuple[int, int]], den: int, dim: int) -> Poly:
+        """The polynomial ``sum key * numerator / den`` as a value;
+        :meth:`text` writes the same sum's text without it."""
+        grouped = self._grouped(terms)
         return Poly._raw(dim, {VarMonomial._raw(sum(fields, ())): ce for fields, ce in zip(
             self._decode(list(grouped), {}, self.variables), self._elements(grouped.values(), den))})
 
-    def _grouped(self, terms: Iterable[tuple[int, int]], order: int | None) -> dict[int, list]:
-        """The nonzero terms at or below hbar^order as ``(coefficient key,
-        numerator)`` lists, keyed by their variable field."""
-        mask, bits = self.mask, self.coeff_bits
+    def _grouped(self, terms: Iterable[tuple[int, int]]) -> dict[int, list]:
+        """The nonzero terms as ``(coefficient key, numerator)`` lists, keyed
+        by their variable field."""
+        bits = self.coeff_bits
         if not self.variables:  # every key is a coefficient key
-            rows = [(key, num) for key, num in terms
-                    if num and (order is None or key & mask <= order)]
+            rows = [(key, num) for key, num in terms if num]
             return {0: rows} if rows else {}
         low, grouped = (1 << bits) - 1, {}
         for key, num in terms:
-            if num and (order is None or key & mask <= order):
+            if num:
                 rows = grouped.get(key >> bits)
                 if rows is None:
                     rows = grouped[key >> bits] = []
@@ -352,8 +365,8 @@ class _Packing:
         return [CoeffElement._raw({monos[key]: num // den if num % den == 0 else Fraction(num, den)
                                    for key, num in terms}) for terms in groups]
 
-    def text(self, terms: Iterable[tuple[int, int]], den: int, order: int | None = None) -> str:
-        """``str(self.unpack(dict(terms), den, order, dim))`` for ``den > 0``,
+    def text(self, terms: Iterable[tuple[int, int]], den: int) -> str:
+        """``str(self.unpack(terms, den, dim))`` for ``den > 0``,
         written straight from the packed keys with no monomial, element,
         ``Poly`` or ``Fraction`` built; on coefficient keys alone that is
         ``str(self.coeff_element(terms, den))``.
@@ -369,7 +382,7 @@ class _Packing:
         coefficient key is ranked once and each group sorts its rows on
         that integer rank."""
         width, mask, size = self.width, self.mask, self._CHUNK
-        groups = self._grouped(terms, order)
+        groups = self._grouped(terms)
 
         def ranked(keys: list[int], fields: Iterable[str], base: int, offset: int,
                    payload: Iterable) -> list[tuple]:
@@ -450,38 +463,60 @@ class _Packing:
         return zip(*columns)
 
 
-def _moyal_weights(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None):
-    """The Moyal walk over every pair of ``factors`` with ``K`` as the matrix.
+def _live_cells(held: Sequence[set[int]], degrees: Sequence[int], K: PropagatorMatrix):
+    """The cells ``(a, i, b, j, K_ij)``, ``a < b``, on which factors that hold
+    the variable indices ``held`` with total ``degrees`` are live, and the
+    most cells a product of them can take.
+
+    A cell links ``x_i`` of factor ``a`` to ``x_j`` of factor ``b``; it is live
+    when both factors hold their variable, in some block, and any other cell
+    kills a factor.  Each cell takes one derivative from each of two
+    factors, so the most is at most half the total degree and at most what
+    the factors other than the widest one can give.
+    """
+    cells = [(a, i, b, j, e) for a in range(len(held)) for b in range(a + 1, len(held))
+             for i, row in enumerate(K.entries) if i in held[a]
+             for j, e in enumerate(row) if e and j in held[b]]
+    return cells, min(sum(degrees) // 2, sum(degrees) - max(degrees)) if cells else 0
+
+
+def _packed(factors: Sequence[Poly], K: PropagatorMatrix) -> tuple[_Packing, list]:
+    """One packing for every product of ``factors`` under ``K``, and each
+    factor on it as ``(terms, den)`` (:meth:`_Packing.pack`).
+
+    It is sized by the live cells over every pair of factors and the most
+    cells any product of them takes, which bounds each step of
+    :func:`_moyal_fold` before its hbar cut, the all-pairs walk of
+    :func:`change_propagator`, and the products of derived factors.
+    """
+    cells, kmax = _live_cells([{i - 1 for vm, _ in f.items() for (_, i), _ in vm.items}
+                               for f in factors], [f.total_degree() for f in factors], K)
+    packing = _Packing([e for *_, e in cells], kmax, factors)
+    return packing, [packing.pack(f) for f in factors]
+
+
+def _moyal_weights(packing: _Packing, factors: Sequence[tuple[list, int]], K: PropagatorMatrix,
+                   order: int | None):
+    """The Moyal walk over every pair of ``factors``, each ``(terms, den)``
+    on ``packing``, with ``K`` as the matrix.
 
     Returns the packing, each factor's lazy derivative map ``r -> D^r f``
-    with its denominator (:meth:`_Packing.derivatives`), and the weights
-    ``W(r)`` as packed integer terms over the returned denominator.  A cell
-    ``(a, i, b, j, K_ij)`` with ``a < b`` links ``x_i`` of factor ``a`` to
-    ``x_j`` of factor ``b``; it is live when both factors hold their variable,
-    in some block, and any other cell kills a factor.  ``W(r)`` sums
+    (:meth:`_Packing.derivatives`) and the weights ``W(r)`` as packed
+    integer terms over the returned denominator.  ``W(r)`` sums
     ``hbar^|M| prod K^M / M!`` over the multiplicity maps ``M`` on the live
-    cells with ``|M| <= kmax``, where ``r[a]`` is the derivative multi-index
-    that ``M`` puts on factor ``a``.
-    Each cell takes one derivative from each of two factors, so ``kmax`` is
-    at most half the total degree and at most what the factors other than
-    the widest one can give; ``order`` cuts it further.  Every node of the
-    walk is one ``M``.  Once ``D^r[a]`` kills factor ``a`` it kills it at
-    every larger ``r[a]``, so the walk stops growing a cell there.  With
-    ``scale`` the common denominator of the entries, each ``M`` is brought
-    to the common denominator ``kmax! * scale^kmax`` by its spare budget
-    ``kmax - |M|``.
+    cells (:func:`_live_cells`) with ``|M| <= kmax``, where ``r[a]`` is the
+    derivative multi-index that ``M`` puts on factor ``a`` and ``kmax`` is
+    the most cells the factors take, cut further by ``order``.  Every node
+    of the walk is one ``M``.  Once ``D^r[a]`` kills factor ``a`` it kills
+    it at every larger ``r[a]``, so the walk stops growing a cell there.
+    With ``scale`` the common denominator of the entries, each ``M`` is
+    brought to the common denominator ``kmax! * scale^kmax`` by its spare
+    budget ``kmax - |M|``.
     """
-    degrees = [f.total_degree() for f in factors]
-    present = [{i - 1 for vm, _ in f.items() for (_, i), _ in vm.items} for f in factors]
-    cells = [(a, i, b, j, e) for a in range(len(factors)) for b in range(a + 1, len(factors))
-             for i, row in enumerate(K.entries) if i in present[a]
-             for j, e in enumerate(row) if e and j in present[b]]
-    kmax = min(sum(degrees) // 2, sum(degrees) - max(degrees)) if cells else 0
+    alive, held, degrees = zip(*(packing.derivatives(terms, K.dim) for terms, _ in factors))
+    cells, kmax = _live_cells(held, degrees, K)
     if order is not None:
         kmax = min(kmax, order)
-    packing = _Packing([e for *_, e in cells], kmax, factors)
-    derived = [packing.derivatives(f, K.dim) for f in factors]
-    alive = [at for at, _ in derived]
     scaled, scale = packing.scaled([e for *_, e in cells], 1)
     top, product = math.factorial(kmax), packing.product
     weights: dict[tuple, dict[int, int]] = {}
@@ -504,55 +539,61 @@ def _moyal_weights(factors: Sequence[Poly], K: PropagatorMatrix, order: int | No
                      orders[:a] + (ra,) + orders[a + 1 : b] + (rb,) + orders[b + 1 :])
 
     walk(0, kmax, {0: 1}, 1, tuple((0,) * K.dim for _ in factors))
-    return packing, derived, weights, top * scale**kmax
+    return packing, alive, weights, top * scale**kmax
 
 
-# The most terms the packed product of two factors may hold, summed over
-# its partial sums on the left factor's derivatives or in its total,
-# checked once per partial sum.  ``star --dim 3`` on ``(x1+x2+x3)^10``
-# twice holds 352,716 and then 856,596 terms and answers; on ``^12`` the
-# partial sums reach 1,352,078 and the total would reach 3.47 million.
+# The most terms one step of the packed fold may hold, summed over its
+# partial sums on the left side's derivatives or in its total, checked once
+# per absorbed block.  ``star --dim 3`` on ``(x1+x2+x3)^10`` twice holds
+# 352,716 and then 856,596 terms and answers; on ``^12`` the partial sums
+# reach 1,352,078 and the total would reach 3.47 million.
 _MAX_PRODUCT_TERMS = 10**6
 
 
-def _moyal_total(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None):
-    """The closed-form product of two block groups as packed terms: the
-    packing, the ``key -> numerator`` total and the denominator.
+def _moyal_fold(packing: _Packing, factors: Sequence[tuple[list, int]], K: PropagatorMatrix,
+                order: int | None) -> tuple[_Packing, list[tuple[int, int]], int]:
+    """The star product of ``factors``, each ``(terms, den)`` on ``packing``,
+    as ``(packing, terms, den)``: the closed-form product of two block
+    groups folded left, the product carried packed from the first factor to
+    the last.
 
-    Sums ``hbar^|M| prod_ij K_ij^M_ij / M_ij! * D^r left * D^c right`` over
-    the non-negative integer matrices ``M`` on the nonzero cells of ``K``,
-    where ``r`` and ``c`` are the row and column sums of ``M`` and ``D_i``
-    is the derivative in ``x_i`` summed over one side's blocks.  Monomials
-    are packed integers (:class:`_Packing`) and coefficients are integer
-    numerators over one common denominator.  More than
-    ``_MAX_PRODUCT_TERMS`` terms in the partial sums or the total raise
-    ``ValueError``.
+    Each step sums ``hbar^|M| prod_ij K_ij^M_ij / M_ij! * D^r left * D^c
+    right`` over the non-negative integer matrices ``M`` on the live cells
+    of ``K``, where ``r`` and ``c`` are the row and column sums of ``M`` and
+    ``D_i`` is the derivative in ``x_i`` summed over one side's blocks.  The
+    first factor and each step's product are cut above ``hbar^order``,
+    which is exact because a product never lowers an hbar degree; nothing
+    else in the fold or its decoders cuts.  Each step's numerators and
+    denominator are divided by their common factor, so the carried
+    denominator does not grow as the product of every step's.  More
+    than ``_MAX_PRODUCT_TERMS`` terms in one step's partial sums or total
+    raise ``ValueError``; the packing bounds every key a step reaches
+    before its cut (:func:`_packed`).
     """
-    packing, [(left_at, left_den), (right_at, right_den)], weights, weight_den = (
-        _moyal_weights((left, right), K, order))
-
     def check(size: int) -> None:
         if size > _MAX_PRODUCT_TERMS:
             raise ValueError(f"star product exceeds the budget of {_MAX_PRODUCT_TERMS} terms")
 
-    # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
-    absorbed: dict[tuple[int, ...], dict[int, int]] = {}
-    size = 0
-    for (rs, cs), w in weights.items():
-        acc = absorbed.setdefault(cs, {})
-        before = len(acc)
-        check(size := size + len(packing.product(w.items(), left_at(rs), acc)) - before)
-    total: dict[int, int] = {}
-    for cs, acc in absorbed.items():
-        check(len(packing.product(acc.items(), right_at(cs), total)))
-    return packing, total, left_den * right_den * weight_den
-
-
-def _moyal_sum(left: Poly, right: Poly, K: PropagatorMatrix, order: int | None) -> Poly:
-    """:func:`_moyal_total` as a polynomial; one ``Fraction`` is built per
-    output term that is not integral."""
-    packing, total, den = _moyal_total(left, right, K, order)
-    return packing.unpack(total, den, order, left.dim)
+    (terms, den), *rest = factors
+    terms = [(key, num) for key, num in terms if order is None or key & packing.mask <= order]
+    for right in rest:
+        _, (left_at, right_at), weights, weight_den = _moyal_weights(
+            packing, ((terms, den), right), K, order)
+        # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
+        absorbed: dict[tuple[int, ...], dict[int, int]] = {}
+        size = 0
+        for (rs, cs), w in weights.items():
+            acc = absorbed.setdefault(cs, {})
+            before = len(acc)
+            check(size := size + len(packing.product(w.items(), left_at(rs), acc)) - before)
+        total: dict[int, int] = {}
+        for cs, acc in absorbed.items():
+            check(len(packing.product(acc.items(), right_at(cs), total)))
+        den *= right[1] * weight_den
+        g = math.gcd(den, *total.values())
+        terms, den = [(key, num // g) for key, num in total.items()
+                      if num and (order is None or key & packing.mask <= order)], den // g
+    return packing, terms, den
 
 
 def star_tensor(
@@ -562,7 +603,7 @@ def star_tensor(
     _check_shape((left, right), K, order)
     if overlap := left.blocks() & right.blocks():
         raise ValueError(f"overlapping block tags between factors: {sorted(overlap)}")
-    return _moyal_sum(left, right, K, order)
+    return _Packing.unpack(*_moyal_fold(*_packed((left, right), K), K, order), K.dim)
 
 
 def star2(f: Poly, g: Poly, K: PropagatorMatrix, order: int | None = None) -> Poly:
@@ -575,31 +616,21 @@ def star_multi(
     factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None
 ) -> Poly:
     """Star product of several ordinary factors: the pairwise closed-form
-    sum folded left over the factors.
+    sum folded left over the factors (:func:`_moyal_fold`), decoded once.
 
     The factors are checked once, by the argument contract of every star
-    product (:func:`_check_factors`).  Truncating each partial product at
-    ``order`` is exact, because the product never lowers a term's hbar
-    degree.  The graph sum :func:`starwick.graphs.star_via_graphs`
-    computes the same product by an independent route and is the oracle
-    this fold is tested against.
+    product (:func:`_check_factors`).  The graph sum
+    :func:`starwick.graphs.star_via_graphs` computes the same product by an
+    independent route and is the oracle this fold is tested against.
     """
     factors = _check_factors(factors, K, order)
-    result = factors[0] if order is None else factors[0].truncate_hbar(order)
-    for f in factors[1:]:
-        result = _moyal_sum(result, f, K, order)
-    return result
+    return _Packing.unpack(*_moyal_fold(*_packed(factors, K), K, order), K.dim)
 
 
 def _star_text(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None) -> str:
-    """``str(star_multi(factors, K, order))``: every factor but the last is
-    folded by :func:`star_multi`, and the last product is written straight
-    from its packed sum by :meth:`_Packing.text`."""
-    *head, last = _check_factors(factors, K, order)
-    if not head:
-        return str(star_multi(factors, K, order))
-    packing, total, den = _moyal_total(star_multi(head, K, order), last, K, order)
-    return packing.text(total.items(), den, order)
+    """``str(star_multi(factors, K, order))``, written straight from the
+    fold's packed product by :meth:`_Packing.text`."""
+    return _Packing.text(*_moyal_fold(*_packed(_check_factors(factors, K, order), K), K, order))
 
 
 def poisson_bracket(f: Poly, g: Poly, K: PropagatorMatrix) -> Poly:
@@ -655,7 +686,8 @@ def change_propagator(
     factors = _check_factors(factors, old, order)
     if old.dim != new.dim:
         raise ValueError("propagator matrices must share a dimension")
-    packing, _, weights, den = _moyal_weights(factors, old - new, order)
+    diff = old - new
+    packing, _, weights, den = _moyal_weights(*_packed(factors, diff), diff, order)
     terms = [PropagatorChangeTerm(coeff, orders) for orders, w in weights.items()
              if (coeff := packing.coeff_element(w.items(), den))]
     return sorted(terms, key=lambda t: (sum(map(sum, t.orders)), t.orders))
@@ -670,19 +702,23 @@ def reexpand(
     """Evaluate a propagator-change expansion with star products over ``K``.
 
     Every term must carry exactly one length-``dim`` multi-index per factor.
+    Each factor's derivatives come from one memo shared by every term
+    (:meth:`_Packing.derivatives`), each term's derived factors are folded
+    packed (:func:`_moyal_fold`) on one packing for all terms, and the
+    terms are summed in place.  A multi-index with a negative entry is
+    refused.
     """
     factors = _check_factors(factors, K, order)
     d = K.dim
-    if any(len(t.orders) != len(factors) or any(len(o) != d for o in t.orders) for t in terms):
+    if any(len(t.orders) != len(factors) or any(len(o) != d or min(o) < 0 for o in t.orders)
+           for t in terms):
         raise ValueError(f"each term needs one length-{d} multi-index per factor")
-    total = Poly.zero(d)
+    packing, packed = _packed(factors, K)
+    derived = [(packing.derivatives(f, d)[0], den) for f, den in packed]
+    total = _TermSum()
     for term in terms:
-        k = sum(sum(o) for o in term.orders) // 2
-        derived = [f.derivative_multi(alpha) for f, alpha in zip(factors, term.orders)]
-        if any(g.is_zero() for g in derived):
-            continue
-        inner = None if order is None else max(order - k, 0)
-        total = total + star_multi(derived, K, inner) * term.coeff
-    if order is not None:
-        total = total.truncate_hbar(order)
-    return total
+        parts = [(at(tuple(alpha)), den) for (at, den), alpha in zip(derived, term.orders)]
+        inner = None if order is None else max(order - sum(map(sum, term.orders)) // 2, 0)
+        for vm, ce in _Packing.unpack(*_moyal_fold(packing, parts, K, inner), d).items():
+            total.add(vm, ce, term.coeff)
+    return total.poly(d) if order is None else total.poly(d).truncate_hbar(order)

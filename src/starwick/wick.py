@@ -28,8 +28,10 @@ this module builds no key, bound or denominator of its own.
 the ``expect`` command writes them as text through
 :meth:`starwick.star._Packing.text` without decoding them.  The ground
 truth for every identity in this module is the star-product engine itself:
-:func:`expectation_oracle` reads the expectation off the star product,
-and the tests add Kan's moment formula (``kan_moment``) as a third,
+:func:`expectation_oracle` reads the expectation off the star product of
+the Wick powers, folded packed (:func:`starwick.star._moyal_fold`), as
+the packed keys with no variable and ``hbar^m``, without decoding the
+product; the tests add Kan's moment formula (``kan_moment``) as a third,
 enumeration-free route.  The closed forms are checked against them
 rather than trusted.
 """
@@ -47,7 +49,8 @@ from .combinat import (
     _int_sequence, _row_states, _MAX_MATRICES,
 )
 from .star import (
-    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_factors, _Packing,
+    PropagatorChangeTerm, PropagatorMatrix, reexpand, star_multi, _check_factors, _moyal_fold,
+    _packed, _Packing,
 )
 
 
@@ -214,9 +217,14 @@ def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple
 def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
     """Brute-force expectation: top-hbar constant coefficient of the product.
 
-    Requires the ordering propagator to have a zero diagonal; otherwise
-    the constant top coefficient also picks up diagonal terms from the
-    Wick powers themselves and no longer matches the combinatorial sum.
+    The Wick powers are star-multiplied by the packed fold
+    (:func:`starwick.star._moyal_fold`) cut at ``hbar^m``, ``m`` half the
+    total power, and the coefficient is read off the packed keys that have
+    no variable field and hbar field ``m``; the rest of the product is
+    never decoded.  Requires the ordering propagator to have a zero
+    diagonal; otherwise the constant top coefficient also picks up
+    diagonal terms from the Wick powers themselves and no longer matches
+    the combinatorial sum.
     An odd total power gives zero.  Before any Wick power is built, the
     Hermite cap refuses an entry, as :func:`wick_power` would, and the
     expectation cap a total power, as :func:`expectation_formula` does.
@@ -230,8 +238,10 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
     for power in spec.powers:
         _check_cap("power // 2", power // 2, "Hermite")
     _check_cap("total power sum(n) // 2", m, "expectation")
-    product = wick_monomial_star(spec, order=m)
-    return product.constant_coeff().hbar_part(m)
+    factors = [wick_power(i + 1, p, spec.ordering) for i, p in enumerate(spec.powers)]
+    packing, terms, den = _moyal_fold(*_packed(factors, spec.product), spec.product, m)
+    return packing.coeff_element([(key - m, num) for key, num in terms
+                                  if key < 1 << packing.coeff_bits and key & packing.mask == m], den)
 
 
 @dataclass(frozen=True)

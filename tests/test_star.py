@@ -38,7 +38,7 @@ from helpers import (
     star_tensor_oracle,
 )
 import starwick.star
-from starwick.star import _Packing, _moyal_total, _star_text
+from starwick.star import _Packing, _moyal_fold, _packed, _star_text
 from test_algebra import assert_scalar_rule, stored_values
 
 
@@ -455,6 +455,19 @@ class TestChangePropagator:
         short = [PropagatorChangeTerm(CoeffElement.one(), ((0,), (0,)))]
         with pytest.raises(ValueError, match="multi-index per factor"):
             reexpand(short, [x(1, d), x(2, d)], P)
+        negative = [PropagatorChangeTerm(CoeffElement.one(), ((1, 0), (0, -1)))]
+        with pytest.raises(ValueError, match="multi-index per factor"):
+            reexpand(negative, [x(1, d), x(2, d)], P)
+
+    def test_reexpand_takes_any_sequence_as_a_multi_index(self):
+        """A term's multi-indices may be lists; a derived factor that
+        vanishes makes its term zero."""
+        d = 2
+        P = PropagatorMatrix.family("P", d)
+        fs = [x(1, d) ** 2, x(2, d)]
+        terms = [PropagatorChangeTerm(CoeffElement.one(), ([1, 0], [0, 0])),
+                 PropagatorChangeTerm(CoeffElement.one(), ((0, 1), (0, 0)))]
+        assert reexpand(terms, fs, P) == star_multi([x(1, d) * 2, x(2, d)], P)
 
 
 def wide_poly(rng, d):
@@ -564,16 +577,21 @@ class TestLiveCells:
     def test_walk_derives_no_factor_in_a_variable_it_lacks(self, monkeypatch):
         derivatives, asked = _Packing.derivatives, []
 
-        def recording(self, p, d):
-            at, den = derivatives(self, p, d)
-            held = {i - 1 for vm, _ in p.items() for (_, i), _ in vm.items}
-            return (lambda r: asked.append((r, held)) or at(r)), den
+        def recording(self, terms, d):
+            """Each request ``r`` with the variables the terms hold, read off
+            their packed keys; ``reexpand`` passes derived factors, which may
+            hold fewer variables than the factor they come from."""
+            at, *support = derivatives(self, terms, d)
+            held = {i - 1 for (_, i), shift in self.var_shift.items()
+                    if any(key >> shift & self.mask for key, num in terms if num)}
+            return (lambda r: asked.append((r, held)) or at(r)), *support
 
         monkeypatch.setattr(_Packing, "derivatives", recording)
         rng = random.Random(3600)
         fs = [factor_in(rng, 4, v) for v in self.SUPPORTS]
-        star_multi(fs, PropagatorMatrix.family("K", 4))
-        change_propagator(fs, PropagatorMatrix.family("K", 4), PropagatorMatrix.family("P", 4))
+        K, P = PropagatorMatrix.family("K", 4), PropagatorMatrix.family("P", 4)
+        star_multi(fs, K)
+        assert reexpand(change_propagator(fs, K, P), fs, P) == star_multi(fs, K)
         assert asked
         assert all(i in held for r, held in asked for i, n in enumerate(r) if n)
 
@@ -718,9 +736,8 @@ class TestStarText:
         rng = random.Random(2400 + seed)
         factors, K, order = star_text_case(rng)
         left, right = factors[0], rand_poly(rng, K.dim, block=rng.randint(1, 3))
-        packing, total, den = _moyal_total(left, right, K, order)
-        assert packing.text(total.items(), den, order) == str(
-            packing.unpack(total, den, order, K.dim))
+        packing, terms, den = _moyal_fold(*_packed((left, right), K), K, order)
+        assert packing.text(terms, den) == str(packing.unpack(terms, den, K.dim))
 
     @pytest.mark.parametrize("factors, expected", [
         ([Poly.zero(2), x(1, 2) + x(2, 2)], "0"),
@@ -745,7 +762,7 @@ class TestStarText:
     def test_the_term_budget_refuses(self, monkeypatch):
         f = (x(1, 2) + x(2, 2)) ** 4
         K = PropagatorMatrix.family("K", 2)
-        packing, total, den = _moyal_total(f, f, K, None)
+        _, total, _ = _moyal_fold(*_packed((f, f), K), K, None)
         monkeypatch.setattr(starwick.star, "_MAX_PRODUCT_TERMS", len(total) - 1)
         with pytest.raises(ValueError, match=f"exceeds the budget of {len(total) - 1} terms"):
             star_multi([f, f], K)
@@ -768,9 +785,11 @@ class TestStarText:
             walked.append(len(calls))  # the walk's own products
             return out
 
+        K = PropagatorMatrix.family("K", 2)
+        packing, packed = _packed((f, f), K)
         monkeypatch.setattr(starwick.star, "_MAX_PRODUCT_TERMS", 0)
         monkeypatch.setattr(starwick.star, "_moyal_weights", weights)
         monkeypatch.setattr(_Packing, "product", staticmethod(counted))
         with pytest.raises(ValueError, match="exceeds the budget of 0 terms"):
-            _moyal_total(f, f, PropagatorMatrix.family("K", 2), None)
+            _moyal_fold(packing, packed, K, None)
         assert len(calls) == walked[0] + 1

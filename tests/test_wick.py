@@ -402,6 +402,20 @@ class TestExpectationByMatrices:
         assert expectation_by_matrices(spec_for(n)) == expected
 
 
+def engine_scale_sequences(count=3):
+    """``(4,) * 6`` and ``count`` seeded admissible sequences of 5-6 entries
+    in 1..4 with a total of at least 16, twice the largest other bridge test's."""
+    rng, out = random.Random(4600), [(4,) * 6]
+    while len(out) <= count:
+        n = tuple(rng.randint(1, 4) for _ in range(rng.randint(5, 6)))
+        if is_admissible(n) and sum(n) >= 16 and n not in out:
+            out.append(n)
+    return out
+
+
+ENGINE_SCALE = engine_scale_sequences()
+
+
 class TestExpectationOracle:
     def test_single_pair(self):
         assert expectation_oracle(spec_for((1, 1))) == K_sym(1, 2, "P")
@@ -422,6 +436,14 @@ class TestExpectationOracle:
             spec = spec_for(n)
             scale = math.prod(math.factorial(v) for v in n)
             assert expectation_oracle(spec) == expectation_formula(spec) * scale, n
+
+    @pytest.mark.parametrize("n", ENGINE_SCALE, ids=str)
+    def test_bridge_at_engine_scale(self, n):
+        """The oracle's constant ``hbar^m`` coefficient, read off the keys of
+        the packed fold, on products far past ``test_bridge_scaling``'s
+        total of 8: six 4s and seeded sequences of 5-6 entries in 1..4."""
+        scale = math.prod(math.factorial(v) for v in n)
+        assert expectation_oracle(spec_for(n)) == expectation_formula(spec_for(n)) * scale
 
     @pytest.mark.parametrize("seed", range(4))
     def test_zero_ordering_is_the_zero_diagonal_family(self, seed):
