@@ -35,9 +35,8 @@ the plain tuple with the same three fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 RationalLike = Fraction | int
@@ -57,6 +56,50 @@ def _nonzero(terms: dict, den: int = 1) -> dict:
     if den == 1:
         return {m: q if type(q) is int else _rational(q) for m, q in terms.items() if q}
     return {m: _rational(Fraction(q, den)) for m, q in terms.items() if q}
+
+
+class _Value:
+    """Base of the immutable value classes: a record of the fields a class
+    annotates (its parent's if none), a class attribute being a default.
+    Construction binds arguments as a call does, then runs ``__post_init__``;
+    ``_raw`` constructors and unpickling fill ``__dict__``.  Values are equal
+    only within one class, hash over their fields, and refuse assignment."""
+
+    def __init_subclass__(cls) -> None:
+        if fields := tuple(cls.__annotations__):
+            cls._fields, cls._key = fields, attrgetter(*fields)
+            cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest, values = fields[len(args):], {**self._defaults, **kwargs}
+            if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= values.keys():
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+            args += tuple(map(values.__getitem__, rest))
+        for f, value in zip(fields, args):
+            object.__setattr__(self, f, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class PropagatorSymbol(tuple):
@@ -83,8 +126,7 @@ class PropagatorSymbol(tuple):
         return f"K[{self[0]};{self[1]},{self[2]}]"
 
 
-@dataclass(frozen=True)
-class CoeffMonomial:
+class CoeffMonomial(_Value):
     """One monomial ``hbar^h * prod K^e`` with sorted positive exponents."""
 
     hbar: int = 0
@@ -103,6 +145,11 @@ class CoeffMonomial:
         # Monomials key every coefficient dict, so the hash is computed once;
         # __reduce__ makes unpickling recompute it under the new hash seed.
         object.__setattr__(self, "_hash", hash((self.hbar, self.symbols)))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.hbar == other.hbar and self.symbols == other.symbols
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -356,8 +403,7 @@ def _render_terms(entries: Iterable[tuple[int, int, str]]) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
-@dataclass(frozen=True)
-class VarMonomial:
+class VarMonomial(_Value):
     """Product of block-tagged variables ``(block, index) -> exponent``."""
 
     items: tuple[tuple[tuple[int, int], int], ...] = ()
@@ -372,6 +418,14 @@ class VarMonomial:
             if prev is not None and not prev < (block, index):
                 raise ValueError("variable entries must be strictly sorted")
             prev = (block, index)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.items)
 
     @classmethod
     def _raw(cls, items: tuple) -> "VarMonomial":

@@ -19,10 +19,11 @@ second through one count-before-build step, :func:`_count_over`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, sub
 from typing import Iterator, Mapping, Sequence
+
+from .algebra import _Value
 
 IntSequence = tuple[int, ...]
 
@@ -39,8 +40,7 @@ def _int_sequence(n: Sequence[int]) -> IntSequence:
     return n
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
+class AdjacencyMatrix(_Value):
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
@@ -371,8 +371,7 @@ def admissible_witness(n: Sequence[int]) -> AdjacencyMatrix:
     return AdjacencyMatrix.from_upper(len(n), entries)
 
 
-@dataclass(frozen=True)
-class TwoRowSSYT:
+class TwoRowSSYT(_Value):
     """Two-row semi-standard tableau: rows weakly increase, columns strictly."""
 
     row1: tuple[int, ...]

@@ -17,11 +17,10 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Poly, PropagatorSymbol
+from .algebra import Poly, PropagatorSymbol, _Value
 from .star import PropagatorMatrix, poisson_bracket, star2, star_tensor, _common_denominator
 from .wick import WickMonomialSpec, expectation_formula, wick_power
 
@@ -66,8 +65,7 @@ def _encode_number(value: Num, mode: str):
     return value.numerator if value.denominator == 1 else f"{value}"
 
 
-@dataclass(frozen=True)
-class KernelGrid:
+class KernelGrid(_Value):
     """Sampled kernel and field data over labeled points.
 
     The kernel is read as written; a grid carries no symmetry label.
@@ -238,8 +236,7 @@ def field_expectation(powers: Sequence[int], grid: KernelGrid) -> Num:
     return specialize(Poly.constant(expectation_formula(spec), K.dim), grid)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_Value):
     """Weighted nodes; every node is a tuple of grid point labels."""
 
     nodes: tuple[tuple[str, ...], ...]

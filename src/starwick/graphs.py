@@ -18,16 +18,14 @@ shared prefix is applied once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import CoeffElement, Poly, _TermSum
+from .algebra import CoeffElement, Poly, _TermSum, _Value
 from .combinat import AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _is_int
 from .star import PropagatorMatrix, apply_bivector, _check_factors
 
 
-@dataclass(frozen=True)
-class BernoulliGraph:
+class BernoulliGraph(_Value):
     """Product of embedded one-internal-vertex graphs, encoded by a matrix."""
 
     boundary: int
@@ -61,8 +59,7 @@ class BernoulliGraph:
         return cls(data["m"], AdjacencyMatrix.from_rows(data["matrix"]))
 
 
-@dataclass(frozen=True)
-class FeynmanGraph:
+class FeynmanGraph(_Value):
     """Loop-free multigraph: edges are (i, j, multiplicity) with i < j."""
 
     vertices: int

@@ -59,7 +59,6 @@ keeps all hbar degrees up to it, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -71,13 +70,13 @@ from .algebra import (
     VarMonomial,
     RationalLike,
     _TermSum,
+    _Value,
     _as_element,
     _render_terms,
 )
 
 
-@dataclass(frozen=True)
-class PropagatorMatrix:
+class PropagatorMatrix(_Value):
     """Square grid of coefficient-algebra entries driving a star product.
 
     Two matrices with equal entries are equal.  Symmetry is a property of
@@ -480,17 +479,23 @@ def _live_cells(held: Sequence[set[int]], degrees: Sequence[int], K: PropagatorM
     return cells, min(sum(degrees) // 2, sum(degrees) - max(degrees)) if cells else 0
 
 
-def _packed(factors: Sequence[Poly], K: PropagatorMatrix) -> tuple[_Packing, list]:
+def _packed(factors: Sequence[Poly], K: PropagatorMatrix,
+            order: int | None = None) -> tuple[_Packing, list]:
     """One packing for every product of ``factors`` under ``K``, and each
     factor on it as ``(terms, den)`` (:meth:`_Packing.pack`).
 
     It is sized by the live cells over every pair of factors and the most
     cells any product of them takes, which bounds each step of
     :func:`_moyal_fold` before its hbar cut, the all-pairs walk of
-    :func:`change_propagator`, and the products of derived factors.
+    :func:`change_propagator`, and the products of derived factors.  A fold
+    cut at ``order`` takes fewer: each cell carries one hbar, so a step's
+    left side holds at most ``order`` cells and the step adds at most
+    ``order`` more, and two factors take one step from no cells.
     """
     cells, kmax = _live_cells([{i - 1 for vm, _ in f.items() for (_, i), _ in vm.items}
                                for f in factors], [f.total_degree() for f in factors], K)
+    if order is not None:
+        kmax = min(kmax, order if len(factors) == 2 else 2 * order)
     packing = _Packing([e for *_, e in cells], kmax, factors)
     return packing, [packing.pack(f) for f in factors]
 
@@ -563,7 +568,7 @@ def _moyal_fold(packing: _Packing, factors: Sequence[tuple[list, int]], K: Propa
     ``D_i`` is the derivative in ``x_i`` summed over one side's blocks.  The
     first factor and each step's product are cut above ``hbar^order``,
     which is exact because a product never lowers an hbar degree; nothing
-    else in the fold or its decoders cuts.  Each step's numerators and
+    else in the fold or its decoders cuts.  Each step's kept numerators and
     denominator are divided by their common factor, so the carried
     denominator does not grow as the product of every step's.  More
     than ``_MAX_PRODUCT_TERMS`` terms in one step's partial sums or total
@@ -587,12 +592,14 @@ def _moyal_fold(packing: _Packing, factors: Sequence[tuple[list, int]], K: Propa
             before = len(acc)
             check(size := size + len(packing.product(w.items(), left_at(rs), acc)) - before)
         total: dict[int, int] = {}
-        for cs, acc in absorbed.items():
-            check(len(packing.product(acc.items(), right_at(cs), total)))
+        for cs in list(absorbed):  # each block freed once it is added
+            check(len(packing.product(absorbed.pop(cs).items(), right_at(cs), total)))
+        if order is not None:
+            for key in [key for key in total if key & packing.mask > order]:
+                del total[key]
         den *= right[1] * weight_den
         g = math.gcd(den, *total.values())
-        terms, den = [(key, num // g) for key, num in total.items()
-                      if num and (order is None or key & packing.mask <= order)], den // g
+        terms, den = [(key, num // g) for key, num in total.items() if num], den // g
     return packing, terms, den
 
 
@@ -603,7 +610,7 @@ def star_tensor(
     _check_shape((left, right), K, order)
     if overlap := left.blocks() & right.blocks():
         raise ValueError(f"overlapping block tags between factors: {sorted(overlap)}")
-    return _Packing.unpack(*_moyal_fold(*_packed((left, right), K), K, order), K.dim)
+    return _Packing.unpack(*_moyal_fold(*_packed((left, right), K, order), K, order), K.dim)
 
 
 def star2(f: Poly, g: Poly, K: PropagatorMatrix, order: int | None = None) -> Poly:
@@ -624,13 +631,14 @@ def star_multi(
     independent route and is the oracle this fold is tested against.
     """
     factors = _check_factors(factors, K, order)
-    return _Packing.unpack(*_moyal_fold(*_packed(factors, K), K, order), K.dim)
+    return _Packing.unpack(*_moyal_fold(*_packed(factors, K, order), K, order), K.dim)
 
 
 def _star_text(factors: Sequence[Poly], K: PropagatorMatrix, order: int | None = None) -> str:
     """``str(star_multi(factors, K, order))``, written straight from the
     fold's packed product by :meth:`_Packing.text`."""
-    return _Packing.text(*_moyal_fold(*_packed(_check_factors(factors, K, order), K), K, order))
+    factors = _check_factors(factors, K, order)
+    return _Packing.text(*_moyal_fold(*_packed(factors, K, order), K, order))
 
 
 def poisson_bracket(f: Poly, g: Poly, K: PropagatorMatrix) -> Poly:
@@ -652,8 +660,7 @@ def poisson_bracket(f: Poly, g: Poly, K: PropagatorMatrix) -> Poly:
     return acc
 
 
-@dataclass(frozen=True)
-class PropagatorChangeTerm:
+class PropagatorChangeTerm(_Value):
     """One term of a propagator-change expansion.
 
     ``orders[i]`` is the derivative multi-index applied to factor ``i``;

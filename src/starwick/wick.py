@@ -39,11 +39,10 @@ rather than trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import CoeffElement, CoeffMonomial, Poly
+from .algebra import CoeffElement, CoeffMonomial, Poly, _Value
 from .combinat import (
     AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _count_over, _fold,
     _int_sequence, _row_states, _MAX_MATRICES,
@@ -65,8 +64,7 @@ from .star import (
 _MAX_EXPECT_POWER = 1000
 
 
-@dataclass(frozen=True)
-class WickMonomialSpec:
+class WickMonomialSpec(_Value):
     """Exponents plus the two propagators of a Wick monomial.
 
     ``ordering`` drives the Wick powers themselves; ``product`` drives
@@ -239,13 +237,12 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
         _check_cap("power // 2", power // 2, "Hermite")
     _check_cap("total power sum(n) // 2", m, "expectation")
     factors = [wick_power(i + 1, p, spec.ordering) for i, p in enumerate(spec.powers)]
-    packing, terms, den = _moyal_fold(*_packed(factors, spec.product), spec.product, m)
+    packing, terms, den = _moyal_fold(*_packed(factors, spec.product, m), spec.product, m)
     return packing.coeff_element([(key - m, num) for key, num in terms
                                   if key < 1 << packing.coeff_bits and key & packing.mask == m], den)
 
 
-@dataclass(frozen=True)
-class WickTheoremTerm:
+class WickTheoremTerm(_Value):
     """One term of the function-level Wick theorem.
 
     ``matrix`` is the adjacency matrix over factor indices, ``orders``

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -509,6 +510,18 @@ class TestPackedWidths:
         assert product == star_via_graphs([f, f], K)
         assert product.constant_coeff() == CoeffElement.hbar(16) * 2
 
+    def test_symbol_field_at_its_bound_under_an_order_cut(self):
+        # Two factors cut at order 2 take at most 2 cells, so the packing is
+        # sized by 2 * (1 + 16) + 4 = 38: six bits.  The kept top term holds
+        # P^32 and needs all six; sized for one cell fewer, it would carry
+        # into the field of x1.
+        f = x(1, 1) ** 2
+        P = CoeffElement.from_symbol(PropagatorSymbol("P", 1, 1), 16)
+        K = PropagatorMatrix.from_entries([[P]])
+        product = star2(f, f, K, 2)
+        assert product == star_via_graphs([f, f], K, 2)
+        assert product.constant_coeff() == CoeffElement.hbar(2) * P * P * 2
+
     @pytest.mark.parametrize("seed", range(4))
     def test_star_matches_graph_oracle(self, seed):
         rng = random.Random(3100 + seed)
@@ -730,6 +743,14 @@ class TestStarText:
     def test_matches_the_rendered_product(self, seed):
         factors, K, order = star_text_case(random.Random(2300 + seed))
         assert _star_text(factors, K, order) == str(star_multi(factors, K, order))
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_each_step_is_reduced_over_the_terms_it_keeps(self, seed):
+        """A step divides the terms its hbar cut keeps, and the denominator,
+        by their common factor; the terms it drops do not limit that."""
+        factors, K, order = star_text_case(random.Random(2300 + seed))
+        _, terms, den = _moyal_fold(*_packed(factors, K, order), K, order)
+        assert len(factors) == 1 or math.gcd(den, *(num for _, num in terms)) == 1
 
     @pytest.mark.parametrize("seed", range(30))
     def test_block_groups_match_the_unpacked_sum(self, seed):
