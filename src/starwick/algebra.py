@@ -225,6 +225,14 @@ class CoeffElement:
                 clean[mono] = q
         self._terms = clean
 
+    # Pickling at every protocol; the state is a tuple, never falsy, so
+    # unpickling the zero element still calls __setstate__.
+    def __getstate__(self) -> tuple:
+        return (self._terms,)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self._terms,) = state
+
     @classmethod
     def _raw(cls, terms: dict[CoeffMonomial, RationalLike]) -> "CoeffElement":
         out = cls.__new__(cls)
@@ -524,6 +532,12 @@ class Poly:
             clean[vm] = ce
         self._dim = dim
         self._terms = clean
+
+    def __getstate__(self) -> tuple:
+        return self._dim, self._terms
+
+    def __setstate__(self, state: tuple) -> None:
+        self._dim, self._terms = state
 
     @classmethod
     def _raw(cls, dim: int, terms: dict[VarMonomial, CoeffElement]) -> "Poly":

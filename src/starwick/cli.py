@@ -28,8 +28,8 @@ from .exprparse import ParseError, parse, _IDENT_RE
 from .fields import KernelGrid, QuadratureRule, _decode_number, field_expectation, field_star
 from .fields import functional_star
 from .graphs import export_dot, graph_from_matrix, star_via_graphs, to_feynman
-from .star import PropagatorMatrix, poisson_bracket, _Packing, _star_text
-from .wick import WickMonomialSpec, expectation_oracle, wick_power, wick_unpower, _expectation_terms
+from .star import PropagatorMatrix, poisson_bracket, _star_text
+from .wick import WickMonomialSpec, expectation_oracle, wick_power, wick_unpower, _expectation_text
 
 
 class _UsageError(Exception):
@@ -158,7 +158,8 @@ def _cmd_wick_invert(args) -> str:
 
 def _cmd_expect(engine, args) -> str:
     d = len(args.n)
-    return engine(WickMonomialSpec(args.n, PropagatorMatrix.zero(d), _family_of(args.family, d)))
+    spec = WickMonomialSpec(args.n, PropagatorMatrix.zero(d), _family_of(args.family, d))
+    return engine(spec, args.family)
 
 
 def _cmd_enum_adj(args) -> str:
@@ -262,9 +263,11 @@ _ARGS = {
 # one fold and writes it straight from its packed terms.  star-graphs'
 # engine is a lambda so that it reads star_via_graphs at call time:
 # bench/layertrace.py traces graphs.star_via_graphs as a layer by rebinding
-# that name, which a partial holding the function would not see.  The
-# expect and expect-oracle lambdas only compose calls; _expectation_terms,
-# _Packing.text and expectation_oracle are not traced layers.
+# that name, which a partial holding the function would not see.  expect's
+# engine is wick._expectation_text, which writes the expectation as its list
+# of Feynman graphs in one walk over the row states, with no packed term or
+# sort.  The expect and expect-oracle lambdas only compose calls; neither
+# _expectation_text nor expectation_oracle is a traced layer.
 _COMMANDS = (
     ("star", "multi-factor star product",
      partial(_cmd_star, _star_text), ("dim", "order", "family", "sym", "exprs")),
@@ -278,9 +281,10 @@ _COMMANDS = (
     ("wick-invert", "expand a plain power in Wick powers", _cmd_wick_invert,
      ("dim", "family", "index", "power", "json")),
     ("expect", "combinatorial Wick-monomial expectation",
-     partial(_cmd_expect, lambda spec: _Packing.text(*_expectation_terms(spec))), ("n", "family")),
+     partial(_cmd_expect, lambda spec, family: _expectation_text(spec.powers, family)),
+     ("n", "family")),
     ("expect-oracle", "brute-force Wick-monomial expectation",
-     partial(_cmd_expect, lambda spec: str(expectation_oracle(spec))), ("n", "family")),
+     partial(_cmd_expect, lambda spec, _: str(expectation_oracle(spec))), ("n", "family")),
     ("enum-adj", "enumerate adjacency matrices", _cmd_enum_adj, (
         ("--dim", dict(type=_int, help="matrix size with --deg (default 2)")),
         ("--deg", dict(type=_int, help="total degree")),

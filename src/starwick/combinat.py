@@ -7,13 +7,15 @@ and a zero main diagonal; entry ``m_ij`` counts edges between vertices
 The matrices with given row sums are the paths through row states
 (:func:`_row_states`).  One fold, :func:`_fold`, walks them from the last
 row back with a step per state, so a value shared by the completions of
-many prefixes is computed once.  It has three steps: :func:`_count_paths`
+many prefixes is computed once.  It has four steps: :func:`_count_paths`
 counts the matrices, :func:`_matrices` builds them for both enumerators,
-and :func:`starwick.wick._expectation_terms` sums the Isserlis weights of
-the Wick expectation.  Two budgets bound the work: ``_MAX_PARTIAL_ROWS``
-on the row-state table and ``_MAX_MATRICES`` on the matrices built, and
-on the Isserlis terms when each is one matrix.  Both builders meet the
-second through one count-before-build step, :func:`_count_over`.
+:func:`starwick.wick.expectation_formula` sums the Isserlis weights of
+the Wick expectation, and :func:`starwick.wick._expectation_text` writes
+the ``expect`` text, one term per matrix.  Two budgets bound the work:
+``_MAX_PARTIAL_ROWS`` on the row-state table and ``_MAX_MATRICES`` on
+the matrices built, and on the Isserlis terms when each is one matrix.
+The builders meet the second through one count-before-build step,
+:func:`_count_over`.
 """
 
 from __future__ import annotations
@@ -141,8 +143,9 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
 _MAX_PARTIAL_ROWS = 10**6
 
 # The most matrices :func:`_matrices` builds, and the most Isserlis terms
-# :func:`starwick.wick._expectation_terms` builds when each matrix is one
-# term.  Both count first, with the same fold, and refuse above this with
+# :func:`starwick.wick.expectation_formula` and
+# :func:`starwick.wick._expectation_text` build when each matrix is one
+# term.  All count first, with the same fold, and refuse above this with
 # ``ValueError``: the 190,050 matrices of ``(3,) * 8`` take 5.5 s and
 # 509 MB as ``enum-adj`` output, and ``(3,) * 10`` has 103,050,570.  The
 # benchmark pools reach 822 and the tests 2,002.
@@ -233,8 +236,9 @@ def _count_paths(i: int, state: IntSequence, moves: list, below: dict[IntSequenc
 
 def _count_over(layers: list[dict], budget: int) -> int:
     """The number of paths through ``layers`` when it exceeds ``budget``,
-    else 0: the count-before-build step of :func:`_matrices` and
-    :func:`starwick.wick._expectation_terms`.  The product of each row's
+    else 0: the count-before-build step of :func:`_matrices`,
+    :func:`starwick.wick.expectation_formula` and
+    :func:`starwick.wick._expectation_text`.  The product of each row's
     most moves bounds the count for about a tenth of the count's cost, so
     the paths are counted only when that bound exceeds the budget."""
     if math.prod(max(map(len, layer.values())) for layer in layers) <= budget:

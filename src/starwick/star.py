@@ -45,8 +45,7 @@ through the one writer, :meth:`_Packing.text`, which writes a packed sum
 as canonical text with no value built, its terms grouped by variable
 monomial in :meth:`Poly.sorted_terms`'s order.  The ``star`` command
 prints :func:`_star_text`, which writes the fold's product with that
-writer, so no product of the fold is decoded; the ``expect`` command
-prints the one-group case, a coefficient sum.
+writer, so no product of the fold is decoded.
 :func:`starwick.wick.expectation_oracle` decodes only the constant
 ``hbar^m`` coefficient of its fold.  Each step of the fold is refused
 above ``_MAX_PRODUCT_TERMS`` packed terms.
@@ -376,16 +375,14 @@ class _Packing:
         first.  Coefficient keys sort by degree, hbar and the order rule,
         which is :meth:`CoeffMonomial.sort_key` because keys of one degree
         and hbar have equal symbol totals.  :meth:`_decode` reads each
-        distinct chunk once, as its rank and its text.  With one group the
-        sort of its rows is the whole order; with more, each distinct
-        coefficient key is ranked once and each group sorts its rows on
+        distinct chunk once, as its rank and its text.  Each distinct
+        coefficient key is ranked once, and each group sorts its rows on
         that integer rank."""
         width, mask, size = self.width, self.mask, self._CHUNK
         groups = self._grouped(terms)
 
-        def ranked(keys: list[int], fields: Iterable[str], base: int, offset: int,
-                   payload: Iterable) -> list[tuple]:
-            """``(degree, field 0, chunk readings, payload)`` per key, sorted.
+        def ranked(keys: list[int], fields: Iterable[str], base: int, offset: int) -> list[tuple]:
+            """``(degree, field 0, chunk readings, key)`` per key, sorted.
             A chunk reads as its rank, ``base`` plus ``e - offset`` per field
             ``e``, first field most significant, and its text over the field
             names ``fields``.  The degree, the sum of the fields, is at most
@@ -402,37 +399,20 @@ class _Packing:
 
             return sorted(zip([(key - 1) % mask + 1 if key else 0 for key in keys],
                               [key & mask for key in keys],
-                              self._decode(keys, {}, names, read), payload))
+                              self._decode(keys, {}, names, read), keys))
 
-        def ranked_coefficients(keys: list[int], payload: Iterable) -> list[tuple]:
-            """A field ``e`` ranks as ``(e - 1) & mask``: every field zero
-            reads as mask, and a nonzero field takes ``mask + 1 - e`` off it."""
-            return ranked(keys, ["hbar", *(s.text() for s in self.symbols)],
-                          (1 << width * size) - 1, mask + 1, payload)
-
-        def ranked_groups(keys: list[int]) -> list[tuple]:
-            """A field ranks as its exponent, so that read from the end the
-            groups sort descending."""
-            return ranked(keys, (f"x{i}" if b == 0 else f"x{i}@{b}" for b, i in self.variables),
-                          0, 0, keys)
-
-        entries = []
-        if len(groups) == 1:  # the sort of the rows is the whole order
-            [(group, rows)] = groups.items()
-            vtext = ""
-            if group:
-                [(*_, chunks, _)] = ranked_groups([group])
-                vtext = "".join([text for _, text in chunks])
-            for *_, chunks, (_, num) in ranked_coefficients([key for key, _ in rows], rows):
-                g = math.gcd(num, den)
-                entries.append((num // g, den // g,
-                                ("".join([text for _, text in chunks]) + vtext)[1:]))
-            return _render_terms(entries)
-        keys = list({key for rows in groups.values() for key, _ in rows})
-        order_of = ranked_coefficients(keys, keys)
+        # A coefficient field ``e`` ranks as ``(e - 1) & mask``: every field
+        # zero reads as mask, and a nonzero field takes ``mask + 1 - e`` off it.
+        order_of = ranked(list({key for rows in groups.values() for key, _ in rows}),
+                          ["hbar", *(s.text() for s in self.symbols)],
+                          (1 << width * size) - 1, mask + 1)
         rank = {key: n for n, (*_, key) in enumerate(order_of)}
         texts = ["".join([text for _, text in chunks]) for *_, chunks, _ in order_of]
-        for *_, chunks, group in reversed(ranked_groups(list(groups))):
+        # A variable field ranks as its exponent, so that read from the end
+        # the groups sort descending.
+        variables = (f"x{i}" if b == 0 else f"x{i}@{b}" for b, i in self.variables)
+        entries = []
+        for *_, chunks, group in reversed(ranked(list(groups), variables, 0, 0)):
             vtext = "".join([text for _, text in chunks])
             for n, num in sorted([(rank[key], num) for key, num in groups[group]]):
                 g = math.gcd(num, den)

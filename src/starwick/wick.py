@@ -18,15 +18,17 @@ combinatorial functional, the Isserlis sum
 over the adjacency matrices ``m`` whose row sums are the exponents.
 The one fold over the row states of those matrices,
 :func:`starwick.combinat._fold`, walks them backwards, so a sum over
-completions shared by many prefixes is computed once.  It has three
+completions shared by many prefixes is computed once.  It has four
 steps: the path count and the matrices of :mod:`starwick.combinat`, and
-here the Isserlis sum of :func:`_expectation_terms`.  The Isserlis terms
-are in the packed format of the star products:
-:class:`starwick.star._Packing` sizes, scales and multiplies them, and
-this module builds no key, bound or denominator of its own.
-:func:`expectation_formula` decodes the terms into a ``CoeffElement``;
-the ``expect`` command writes them as text through
-:meth:`starwick.star._Packing.text` without decoding them.  The ground
+here the Isserlis sum of :func:`expectation_formula` and the graph list
+of :func:`_expectation_text`.  The Isserlis terms are in the packed
+format of the star products: :class:`starwick.star._Packing` sizes,
+scales and multiplies them, and :func:`expectation_formula` decodes them
+into a ``CoeffElement``.  The ``expect`` command names every entry by its
+own symbol, so each matrix is one Feynman graph and one term of its
+text, and :func:`_expectation_text` writes that list of graphs in
+canonical order as it walks the row states, with no packed term, value
+or sort; the packed sum is its oracle in the tests.  The ground
 truth for every identity in this module is the star-product engine itself:
 :func:`expectation_oracle` reads the expectation off the star product of
 the Wick powers, folded packed (:func:`starwick.star._moyal_fold`), as
@@ -40,9 +42,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .algebra import CoeffElement, CoeffMonomial, Poly, _Value
+from .algebra import CoeffElement, CoeffMonomial, Poly, PropagatorSymbol, _Value, _render_terms
 from .combinat import (
     AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _count_over, _fold,
     _int_sequence, _row_states, _MAX_MATRICES,
@@ -139,6 +141,20 @@ def wick_monomial_star(spec: WickMonomialSpec, order: int | None = None) -> Poly
     return star_multi(factors, spec.product, order)
 
 
+def _expectation_layers(n: Sequence[int], own_symbols: bool) -> list[dict]:
+    """The row states of ``n`` (:func:`starwick.combinat._row_states`), none
+    when ``n`` is not admissible.  An admissible ``n`` is refused with
+    ``ValueError`` when ``sum(n) // 2`` is above ``_MAX_EXPECT_POWER`` and,
+    if each matrix is a term of its own (``own_symbols``), when it has more
+    than ``_MAX_MATRICES`` matrices."""
+    layers = _row_states(n)
+    if layers:
+        _check_cap("total power sum(n) // 2", sum(n) // 2, "expectation")
+        if own_symbols and (count := _count_over(layers, _MAX_MATRICES)):
+            raise ValueError(f"{count} terms exceed the matrix budget of {_MAX_MATRICES}")
+    return layers
+
+
 def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     """Combinatorial expectation: a sum over the adjacency matrices ``m``
     with row sums ``spec.powers``.
@@ -158,29 +174,18 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
     before any power table or factorial is built, and so are more terms
     than ``_MAX_MATRICES`` when each matrix is a term of its own.
     """
-    packing, terms, den = _expectation_terms(spec)
-    return packing.coeff_element(terms, den)
-
-
-def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple[int, int]], int]:
-    """:func:`expectation_formula` as packed terms over a denominator: its
-    packing, the ``(key, numerator)`` terms and the denominator."""
     n = spec.powers
-    layers = _row_states(n)
-    if not layers:
-        return _Packing([], 0), (), 1
     h, d = sum(n) // 2, len(n)
-    _check_cap("total power sum(n) // 2", h, "expectation")
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     entries = [spec.product.entries[i][j] for i, j in pairs]
     # When each entry is its own symbol to the first power, as
     # ``PropagatorMatrix.family`` builds them, every matrix is a term of its
     # own, so the matrices are counted first and too many are refused.
     monomials = [tuple(m for m, _ in e.items()) for e in entries]
-    own_symbols = len(set(monomials)) == len(monomials) and all(
-        len(ms) == 1 and ms[0].degree() == 1 == len(ms[0].symbols) for ms in monomials)
-    if own_symbols and (count := _count_over(layers, _MAX_MATRICES)):
-        raise ValueError(f"{count} terms exceed the matrix budget of {_MAX_MATRICES}")
+    layers = _expectation_layers(n, len(set(monomials)) == len(monomials) and all(
+        len(ms) == 1 and ms[0].degree() == 1 == len(ms[0].symbols) for ms in monomials))
+    if not layers:
+        return CoeffElement.zero()
     packing = _Packing(entries, h)
     bases, scale = packing.scaled(entries, 0)
     product = packing.product
@@ -209,7 +214,42 @@ def _expectation_terms(spec: WickMonomialSpec) -> tuple[_Packing, Iterable[tuple
             product(terms, below[rest].items(), acc)
         return acc
 
-    return packing, _fold(layers, {0: 1}, step).items(), math.factorial(h) * scale**h
+    return packing.coeff_element(_fold(layers, {0: 1}, step).items(), math.factorial(h) * scale**h)
+
+
+def _expectation_text(n: Sequence[int], family: str) -> str:
+    """``str(expectation_formula(spec))`` for row sums ``n`` under the
+    family ``K[family;i,j]``, written as the list of its Feynman graphs.
+
+    With every entry its own symbol, each matrix ``m`` is one term
+    ``prod K_ij^{m_ij} / prod m_ij!``, and no two merge.  All terms have
+    degree ``h`` and no hbar, so :meth:`CoeffMonomial.sort_key` compares
+    the upper-triangle exponents row-major, each ``v > 0`` read as ``v - 1``
+    and ``0`` after any value.  So each state folds to the
+    ``(prod m_ij!, text)`` pairs of its completions, its moves visited in
+    that order, and the start state's list is the canonical order with no
+    sort.  Each row's pair is built once.  It shares the caps and budgets
+    of :func:`expectation_formula` (:func:`_expectation_layers`), which the
+    tests read as the oracle.
+    """
+    layers, h = _expectation_layers(n, True), sum(n) // 2
+    if not layers:
+        return "0"
+    rows = {}  # a row's length fixes its layer, so the row alone is the key
+
+    def step(i, state, moves, below):
+        out = []
+        for row, rest in sorted(moves, key=lambda move: [v - 1 if v else h + 1 for v in move[0]]):
+            pair = rows.get(row)
+            if pair is None:
+                pair = rows[row] = (math.prod(map(math.factorial, row)), "".join(
+                    f"*{PropagatorSymbol(family, i + 1, j).text()}" + (f"^{v}" if v > 1 else "")
+                    for j, v in enumerate(row, i + 2) if v))
+            weight, text = pair
+            out += [(weight * w, text + t) for w, t in below[rest]]
+        return out
+
+    return _render_terms((1, w, t[1:]) for w, t in _fold(layers, [(1, "")], step))
 
 
 def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:

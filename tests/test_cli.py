@@ -30,12 +30,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def expect_spec(n):
+def expect_spec(n, family="K"):
     """The Wick monomial of ``expect --n`` and ``expect-oracle --n``.  They
     order by the zero matrix, and this spec by the zero-diagonal family,
     which gives the same values (``test_zero_ordering_is_the_zero_diagonal_family``)."""
-    return WickMonomialSpec(n, PropagatorMatrix.family("K", len(n), zero_diagonal=True),
-                            PropagatorMatrix.family("K", len(n)))
+    return WickMonomialSpec(n, PropagatorMatrix.family(family, len(n), zero_diagonal=True),
+                            PropagatorMatrix.family(family, len(n)))
+
+
+def even_sequence(rng, d, top):
+    """``d`` entries from 0 to ``top``, the last raised by one if the total is odd."""
+    n = [rng.randint(0, top) for _ in range(d)]
+    n[-1] += sum(n) % 2
+    return tuple(n)
 
 
 class TestStarCommands:
@@ -154,14 +161,42 @@ class TestWickCommands:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_expect_prints_the_decoded_formula(self, capsys, seed):
-        """``expect`` writes its text straight from the packed terms; ``str``
-        of the decoded :func:`expectation_formula` is the oracle."""
+        """``expect`` writes its text as the list of Feynman graphs; ``str``
+        of the decoded :func:`expectation_formula`, the packed Isserlis sum,
+        is the oracle.  Sequences reach ``d = 11``, where two-digit indices
+        sort as numbers, hold zero entries and take either family."""
         rng = random.Random(1600 + seed)
         cases = [(1,) * 12] if seed == 0 else []
         cases += [tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 6))) for _ in range(6)]
+        cases += [even_sequence(rng, d, 2) for d in (rng.randint(7, 9), 10, 11)]
         for n in cases:
+            family = rng.choice("KP")
+            code, out, _ = run(capsys, "expect", "--n", ",".join(map(str, n)), "--family", family)
+            assert (code, out) == (0, f"{expectation_formula(expect_spec(n, family))}\n"), n
+
+    def test_expect_builds_no_packed_term(self, capsys, monkeypatch):
+        """``expect`` answers with the packed route refusing to run, so the
+        formula test above compares two independent routes."""
+        n = (2, 3, 1, 2, 0, 2)
+        expected = f"{expectation_formula(expect_spec(n))}\n"
+
+        def refuse(*args):
+            raise AssertionError("the packed route was called")
+
+        monkeypatch.setattr("starwick.wick.expectation_formula", refuse)
+        monkeypatch.setattr("starwick.star._Packing.__init__", refuse)
+        monkeypatch.setattr("starwick.star._Packing.text", refuse)
+        assert run(capsys, "expect", "--n", ",".join(map(str, n))) == (0, expected, "")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_expect_writes_one_term_per_matrix(self, capsys, seed):
+        """Distinct graphs give distinct monomials, so nothing merges."""
+        rng = random.Random(2800 + seed)
+        for _ in range(4):
+            n = even_sequence(rng, rng.randint(1, 6), 3)
             code, out, _ = run(capsys, "expect", "--n", ",".join(map(str, n)))
-            assert (code, out) == (0, f"{expectation_formula(expect_spec(n))}\n"), n
+            terms = 0 if out == "0\n" else len(out.split(" + "))
+            assert (code, terms) == (0, len(enumerate_adjacency_by_rowsums(n))), n
 
     def test_expect_family(self, capsys):
         code, out, _ = run(capsys, "expect", "--n", "1,1", "--family", "P")

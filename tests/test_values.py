@@ -3,8 +3,9 @@
 Every value class is a record of its fields on one small base
 (``starwick.algebra._Value``): construction as a call, equality within one
 class, a hash over the fields, a ``Name(field=value, ...)`` repr,
-immutability and pickling.  Importing the CLI loads none of the modules
-that ``dataclasses`` would pull in.
+immutability and pickling at every protocol, as the two slotted values,
+``CoeffElement`` and ``Poly``, also pickle.  Importing the CLI loads none
+of the modules that ``dataclasses`` would pull in.
 """
 
 import copy
@@ -24,6 +25,7 @@ from starwick import (
     CoeffMonomial,
     FeynmanGraph,
     KernelGrid,
+    Poly,
     PropagatorChangeTerm,
     PropagatorMatrix,
     PropagatorSymbol,
@@ -133,14 +135,25 @@ def test_repr(cls):
 def test_pickle_and_deepcopy_round_trip(cls):
     names, args, _ = CASES[cls]
     value = cls(*args)
-    # From protocol 2: CoeffElement keeps its terms in __slots__, which
-    # protocols 0 and 1 cannot pickle.
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
         assert type(back) is cls and back == value and hash(back) == hash(value)
         assert fields_of(back, names) == args
     back = copy.deepcopy(value)
     assert back == value and hash(back) == hash(value) and fields_of(back, names) == args
+
+
+@pytest.mark.parametrize("value", [
+    CoeffElement.zero(), CoeffElement.hbar() * Fraction(-3, 2) + 1, Poly.zero(2), Poly.one(2),
+    Poly.variable(1, 2) * CoeffElement.hbar() + Poly.variable(2, 2, block=1) * Fraction(1, 3),
+], ids=["coeff-zero", "coeff", "poly-zero", "poly-one", "poly"])
+def test_slotted_values_pickle_at_every_protocol(value):
+    """``CoeffElement`` and ``Poly`` keep their fields in ``__slots__`` and
+    pickle by their own state, the zero values included."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+        assert str(back) == str(value)
 
 
 def test_cold_import_loads_no_dataclasses():
