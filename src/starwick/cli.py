@@ -17,12 +17,7 @@ from typing import Sequence
 
 from .algebra import Poly
 from .combinat import (
-    AdjacencyMatrix,
-    admissible_witness,
-    enumerate_adjacency_by_degree,
-    enumerate_adjacency_by_rowsums,
-    is_admissible,
-    ssyt_two_row,
+    AdjacencyMatrix, admissible_witness, is_admissible, ssyt_two_row, _degree_sums, _matrices,
 )
 from .exprparse import ParseError, parse, _IDENT_RE
 from .fields import KernelGrid, QuadratureRule, _decode_number, field_expectation, field_star
@@ -156,23 +151,25 @@ def _cmd_wick_invert(args) -> str:
     return "\n".join(f"{deg} {coeff}" for coeff, deg in terms)
 
 
-def _cmd_expect(engine, args) -> str:
+def _cmd_expect_oracle(args) -> str:
     d = len(args.n)
     spec = WickMonomialSpec(args.n, PropagatorMatrix.zero(d), _family_of(args.family, d))
-    return engine(spec, args.family)
+    return str(expectation_oracle(spec))
 
 
 def _cmd_enum_adj(args) -> str:
     if (args.deg is None) == (args.n is None):
         raise _UsageError("enum-adj needs exactly one of --deg or --n")
     if args.deg is not None:
-        matrices = enumerate_adjacency_by_degree(2 if args.dim is None else args.dim, args.deg)
+        d = 2 if args.dim is None else args.dim
+        n = _degree_sums(d, args.deg)
     elif args.dim is not None:
         raise _UsageError("enum-adj --dim applies only with --deg")
     else:
-        matrices = enumerate_adjacency_by_rowsums(args.n)
-    row = cache(lambda r: "[" + ",".join(map(str, r)) + "]")  # compact JSON, once per row
-    lines = ["[" + ",".join(map(row, m.rows)) + "]" for m in matrices]
+        n, d = args.n, len(args.n)
+    # Compact JSON of one matrix, its d * d cells filled in one step.
+    template = "[" + ",".join(["[" + ",".join(["%d"] * d) + "]"] * d) + "]"
+    lines = [template % cells for cells in _matrices(n, d)]
     return "[" + ",".join(lines) + "]" if args.json else "\n".join(lines)
 
 
@@ -263,11 +260,15 @@ _ARGS = {
 # one fold and writes it straight from its packed terms.  star-graphs'
 # engine is a lambda so that it reads star_via_graphs at call time:
 # bench/layertrace.py traces graphs.star_via_graphs as a layer by rebinding
-# that name, which a partial holding the function would not see.  expect's
-# engine is wick._expectation_text, which writes the expectation as its list
-# of Feynman graphs in one walk over the row states, with no packed term or
-# sort.  The expect and expect-oracle lambdas only compose calls; neither
-# _expectation_text nor expectation_oracle is a traced layer.
+# that name, which a partial holding the function would not see.  expect
+# calls wick._expectation_text, which checks --n as WickMonomialSpec does
+# and writes the expectation as its list of Feynman graphs in one walk over
+# the row states, whose moves come in canonical order, zero last, so it
+# needs no packed term and no sort; the lambda only composes the call, and
+# neither is a traced layer.  enum-adj writes the flat cell tuples of
+# combinat._matrices, sorted once, each through one %d template per size,
+# with no AdjacencyMatrix; so it does not pass through the public
+# enumerators, which bench/layertrace.py traces as the combinat layers.
 _COMMANDS = (
     ("star", "multi-factor star product",
      partial(_cmd_star, _star_text), ("dim", "order", "family", "sym", "exprs")),
@@ -281,10 +282,9 @@ _COMMANDS = (
     ("wick-invert", "expand a plain power in Wick powers", _cmd_wick_invert,
      ("dim", "family", "index", "power", "json")),
     ("expect", "combinatorial Wick-monomial expectation",
-     partial(_cmd_expect, lambda spec, family: _expectation_text(spec.powers, family)),
+     lambda args: _expectation_text(args.n, args.family), ("n", "family")),
+    ("expect-oracle", "brute-force Wick-monomial expectation", _cmd_expect_oracle,
      ("n", "family")),
-    ("expect-oracle", "brute-force Wick-monomial expectation",
-     partial(_cmd_expect, lambda spec, _: str(expectation_oracle(spec))), ("n", "family")),
     ("enum-adj", "enumerate adjacency matrices", _cmd_enum_adj, (
         ("--dim", dict(type=_int, help="matrix size with --deg (default 2)")),
         ("--deg", dict(type=_int, help="total degree")),

@@ -5,13 +5,16 @@ and a zero main diagonal; entry ``m_ij`` counts edges between vertices
 ``i`` and ``j``.  Row sums are the degree sequence.
 
 The matrices with given row sums are the paths through row states
-(:func:`_row_states`).  One fold, :func:`_fold`, walks them from the last
-row back with a step per state, so a value shared by the completions of
-many prefixes is computed once.  It has four steps: :func:`_count_paths`
-counts the matrices, :func:`_matrices` builds them for both enumerators,
-:func:`starwick.wick.expectation_formula` sums the Isserlis weights of
-the Wick expectation, and :func:`starwick.wick._expectation_text` writes
-the ``expect`` text, one term per matrix.  Two budgets bound the work:
+(:func:`_row_states`), each state's moves in canonical order, zero last:
+the order of the ``expect`` monomials.  One fold, :func:`_fold`, walks
+them from the last row back with a step per state, so a value shared by
+the completions of many prefixes is computed once.  It has four steps:
+:func:`_count_paths` counts the matrices, :func:`_matrices` builds them
+as flat cell tuples, sorted once into ascending row-major order, for both
+enumerators and ``enum-adj``, :func:`starwick.wick.expectation_formula`
+sums the Isserlis weights of the Wick expectation, and
+:func:`starwick.wick._expectation_text` writes the ``expect`` text, one
+term per matrix, with no sort.  Two budgets bound the work:
 ``_MAX_PARTIAL_ROWS`` on the row-state table and ``_MAX_MATRICES`` on
 the matrices built, and on the Isserlis terms when each is one matrix.
 The builders meet the second through one count-before-build step,
@@ -21,7 +24,7 @@ The builders meet the second through one count-before-build step,
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import combinations
 from operator import itemgetter, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -59,10 +62,13 @@ class AdjacencyMatrix(_Value):
                     raise ValueError("matrix must be symmetric")
 
     @classmethod
-    def _raw(cls, rows: tuple[tuple[int, ...], ...]) -> "AdjacencyMatrix":
-        """A matrix valid by construction, built without the checks."""
-        out = object.__new__(cls)
-        out.__dict__["rows"] = rows
+    def _from_cells(cls, cells: list[IntSequence], d: int) -> list["AdjacencyMatrix"]:
+        """Matrices of ``d`` rows from flat row-major cell tuples, valid by
+        construction and built without the checks."""
+        rows = _getter([slice(i * d, i * d + d) for i in range(d)])
+        out = [object.__new__(cls) for _ in cells]
+        for matrix, matrix_rows in zip(out, map(rows, cells)):
+            matrix.__dict__["rows"] = matrix_rows
         return out
 
     @classmethod
@@ -157,12 +163,15 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
 
     ``layers[i]`` maps each state reachable at row ``i`` (the row sums rows
     ``i..`` still need) to its moves: the values of row ``i`` right of the
-    diagonal, in ascending lexicographic order, each with the state it
-    leaves.  Only admissible states are kept (none negative, even total, no
-    entry above half of it).  For loopless multigraphs that is sufficient,
-    so every kept state completes and every path from ``n`` to the empty
-    state is one matrix.  No layers when ``n`` is not admissible.  Growing
-    more than ``_MAX_PARTIAL_ROWS`` partial rows raises ``ValueError``.
+    diagonal, each with the state it leaves, in canonical order, zero last:
+    lexicographic with each column's values taken as 1, 2, ... and then 0,
+    the order of the ``expect`` monomials
+    (:func:`starwick.wick._expectation_text`).  Only admissible states are
+    kept (none negative, even total, no entry above half of it).  For
+    loopless multigraphs that is sufficient, so every kept state completes
+    and every path from ``n`` to the empty state is one matrix.  No layers
+    when ``n`` is not admissible.  Growing more than ``_MAX_PARTIAL_ROWS``
+    partial rows raises ``ValueError``.
     """
     total = sum(n)
     if min(n) < 0 or total % 2 or 2 * max(n) > total:
@@ -200,9 +209,12 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
                         v = a
                     if top > b:
                         top = b
-                    while v <= top:
-                        grown.append((row + (v,), r - v))
-                        v += 1
+                    x = v or 1  # zero goes last: the canonical order of the moves
+                    while x <= top:
+                        grown.append((row + (x,), r - x))
+                        x += 1
+                    if not v:
+                        grown.append((row + (0,), r))
                     if len(grown) > room:
                         raise ValueError(f"row-state table exceeds the budget of "
                                          f"{_MAX_PARTIAL_ROWS} partial rows")
@@ -247,14 +259,22 @@ def _count_over(layers: list[dict], budget: int) -> int:
     return count if count > budget else 0
 
 
-def _matrices(n: IntSequence, d: int) -> list[AdjacencyMatrix]:
+def _getter(items: list):
+    """``itemgetter(*items)``, returning a tuple even of one item."""
+    return itemgetter(*items) if len(items) > 1 else lambda seq: (seq[items[0]],)
+
+
+def _matrices(n: IntSequence, d: int) -> list[IntSequence]:
     """The matrices on the first ``d`` vertices of the paths through the row
-    states of ``n``, in path order; the values of later vertices are dropped.
+    states of ``n``, each the flat row-major tuple of its ``d * d`` cells,
+    in ascending row-major lexicographic order of the upper triangle; the
+    values of later vertices are dropped.
 
     More than ``_MAX_MATRICES`` paths (:func:`_count_over`) raise
-    ``ValueError``.  Then each state is folded to the upper rows of all its
-    completions, tuples of row tuples, so a suffix shared by many prefixes
-    is built once; each path is flattened once, for one cell getter.
+    ``ValueError``.  Then each state is folded to the upper slots of all its
+    completions, flat tuples, so a suffix shared by many prefixes is built
+    once.  The moves come in canonical order, zero last, so the paths are
+    sorted once; the values dropped follow from those kept, so none tie.
     """
     layers = _row_states(n)
     if not layers:
@@ -265,32 +285,21 @@ def _matrices(n: IntSequence, d: int) -> list[AdjacencyMatrix]:
     def suffixes(i, state, moves, below):
         out = []
         for row, rest in moves:
-            head = (row[: d - 1 - i],)
+            head = row[: d - 1 - i]
             out += [head + tail for tail in below[rest]]
         return out
 
-    # A path is its upper slots, row-major, then the leaf's zero.  Row i's
-    # slots fill its cells right of the diagonal and column i below it, the
-    # diagonal reads the zero, and an extra index keeps a tuple at d = 1.
-    zero = d * (d - 1) // 2
-    index = [zero] * (d * d)
-    for i in range(d):
-        slots = range(i * (d - 1) - i * (i - 1) // 2, zero)[: d - 1 - i]
-        index[i * d + i + 1 : i * d + d] = index[i * d + i + d :: d] = slots
-    cells, spans = itemgetter(*index, zero), [slice(i * d, i * d + d) for i in range(d)]
-    paths = map(tuple, map(chain.from_iterable, _fold(layers, [((0,),)], suffixes)))
-    return [AdjacencyMatrix._raw(tuple([full[s] for s in spans])) for full in map(cells, paths)]
+    # A path is its upper slots, row-major, then the leaf's zero: cell (i, j)
+    # reads the slot of its pair, and the diagonal reads the zero.
+    slot = {pair: k for k, pair in enumerate(combinations(range(d), 2))}
+    index = [slot.get((min(i, j), max(i, j)), len(slot)) for i in range(d) for j in range(d)]
+    return list(map(_getter(index), sorted(_fold(layers, [(0,)], suffixes))))
 
 
-def enumerate_adjacency_by_degree(
-    d: int, degree: int, row_caps: Sequence[int] | None = None
-) -> list[AdjacencyMatrix]:
-    """All d x d adjacency matrices of the given degree, ascending row-major
-    lexicographic order on the upper triangle.
-
-    ``row_caps`` optionally bounds each row sum; useful to skip matrices
-    whose operators annihilate a factor of known polynomial degree.
-    """
+def _degree_sums(d: int, degree: int, row_caps: Sequence[int] | None = None) -> IntSequence:
+    """The row sums whose matrices on the first ``d`` vertices are those of
+    :func:`enumerate_adjacency_by_degree`, after its checks: ``row_caps``
+    and a slack vertex that takes what each row leaves below its cap."""
     if not _is_int(d) or d < 1:
         raise ValueError(f"matrix size must be an integer of at least 1, got {d!r}")
     if not _is_int(degree) or degree < 0 or degree % 2:
@@ -303,16 +312,26 @@ def enumerate_adjacency_by_degree(
         raise ValueError("row_caps length must match the matrix size")
     if any(c < 0 for c in caps):
         raise ValueError("row_caps must be non-negative")
-    # An extra slack vertex takes what each row leaves below its cap.  It is
-    # the last column of every row, so dropping it keeps the order.
-    return _matrices((*caps, sum(caps) - degree), d)
+    return (*caps, sum(caps) - degree)
+
+
+def enumerate_adjacency_by_degree(
+    d: int, degree: int, row_caps: Sequence[int] | None = None
+) -> list[AdjacencyMatrix]:
+    """All d x d adjacency matrices of the given degree, ascending row-major
+    lexicographic order on the upper triangle.
+
+    ``row_caps`` optionally bounds each row sum; useful to skip matrices
+    whose operators annihilate a factor of known polynomial degree.
+    """
+    return AdjacencyMatrix._from_cells(_matrices(_degree_sums(d, degree, row_caps), d), d)
 
 
 def enumerate_adjacency_by_rowsums(n: Sequence[int]) -> list[AdjacencyMatrix]:
     """All adjacency matrices with the prescribed row sums, ascending
     row-major lexicographic order; empty when none exist."""
     n = _int_sequence(n)
-    return _matrices(n, len(n)) if n else []
+    return AdjacencyMatrix._from_cells(_matrices(n, len(n)), len(n)) if n else []
 
 
 def is_admissible(n: Sequence[int]) -> bool:

@@ -27,9 +27,10 @@ scales and multiplies them, and :func:`expectation_formula` decodes them
 into a ``CoeffElement``.  The ``expect`` command names every entry by its
 own symbol, so each matrix is one Feynman graph and one term of its
 text, and :func:`_expectation_text` writes that list of graphs in
-canonical order as it walks the row states, with no packed term, value
-or sort; the packed sum is its oracle in the tests.  The ground
-truth for every identity in this module is the star-product engine itself:
+canonical order as it walks the row states, whose moves come in that
+order, with no packed term, value or sort; the packed sum is its oracle
+in the tests.  The ground truth for every identity in this module is the
+star-product engine itself:
 :func:`expectation_oracle` reads the expectation off the star product of
 the Wick powers, folded packed (:func:`starwick.star._moyal_fold`), as
 the packed keys with no variable and ``hbar^m``, without decoding the
@@ -44,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CoeffElement, CoeffMonomial, Poly, PropagatorSymbol, _Value, _render_terms
+from .algebra import CoeffElement, CoeffMonomial, Poly, PropagatorSymbol, _Value
 from .combinat import (
     AdjacencyMatrix, enumerate_adjacency_by_degree, multinomial, _count_over, _fold,
     _int_sequence, _row_states, _MAX_MATRICES,
@@ -78,14 +79,19 @@ class WickMonomialSpec(_Value):
     product: PropagatorMatrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "powers", _int_sequence(self.powers))
-        d = len(self.powers)
-        if d < 1:
-            raise ValueError("at least one factor is required")
-        if any(p < 0 for p in self.powers):
-            raise ValueError("powers must be non-negative")
-        if self.ordering.dim != d or self.product.dim != d:
+        object.__setattr__(self, "powers", _powers(self.powers))
+        if not self.ordering.dim == self.product.dim == len(self.powers):
             raise ValueError("propagator dimensions must match the power count")
+
+
+def _powers(powers: Sequence[int]) -> tuple[int, ...]:
+    """``powers`` as a tuple of one or more non-negative ints, else ``ValueError``."""
+    powers = _int_sequence(powers)
+    if not powers:
+        raise ValueError("at least one factor is required")
+    if any(p < 0 for p in powers):
+        raise ValueError("powers must be non-negative")
+    return powers
 
 
 def _check_cap(quantity: str, value: int, cap: str) -> None:
@@ -218,38 +224,45 @@ def expectation_formula(spec: WickMonomialSpec) -> CoeffElement:
 
 
 def _expectation_text(n: Sequence[int], family: str) -> str:
-    """``str(expectation_formula(spec))`` for row sums ``n`` under the
-    family ``K[family;i,j]``, written as the list of its Feynman graphs.
+    """``str(expectation_formula(spec))`` for the powers ``n`` under the
+    family ``K[family;i,j]``, written as the list of its Feynman graphs;
+    ``n`` is checked as :class:`WickMonomialSpec` checks its powers.
 
     With every entry its own symbol, each matrix ``m`` is one term
     ``prod K_ij^{m_ij} / prod m_ij!``, and no two merge.  All terms have
     degree ``h`` and no hbar, so :meth:`CoeffMonomial.sort_key` compares
     the upper-triangle exponents row-major, each ``v > 0`` read as ``v - 1``
-    and ``0`` after any value.  So each state folds to the
-    ``(prod m_ij!, text)`` pairs of its completions, its moves visited in
-    that order, and the start state's list is the canonical order with no
-    sort.  Each row's pair is built once.  It shares the caps and budgets
-    of :func:`expectation_formula` (:func:`_expectation_layers`), which the
-    tests read as the oracle.
+    and ``0`` after any value: the canonical order, zero last, in which
+    :func:`starwick.combinat._row_states` lists each state's moves.  So each
+    state folds to the weights ``prod m_ij!`` and the texts of its
+    completions, two parallel lists, and the start state's lists are in
+    canonical order with no sort.  Each row's weight and text are built
+    once.  It shares the caps and budgets of :func:`expectation_formula`
+    (:func:`_expectation_layers`), which the tests read as the oracle.
     """
-    layers, h = _expectation_layers(n, True), sum(n) // 2
+    layers = _expectation_layers(_powers(n), True)
     if not layers:
         return "0"
     rows = {}  # a row's length fixes its layer, so the row alone is the key
 
     def step(i, state, moves, below):
-        out = []
-        for row, rest in sorted(moves, key=lambda move: [v - 1 if v else h + 1 for v in move[0]]):
+        weights, texts = [], []
+        for row, rest in moves:
             pair = rows.get(row)
             if pair is None:
                 pair = rows[row] = (math.prod(map(math.factorial, row)), "".join(
                     f"*{PropagatorSymbol(family, i + 1, j).text()}" + (f"^{v}" if v > 1 else "")
                     for j, v in enumerate(row, i + 2) if v))
             weight, text = pair
-            out += [(weight * w, text + t) for w, t in below[rest]]
-        return out
+            below_weights, below_texts = below[rest]
+            weights += [weight * w for w in below_weights] if weight > 1 else below_weights
+            texts += [text + t for t in below_texts]
+        return weights, texts
 
-    return _render_terms((1, w, t[1:]) for w, t in _fold(layers, [(1, "")], step))
+    # Each text starts with "*": a term over 1 drops it, any other writes 1/w
+    # before it.  With no edges the one term is 1.
+    terms = zip(*_fold(layers, ([1], [""]), step))
+    return " + ".join([f"1/{w}{t}" if w > 1 else t[1:] for w, t in terms]) or "1"
 
 
 def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:

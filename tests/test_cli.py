@@ -176,7 +176,8 @@ class TestWickCommands:
 
     def test_expect_builds_no_packed_term(self, capsys, monkeypatch):
         """``expect`` answers with the packed route refusing to run, so the
-        formula test above compares two independent routes."""
+        formula test above compares two independent routes, and checks
+        ``--n`` without building a propagator matrix."""
         n = (2, 3, 1, 2, 0, 2)
         expected = f"{expectation_formula(expect_spec(n))}\n"
 
@@ -186,7 +187,15 @@ class TestWickCommands:
         monkeypatch.setattr("starwick.wick.expectation_formula", refuse)
         monkeypatch.setattr("starwick.star._Packing.__init__", refuse)
         monkeypatch.setattr("starwick.star._Packing.text", refuse)
+        monkeypatch.setattr("starwick.cli._family_of", refuse)
+        monkeypatch.setattr("starwick.star.PropagatorMatrix.zero", refuse)
         assert run(capsys, "expect", "--n", ",".join(map(str, n))) == (0, expected, "")
+
+    @pytest.mark.parametrize("command", ["expect", "expect-oracle"])
+    @pytest.mark.parametrize("n", ["-1,2", "2,-2", "1,-1,2", "0,-3"])
+    def test_negative_power_is_refused(self, capsys, command, n):
+        # Each n is inadmissible, so a walk that skipped the check would print 0.
+        assert run(capsys, command, f"--n={n}") == (2, "", "error: powers must be non-negative\n")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_expect_writes_one_term_per_matrix(self, capsys, seed):
@@ -246,7 +255,11 @@ class TestCombinatCommands:
     @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
     @pytest.mark.parametrize("selector", [
         ("--n", "2,2,2"), ("--n", "3,1"), ("--n", "2,1,2,1,2"), ("--n", "0,3,1,2"),
-        ("--dim", "1", "--deg", "0"), ("--dim", "3", "--deg", "4"), ("--dim", "4", "--deg", "6"),
+        ("--n", "0"), ("--n", "0,0"), ("--n", "2,0,2"), ("--n", "1,0,2,0,1"),
+        ("--n", "2,2,0,2,2,0"), ("--n", "1,2,0,3,2"),
+        ("--dim", "1", "--deg", "0"), ("--dim", "1", "--deg", "2"), ("--dim", "2", "--deg", "4"),
+        ("--dim", "2", "--deg", "6"), ("--dim", "3", "--deg", "2"), ("--dim", "3", "--deg", "4"),
+        ("--dim", "4", "--deg", "0"), ("--dim", "4", "--deg", "2"), ("--dim", "4", "--deg", "6"),
     ], ids=" ".join)
     def test_enum_adj_writes_the_json_of_each_matrix(self, capsys, selector, as_json):
         if selector[0] == "--n":

@@ -279,6 +279,27 @@ class TestBudgets:
             starwick.combinat._row_states(n)
 
 
+def test_row_states_list_moves_in_canonical_order():
+    """Each state's moves come in canonical order, zero last: ``v > 0``
+    reads as ``v - 1`` and ``0`` after every value, the order of the
+    ``expect`` monomials, which ``wick._expectation_text`` writes without
+    sorting.  The sequences are admissible or not; an inadmissible one has
+    no states."""
+    rng = random.Random(2929)
+    cases = [(0,)] + [tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 8)))
+                      for _ in range(200)]
+    unsorted = 0
+    for n in cases:
+        h = sum(n) // 2
+        for layer in starwick.combinat._row_states(n):
+            for state, moves in layer.items():
+                rows = [row for row, _ in moves]
+                assert rows == sorted(rows, key=lambda row: [v - 1 if v else h + 1 for v in row]), \
+                    (n, state)
+                unsorted += rows != sorted(rows)
+    assert unsorted > 100  # states whose canonical order is not the ascending one
+
+
 class TestAdmissibility:
     def test_examples(self):
         assert is_admissible((1, 1, 1)) is False
