@@ -36,9 +36,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def parse_args(self, args=None, namespace=None):  # type: ignore[override]
-        """As argparse's, but an unknown option is named alone: argparse
+        """As argparse's, but a ``--n`` list that starts with a minus sign
+        may be its own token, and an unknown option is named alone: argparse
         hands the value after it to the positionals, so the other left-over
         tokens are not part of the mistake."""
+        # Only a plain negative number is surely a value to argparse: it may
+        # read "-1,2" as an option, and then "--n -1,2" lacks its list.
+        # Joined as "--n=-1,2", the list reaches its checks on every version.
+        args = list(sys.argv[1:] if args is None else args)
+        k = 0
+        while k < len(args) - 1 and args[k] != "--":
+            if args[k] == "--n" and args[k + 1][:1] == "-" and args[k + 1][1:2].isdecimal():
+                args[k : k + 2] = ["--n=" + args[k + 1]]
+            k += 1
         parsed, extras = self.parse_known_args(args, namespace)
         if extras:
             options = [a.split("=", 1)[0] for a in extras if a.startswith("-")]
@@ -165,6 +175,8 @@ def _cmd_enum_adj(args) -> str:
         n = _degree_sums(d, args.deg)
     elif args.dim is not None:
         raise _UsageError("enum-adj --dim applies only with --deg")
+    elif min(args.n) < 0:
+        raise ValueError("row sums must be non-negative")
     else:
         n, d = args.n, len(args.n)
     # Compact JSON of one matrix, its d * d cells filled in one step.

@@ -6,27 +6,34 @@ and a zero main diagonal; entry ``m_ij`` counts edges between vertices
 
 The matrices with given row sums are the paths through row states
 (:func:`_row_states`), each state's moves in canonical order, zero last:
-the order of the ``expect`` monomials.  One fold, :func:`_fold`, walks
-them from the last row back with a step per state, so a value shared by
-the completions of many prefixes is computed once.  It has four steps:
+the order of the ``expect`` monomials.  A state's row values are the
+compositions of what it needs within per-column bounds
+(:func:`_compositions`), which depend on nothing else, so they are grown
+once and then read from a memo kept across calls, their growth still
+charged to the budget.  One fold, :func:`_fold`, walks the states from
+the last row back with a step per state, so a value shared by the
+completions of many prefixes is computed once.  It has four steps:
 :func:`_count_paths` counts the matrices, :func:`_matrices` builds them
-as flat cell tuples, sorted once into ascending row-major order, for both
-enumerators and ``enum-adj``, :func:`starwick.wick.expectation_formula`
-sums the Isserlis weights of the Wick expectation, and
-:func:`starwick.wick._expectation_text` writes the ``expect`` text, one
-term per matrix, with no sort.  Two budgets bound the work:
-``_MAX_PARTIAL_ROWS`` on the row-state table and ``_MAX_MATRICES`` on
-the matrices built, and on the Isserlis terms when each is one matrix.
-The builders meet the second through one count-before-build step,
-:func:`_count_over`.
+as flat cell tuples, sorted once into ascending row-major order, for
+both enumerators and ``enum-adj``,
+:func:`starwick.wick.expectation_formula` sums the Isserlis weights of
+the Wick expectation, and :func:`starwick.wick._expectation_text` writes
+the ``expect`` text, one term per matrix, with no sort.  Two budgets
+bound the work: ``_MAX_PARTIAL_ROWS`` on the row-state table and
+``_MAX_MATRICES`` on the matrices built, and on the Isserlis terms when
+each is one matrix.  The builders meet the second through one
+count-before-build step, :func:`_count_over`.  The memo, like the row
+texts of :func:`starwick.wick._expectation_text`, is a :class:`_Memo`,
+cleared whole at a fixed cap in bytes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 from operator import itemgetter, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import _Value
 
@@ -140,12 +147,15 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
 
 
 # The most partial rows :func:`_row_states` grows, over all its states and
-# columns, before it refuses with ``ValueError``.  The table is built in
-# full before it is read, so a large one holds its memory to the end:
-# ``(3,) * 10`` grows 576,065 partial rows, ``(6,) * 12`` (``expect`` on
-# twelve 6s) went past 5.5 GB unfinished, and the first state of
-# ``enum-adj --dim 12 --deg 30`` alone grows millions.  The benchmark pools
-# reach 2,224 and the tests 6,064.
+# columns, before it refuses with ``ValueError``.  A state whose rows come
+# from the compositions memo is charged the partial rows their growth took,
+# so a table is refused at the same state, with the same message, whether
+# the memo is warm or cold.  The table is built in full before it is read,
+# so a large one holds its memory to the end: ``(3,) * 10`` grows 576,065
+# partial rows, ``(6,) * 12`` (``expect`` on twelve 6s) went past 5.5 GB
+# unfinished, and the first state of ``enum-adj --dim 12 --deg 30`` alone
+# grows millions.  The benchmark pools reach 2,224, and the tests 576,065
+# with the memory bound of the memos, on ``(3,) * 10``.
 _MAX_PARTIAL_ROWS = 10**6
 
 # The most matrices :func:`_matrices` builds, and the most Isserlis terms
@@ -156,6 +166,99 @@ _MAX_PARTIAL_ROWS = 10**6
 # 509 MB as ``enum-adj`` output, and ``(3,) * 10`` has 103,050,570.  The
 # benchmark pools reach 822 and the tests 2,002.
 _MAX_MATRICES = 200_000
+
+
+class _Memo(dict):
+    """A memo of pure results, holding only immutable values, whose memory
+    stays bounded: :meth:`reserve` counts the bytes of each entry's objects
+    and clears the memo whole before the count would pass ``cap``."""
+
+    __slots__ = ("cap", "size")
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap, self.size = cap, 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.size = 0
+
+    def reserve(self, objects: Iterable[object]) -> bool:
+        """Count an entry made of ``objects``, clearing the memo first if it
+        would pass the cap; False, and nothing counted, if it alone would."""
+        size = sum(map(sys.getsizeof, objects))
+        if size > self.cap:
+            return False
+        if self.size + size > self.cap:
+            self.clear()
+        self.size += size
+        return True
+
+
+# The rows of :func:`_compositions` across calls, ``(need, lows, highs) ->
+# (rows, partial rows grown)``, each row interned under itself: a row holds
+# only ints and a key holds tuples, so the two never meet.  An entry counts
+# the bytes of its key, its tuples and every row, shared or not.  The 318
+# benchmark pool sequences need 1,129,712 and ``(3,) * 10`` alone 14,087,136.
+_MAX_COMPOSITION_BYTES = 1 << 21
+_COMPOSITIONS = _Memo(_MAX_COMPOSITION_BYTES)
+
+
+def _over_budget() -> ValueError:
+    return ValueError(f"row-state table exceeds the budget of {_MAX_PARTIAL_ROWS} partial rows")
+
+
+def _compositions(need: int, caps: IntSequence, room: int) -> tuple[tuple[IntSequence, ...], int]:
+    """The values a row that needs ``need > 0`` can take in columns that
+    still need ``caps``, in canonical order, zero last, and the number of
+    partial rows their growth took; above ``room`` that raises ``ValueError``.
+
+    What the row leaves sums to ``2 * half`` and none of it may exceed
+    ``half``, so column ``j`` takes between ``lows[j]`` and ``highs[j]``: the
+    rows are the compositions of ``need`` within those bounds, and depend on
+    nothing else.  So they are grown once and then read from
+    ``_COMPOSITIONS``, where a hit is charged its stored count; a growth
+    refused part way stores nothing.
+    """
+    half = (sum(caps) - need) // 2
+    lows = tuple([c - half if c > half else 0 for c in caps])
+    highs = tuple([c if c < need else need for c in caps])
+    key = (need, lows, highs)
+    entry = _COMPOSITIONS.get(key)
+    if entry is not None:
+        if entry[1] > room:
+            raise _over_budget()
+        return entry
+    # A partial row is kept only if the later columns can take what it
+    # leaves, so every one completes.
+    low, high = sum(lows), sum(highs)
+    rows, grown = [((), need)], 0
+    for a, b in zip(lows, highs):
+        low -= a
+        high -= b
+        longer = []
+        for row, r in rows:
+            v, top = r - high, r - low
+            if v < a:
+                v = a
+            if top > b:
+                top = b
+            x = v or 1  # zero goes last: the canonical order of the moves
+            while x <= top:
+                longer.append((row + (x,), r - x))
+                x += 1
+            if not v:
+                longer.append((row + (0,), r))
+            if grown + len(longer) > room:
+                raise _over_budget()
+        rows = longer
+        grown += len(longer)
+    rows = tuple([row for row, _ in rows])
+    entry = (rows, grown)
+    if _COMPOSITIONS.reserve((key, lows, highs, entry, rows, *rows)):
+        intern = _COMPOSITIONS.setdefault
+        entry = _COMPOSITIONS[key] = (tuple([intern(row, row) for row in rows]), grown)
+    return entry
 
 
 def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence, IntSequence]]]]:
@@ -170,8 +273,10 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
     kept (none negative, even total, no entry above half of it).  For
     loopless multigraphs that is sufficient, so every kept state completes
     and every path from ``n`` to the empty state is one matrix.  No layers
-    when ``n`` is not admissible.  Growing more than ``_MAX_PARTIAL_ROWS``
-    partial rows raises ``ValueError``.
+    when ``n`` is not admissible.  A state's row values are its
+    :func:`_compositions`, memoized across calls; only the states they leave
+    are computed here.  Growing more than ``_MAX_PARTIAL_ROWS`` partial rows,
+    memoized ones counted as grown, raises ``ValueError``.
     """
     total = sum(n)
     if min(n) < 0 or total % 2 or 2 * max(n) > total:
@@ -186,42 +291,10 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
                 layer[state] = [((0,) * len(caps), caps)]
                 after[caps] = None
                 continue
-            # What is left sums to ``2 * half`` and none of it may exceed
-            # ``half``, which bounds each value of the row from both sides.
-            half = (sum(caps) - need) // 2
-            bounds, low, high = [], 0, 0
-            for c in caps:
-                a = c - half if c > half else 0
-                b = c if c < need else need
-                bounds.append((a, b))
-                low += a
-                high += b
-            # A partial row is kept only if the later columns can take what
-            # it leaves, so every one completes.
-            rows = [((), need)]
-            for a, b in bounds:
-                low -= a
-                high -= b
-                grown, room = [], _MAX_PARTIAL_ROWS - partial
-                for row, r in rows:
-                    v, top = r - high, r - low
-                    if v < a:
-                        v = a
-                    if top > b:
-                        top = b
-                    x = v or 1  # zero goes last: the canonical order of the moves
-                    while x <= top:
-                        grown.append((row + (x,), r - x))
-                        x += 1
-                    if not v:
-                        grown.append((row + (0,), r))
-                    if len(grown) > room:
-                        raise ValueError(f"row-state table exceeds the budget of "
-                                         f"{_MAX_PARTIAL_ROWS} partial rows")
-                rows = grown
-                partial += len(grown)
+            rows, grown = _compositions(need, caps, _MAX_PARTIAL_ROWS - partial)
+            partial += grown
             layer[state] = moves = []
-            for row, _ in rows:
+            for row in rows:
                 rest = tuple(map(sub, caps, row))
                 moves.append((row, rest))
                 after[rest] = None

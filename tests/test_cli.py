@@ -195,7 +195,10 @@ class TestWickCommands:
     @pytest.mark.parametrize("n", ["-1,2", "2,-2", "1,-1,2", "0,-3"])
     def test_negative_power_is_refused(self, capsys, command, n):
         # Each n is inadmissible, so a walk that skipped the check would print 0.
-        assert run(capsys, command, f"--n={n}") == (2, "", "error: powers must be non-negative\n")
+        # Given as its own token, the list must reach the same check.
+        for argv in ([f"--n={n}"], ["--n", n]):
+            assert run(capsys, command, *argv) == (
+                2, "", "error: powers must be non-negative\n"), argv
 
     @pytest.mark.parametrize("seed", range(3))
     def test_expect_writes_one_term_per_matrix(self, capsys, seed):
@@ -277,6 +280,14 @@ class TestCombinatCommands:
         assert run(capsys, "enum-adj", "--deg", "2") == (0, "[[0,1],[1,0]]\n", "")  # size 2
         assert run(capsys, "enum-adj", "--n", "2,2,2", "--json") == (
             0, "[[[0,1,1],[1,0,1],[1,1,0]]]\n", "")
+
+    @pytest.mark.parametrize("n", ["-1,2", "2,-2", "0,-3"])
+    def test_enum_adj_refuses_negative_row_sums(self, capsys, n):
+        # The enumerator has no matrix for them, but an empty list would hide
+        # the mistake in the input.
+        for argv in ([f"--n={n}"], ["--n", n], ["--n", n, "--json"]):
+            assert run(capsys, "enum-adj", *argv) == (
+                2, "", "error: row sums must be non-negative\n"), argv
 
     def test_enum_adj_needs_one_selector(self, capsys):
         code, _, err = run(capsys, "enum-adj", "--dim", "2")
@@ -568,6 +579,19 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "star", "x1")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["expect", "expect-oracle", "enum-adj", "admissible",
+                                         "witness", "ssyt", "field-expect"])
+    def test_negative_n_list_may_be_its_own_token(self, capsys, grid_file, command):
+        """argparse may read a token such as "-1,2" as an option; every --n
+        command reads it as its list, as it reads "--n=-1,2"."""
+        grid = ["--grid", grid_file] if command == "field-expect" else []
+        for n in ["-1,2", "-2", "-1,-1"]:
+            joined = run(capsys, command, *grid, f"--n={n}")
+            assert joined[0] == 2, (n, joined)
+            assert run(capsys, command, *grid, "--n", n) == joined, n
+        # An option after --n is still not its value.
+        assert run(capsys, command, *grid, "--n", "--json")[0] == 1
 
     @pytest.mark.parametrize("command", ["field-expect", "expect"])
     def test_bad_n_is_usage_error_before_any_file_is_read(self, capsys, tmp_path, command):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -8,10 +9,13 @@ import pytest
 
 from starwick import (
     AdjacencyMatrix,
+    PropagatorMatrix,
     TwoRowSSYT,
+    WickMonomialSpec,
     admissible_witness,
     enumerate_adjacency_by_degree,
     enumerate_adjacency_by_rowsums,
+    expectation_formula,
     is_admissible,
     matching_to_involution,
     multinomial,
@@ -271,12 +275,73 @@ class TestBudgets:
 
     @pytest.mark.parametrize("n, partial", [((3,) * 8, 37_747), ((1, 2, 3, 2), 16)], ids=str)
     def test_row_state_budget_counts_partial_rows(self, monkeypatch, n, partial):
+        # The pins count the partial rows grown on a cleared memo; once the
+        # memo holds them, each state is charged what its growth took.
+        starwick.combinat._COMPOSITIONS.clear()
         monkeypatch.setattr(starwick.combinat, "_MAX_PARTIAL_ROWS", partial)
         assert starwick.combinat._row_states(n)
+        assert starwick.combinat._COMPOSITIONS
         monkeypatch.setattr(starwick.combinat, "_MAX_PARTIAL_ROWS", partial - 1)
         with pytest.raises(ValueError, match=f"^row-state table exceeds the budget of "
                                              f"{partial - 1} partial rows$"):
             starwick.combinat._row_states(n)
+
+
+def composition_entries():
+    """The stored compositions, ``(need, lows, highs) -> (rows, grown)``; the
+    memo's other keys are the interned rows, which end in an int."""
+    return [(key, entry) for key, entry in starwick.combinat._COMPOSITIONS.items()
+            if isinstance(key[-1], tuple)]
+
+
+def test_row_states_are_the_same_warm_or_cold():
+    """The compositions memo changes no table: each seeded sequence,
+    admissible or not and with zeros, gives the same table built on a
+    cleared memo and on what the other sequences left in it."""
+    rng = random.Random(3030)
+    cases = [(0,), (0, 0), (2, 0, 2), (1, 2, 3, 2)] + [
+        tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 8))) for _ in range(150)]
+    cold = []
+    for n in cases:
+        starwick.combinat._COMPOSITIONS.clear()
+        cold.append(starwick.combinat._row_states(n))
+    assert sum(map(bool, cold)) > 40
+    for n, table in [*zip(cases, cold), *zip(reversed(cases), reversed(cold))]:
+        assert starwick.combinat._row_states(n) == table, n
+    assert composition_entries()
+
+
+def test_memos_stay_within_their_caps(monkeypatch):
+    """Each memo counts the bytes of its entries and is cleared whole before
+    it passes its cap, even when one table needs more, and a growth the
+    budget refuses stores nothing."""
+    from starwick.wick import _ROW_TEXTS, _MAX_ROW_TEXT_BYTES, _expectation_text
+    memo = starwick.combinat._COMPOSITIONS
+    assert memo.cap == starwick.combinat._MAX_COMPOSITION_BYTES
+    for n in [(3,) * 10, (2,) * 12]:
+        with pytest.raises(ValueError, match="exceed the matrix budget"):
+            _expectation_text(n, "K")  # refused once its table is built
+        assert 0 < memo.size <= memo.cap
+        assert memo.size == sum(sum(map(sys.getsizeof, (key, *key[1:], entry, entry[0], *entry[0])))
+                                for key, entry in composition_entries())
+    # Each row of a long run of zeros holds its zeros, so the texts of one
+    # call pass their cap: the memo is cleared on the way and keeps a tail.
+    assert _ROW_TEXTS.cap == _MAX_ROW_TEXT_BYTES
+    for family in ("K", "P"):
+        assert _expectation_text((0,) * 1000, family) == "1"
+        assert 0 < _ROW_TEXTS.size <= _ROW_TEXTS.cap
+        assert len(_ROW_TEXTS) < 1000
+    # Texts written after a clear are still those of the packed sum.
+    family = "F" * 1000
+    for n in [(2, 2, 2, 2, 2), (1, 2, 3, 2, 1, 1)]:
+        spec = WickMonomialSpec(n, PropagatorMatrix.zero(len(n)),
+                                PropagatorMatrix.family(family, len(n)))
+        assert _expectation_text(n, family) == str(expectation_formula(spec))
+    memo.clear()
+    monkeypatch.setattr(starwick.combinat, "_MAX_PARTIAL_ROWS", 1)
+    with pytest.raises(ValueError, match="budget of 1 partial rows"):
+        starwick.combinat._row_states((3,) * 8)
+    assert (len(memo), memo.size) == (0, 0)
 
 
 def test_row_states_list_moves_in_canonical_order():

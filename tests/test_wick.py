@@ -28,7 +28,7 @@ from starwick import (
 
 import starwick.wick
 from starwick.cli import main
-from starwick.wick import _MAX_EXPECT_POWER, _hermite_terms
+from starwick.wick import _MAX_EXPECT_POWER, _expectation_text, _hermite_terms
 
 from helpers import expectation_by_matrices, kan_moment, rand_entry, rand_matrix, rand_rational
 
@@ -242,6 +242,22 @@ class TestExpectation:
         spec = WickMonomialSpec(n, PropagatorMatrix.family("K", 4, zero_diagonal=True),
                                 PropagatorMatrix.from_entries([[entry] * 4] * 4))
         assert expectation_formula(spec) == expectation_by_matrices(spec)
+
+    def test_row_texts_do_not_leak_between_families_or_layers(self):
+        """The row texts are memoized by family, layer and row: in one
+        process, one sequence under two families, its permutations, and
+        sequences of other lengths, on which a row falls at another layer,
+        each write the text of their own packed sum."""
+        starwick.wick._ROW_TEXTS.clear()
+        rng = random.Random(3031)
+        n = (2, 1, 3, 0, 2, 2)
+        sequences = [n, n + (0,), (0,) + n, n[1:], (2, 2), (0, 2, 2)] + [
+            tuple(rng.sample(n, len(n))) for _ in range(6)]
+        for m in sequences:
+            for family in ("K", "P", "K"):
+                spec = WickMonomialSpec(m, PropagatorMatrix.zero(len(m)),
+                                        PropagatorMatrix.family(family, len(m)))
+                assert _expectation_text(m, family) == str(expectation_formula(spec)), (m, family)
 
     def test_powers_stored_as_tuple(self):
         spec = WickMonomialSpec([1, 1], PropagatorMatrix.family("K", 2, zero_diagonal=True),
