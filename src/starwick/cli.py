@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
         """As argparse's, but a ``--n`` list that starts with a minus sign
         may be its own token, and an unknown option is named alone: argparse
         hands the value after it to the positionals, so the other left-over
-        tokens are not part of the mistake."""
+        tokens, or a positional's refusal of that value, are not the mistake."""
         # Only a plain negative number is surely a value to argparse: it may
         # read "-1,2" as an option, and then "--n -1,2" lacks its list.
         # Joined as "--n=-1,2", the list reaches its checks on every version.
@@ -49,7 +49,18 @@ class _Parser(argparse.ArgumentParser):
             if args[k] == "--n" and args[k + 1][:1] == "-" and args[k + 1][1:2].isdecimal():
                 args[k : k + 2] = ["--n=" + args[k + 1]]
             k += 1
-        parsed, extras = self.parse_known_args(args, namespace)
+        try:
+            parsed, extras = self.parse_known_args(args, namespace)
+        except _UsageError:
+            # The positionals may refuse the value after an unknown option
+            # first.  The command a line names takes --help and its flags in
+            # _COMMANDS, each also as a prefix, as argparse reads abbreviations.
+            arguments = next((c[3] for c in _COMMANDS if args[:1] == [c[0]]), ())
+            flags = ["--help", *((_ARGS[a] if isinstance(a, str) else a)[0] for a in arguments)]
+            if not (extras := [a for a in args[1 : (args + ["--"]).index("--")]
+                               if arguments and a[:2] == "--"
+                               and not any(f.startswith(a.split("=", 1)[0]) for f in flags)]):
+                raise
         if extras:
             options = [a.split("=", 1)[0] for a in extras if a.startswith("-")]
             self.error("unrecognized arguments: " + " ".join(options or extras))

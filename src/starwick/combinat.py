@@ -6,13 +6,12 @@ and a zero main diagonal; entry ``m_ij`` counts edges between vertices
 
 The matrices with given row sums are the paths through row states
 (:func:`_row_states`), each state's moves in canonical order, zero last:
-the order of the ``expect`` monomials.  A state's row values are the
-compositions of what it needs within per-column bounds
-(:func:`_compositions`), which depend on nothing else, so they are grown
-once and then read from a memo kept across calls, their growth still
-charged to the budget.  One fold, :func:`_fold`, walks the states from
-the last row back with a step per state, so a value shared by the
-completions of many prefixes is computed once.  It has four steps:
+the order of the ``expect`` monomials.  A state's row values depend on
+the state alone, so they are grown once and then read from a memo keyed
+by the state and kept across calls, their growth still charged to the
+budget.  One fold, :func:`_fold`, walks the states from the last row
+back with a step per state, so a value shared by the completions of many
+prefixes is computed once.  It has four steps:
 :func:`_count_paths` counts the matrices, :func:`_matrices` builds them
 as flat cell tuples, sorted once into ascending row-major order, for
 both enumerators and ``enum-adj``,
@@ -148,7 +147,7 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
 
 # The most partial rows :func:`_row_states` grows, over all its states and
 # columns, before it refuses with ``ValueError``.  A state whose rows come
-# from the compositions memo is charged the partial rows their growth took,
+# from the state memo is charged the partial rows their growth took,
 # so a table is refused at the same state, with the same message, whether
 # the memo is warm or cold.  The table is built in full before it is read,
 # so a large one holds its memory to the end: ``(3,) * 10`` grows 576,065
@@ -195,70 +194,16 @@ class _Memo(dict):
         return True
 
 
-# The rows of :func:`_compositions` across calls, ``(need, lows, highs) ->
-# (rows, partial rows grown)``, each row interned under itself: a row holds
-# only ints and a key holds tuples, so the two never meet.  An entry counts
-# the bytes of its key, its tuples and every row, shared or not.  The 318
-# benchmark pool sequences need 1,129,712 and ``(3,) * 10`` alone 14,087,136.
+# Each state's row values across calls, ``(need, *caps) -> (rows, partial
+# rows grown)``: they depend on the state alone.  An entry counts the bytes
+# of its state, its tuples and every row.  The 318 benchmark pool sequences
+# need 1,564,976 and ``(3,) * 10`` alone 17,271,688.
 _MAX_COMPOSITION_BYTES = 1 << 21
 _COMPOSITIONS = _Memo(_MAX_COMPOSITION_BYTES)
 
 
 def _over_budget() -> ValueError:
     return ValueError(f"row-state table exceeds the budget of {_MAX_PARTIAL_ROWS} partial rows")
-
-
-def _compositions(need: int, caps: IntSequence, room: int) -> tuple[tuple[IntSequence, ...], int]:
-    """The values a row that needs ``need > 0`` can take in columns that
-    still need ``caps``, in canonical order, zero last, and the number of
-    partial rows their growth took; above ``room`` that raises ``ValueError``.
-
-    What the row leaves sums to ``2 * half`` and none of it may exceed
-    ``half``, so column ``j`` takes between ``lows[j]`` and ``highs[j]``: the
-    rows are the compositions of ``need`` within those bounds, and depend on
-    nothing else.  So they are grown once and then read from
-    ``_COMPOSITIONS``, where a hit is charged its stored count; a growth
-    refused part way stores nothing.
-    """
-    half = (sum(caps) - need) // 2
-    lows = tuple([c - half if c > half else 0 for c in caps])
-    highs = tuple([c if c < need else need for c in caps])
-    key = (need, lows, highs)
-    entry = _COMPOSITIONS.get(key)
-    if entry is not None:
-        if entry[1] > room:
-            raise _over_budget()
-        return entry
-    # A partial row is kept only if the later columns can take what it
-    # leaves, so every one completes.
-    low, high = sum(lows), sum(highs)
-    rows, grown = [((), need)], 0
-    for a, b in zip(lows, highs):
-        low -= a
-        high -= b
-        longer = []
-        for row, r in rows:
-            v, top = r - high, r - low
-            if v < a:
-                v = a
-            if top > b:
-                top = b
-            x = v or 1  # zero goes last: the canonical order of the moves
-            while x <= top:
-                longer.append((row + (x,), r - x))
-                x += 1
-            if not v:
-                longer.append((row + (0,), r))
-            if grown + len(longer) > room:
-                raise _over_budget()
-        rows = longer
-        grown += len(longer)
-    rows = tuple([row for row, _ in rows])
-    entry = (rows, grown)
-    if _COMPOSITIONS.reserve((key, lows, highs, entry, rows, *rows)):
-        intern = _COMPOSITIONS.setdefault
-        entry = _COMPOSITIONS[key] = (tuple([intern(row, row) for row in rows]), grown)
-    return entry
 
 
 def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence, IntSequence]]]]:
@@ -273,10 +218,12 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
     kept (none negative, even total, no entry above half of it).  For
     loopless multigraphs that is sufficient, so every kept state completes
     and every path from ``n`` to the empty state is one matrix.  No layers
-    when ``n`` is not admissible.  A state's row values are its
-    :func:`_compositions`, memoized across calls; only the states they leave
-    are computed here.  Growing more than ``_MAX_PARTIAL_ROWS`` partial rows,
-    memoized ones counted as grown, raises ``ValueError``.
+    when ``n`` is not admissible.  A state's row values depend on the state
+    alone, so they are grown once and then read from ``_COMPOSITIONS``, kept
+    across calls; only the states they leave are computed on each call.
+    Growing more than ``_MAX_PARTIAL_ROWS`` partial rows raises
+    ``ValueError``: a memoized state is charged the partial rows its growth
+    took, and a growth refused part way stores nothing.
     """
     total = sum(n)
     if min(n) < 0 or total % 2 or 2 * max(n) > total:
@@ -291,8 +238,44 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
                 layer[state] = [((0,) * len(caps), caps)]
                 after[caps] = None
                 continue
-            rows, grown = _compositions(need, caps, _MAX_PARTIAL_ROWS - partial)
-            partial += grown
+            if entry := _COMPOSITIONS.get(state):
+                rows = entry[0]
+                if (partial := partial + entry[1]) > _MAX_PARTIAL_ROWS:
+                    raise _over_budget()
+            else:
+                # What is left sums to ``2 * half`` and none of it may exceed
+                # ``half``, which bounds each value of the row from both sides.
+                half = (sum(caps) - need) // 2
+                lows = [c - half if c > half else 0 for c in caps]
+                highs = [c if c < need else need for c in caps]
+                low, high = sum(lows), sum(highs)
+                # A partial row is kept only if the later columns can take
+                # what it leaves, so every one completes.
+                rows, start = [((), need)], partial
+                for a, b in zip(lows, highs):
+                    low -= a
+                    high -= b
+                    grown, room = [], _MAX_PARTIAL_ROWS - partial
+                    for row, r in rows:
+                        v, top = r - high, r - low
+                        if v < a:
+                            v = a
+                        if top > b:
+                            top = b
+                        x = v or 1  # zero goes last: the canonical order of the moves
+                        while x <= top:
+                            grown.append((row + (x,), r - x))
+                            x += 1
+                        if not v:
+                            grown.append((row + (0,), r))
+                        if len(grown) > room:
+                            raise _over_budget()
+                    rows = grown
+                    partial += len(grown)
+                rows = tuple([row for row, _ in rows])
+                entry = (rows, partial - start)
+                if _COMPOSITIONS.reserve((state, entry, rows, *rows)):
+                    _COMPOSITIONS[state] = entry
             layer[state] = moves = []
             for row in rows:
                 rest = tuple(map(sub, caps, row))

@@ -337,9 +337,6 @@ class _Packing:
         """The nonzero terms as ``(coefficient key, numerator)`` lists, keyed
         by their variable field."""
         bits = self.coeff_bits
-        if not self.variables:  # every key is a coefficient key
-            rows = [(key, num) for key, num in terms if num]
-            return {0: rows} if rows else {}
         low, grouped = (1 << bits) - 1, {}
         for key, num in terms:
             if num:

@@ -645,18 +645,32 @@ class TestExitCodes:
             (["expect", "--n", "1,1", "extra"], "extra"),
             (["wick-power", "--dim", "3", "2", "4", "--sym", "K"], "--sym"),
             (["wick-invert", "--dim", "3", "2", "4", "--sym", "K"], "--sym"),
+            (["wick-power", "--dim", "3", "--sym", "K", "2", "4"], "--sym"),
+            (["wick-invert", "--dim", "3", "--sym", "K", "2", "4"], "--sym"),
             (["field-star", "--grid", "unused.json", "--sym", "K", "x1", "x1"], "--sym"),
             (["functional-star", "--grid", "unused.json", "--dim", "1", "--sym", "K", "x1", "x1"],
              "--sym"),
         ],
         ids=["option-then-value", "option-equals-value", "positional", "wick-power-sym",
-             "wick-invert-sym", "field-star-sym", "functional-star-sym"],
+             "wick-invert-sym", "wick-power-sym-first", "wick-invert-sym-first",
+             "field-star-sym", "functional-star-sym"],
     )
     def test_unrecognized_argument_is_named(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == f"error: unrecognized arguments: {named}\n"
+
+    def test_abbreviated_options_are_not_unknown(self, capsys):
+        # A unique prefix of a flag parses as the flag; an ambiguous one
+        # keeps argparse's message.
+        assert run(capsys, "star", "--dim", "2", "--ord", "1", "x1", "x2") == \
+            run(capsys, "star", "--dim", "2", "--order", "1", "x1", "x2")
+        assert run(capsys, "wick-power", "--d", "3", "K", "4") == \
+            (1, "", "error: argument index: invalid int value: 'K'\n")
+        code, out, err = run(capsys, "enum-adj", "--d", "3", "--n", "2,2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ambiguous option: --d could match --dim, --deg")
 
     @pytest.mark.parametrize(
         "argv, message",

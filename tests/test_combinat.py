@@ -287,15 +287,8 @@ class TestBudgets:
             starwick.combinat._row_states(n)
 
 
-def composition_entries():
-    """The stored compositions, ``(need, lows, highs) -> (rows, grown)``; the
-    memo's other keys are the interned rows, which end in an int."""
-    return [(key, entry) for key, entry in starwick.combinat._COMPOSITIONS.items()
-            if isinstance(key[-1], tuple)]
-
-
 def test_row_states_are_the_same_warm_or_cold():
-    """The compositions memo changes no table: each seeded sequence,
+    """The row-state memo changes no table: each seeded sequence,
     admissible or not and with zeros, gives the same table built on a
     cleared memo and on what the other sequences left in it."""
     rng = random.Random(3030)
@@ -308,7 +301,27 @@ def test_row_states_are_the_same_warm_or_cold():
     assert sum(map(bool, cold)) > 40
     for n, table in [*zip(cases, cold), *zip(reversed(cases), reversed(cold))]:
         assert starwick.combinat._row_states(n) == table, n
-    assert composition_entries()
+    assert starwick.combinat._COMPOSITIONS
+
+
+def test_row_state_memo_is_keyed_by_state():
+    """The memo holds one entry per state with a row to grow, keyed by the
+    state itself, and a warm call adds nothing to it."""
+    rng = random.Random(3131)
+    cases = [(0, 2, 0, 2), (1, 2, 3, 2)] + [
+        tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 7))) for _ in range(40)]
+    memo = starwick.combinat._COMPOSITIONS
+    memo.clear()
+    states = set()
+    for n in cases:
+        for layer in starwick.combinat._row_states(n):
+            states.update(state for state in layer if state[0])
+    assert len(states) > 100
+    assert set(memo) == states
+    size = memo.size
+    for n in cases:
+        starwick.combinat._row_states(n)
+    assert (set(memo), memo.size) == (states, size)
 
 
 def test_memos_stay_within_their_caps(monkeypatch):
@@ -322,8 +335,8 @@ def test_memos_stay_within_their_caps(monkeypatch):
         with pytest.raises(ValueError, match="exceed the matrix budget"):
             _expectation_text(n, "K")  # refused once its table is built
         assert 0 < memo.size <= memo.cap
-        assert memo.size == sum(sum(map(sys.getsizeof, (key, *key[1:], entry, entry[0], *entry[0])))
-                                for key, entry in composition_entries())
+        assert memo.size == sum(sum(map(sys.getsizeof, (state, entry, entry[0], *entry[0])))
+                                for state, entry in memo.items())
     # Each row of a long run of zeros holds its zeros, so the texts of one
     # call pass their cap: the memo is cleared on the way and keeps a tail.
     assert _ROW_TEXTS.cap == _MAX_ROW_TEXT_BYTES
