@@ -662,8 +662,9 @@ class TestExitCodes:
         assert err == f"error: unrecognized arguments: {named}\n"
 
     def test_abbreviated_options_are_not_unknown(self, capsys):
-        # A unique prefix of a flag parses as the flag; an ambiguous one
-        # keeps argparse's message.
+        # A unique prefix of a flag parses as the flag and is no unknown
+        # option, so a positional's refusal keeps its message; an ambiguous
+        # prefix keeps argparse's.
         assert run(capsys, "star", "--dim", "2", "--ord", "1", "x1", "x2") == \
             run(capsys, "star", "--dim", "2", "--order", "1", "x1", "x2")
         assert run(capsys, "wick-power", "--d", "3", "K", "4") == \
