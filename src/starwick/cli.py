@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from typing import Sequence
 
 from .algebra import Poly
@@ -130,15 +130,8 @@ def _num_text(value) -> str:
     return str(value) if isinstance(value, Fraction) else repr(value)
 
 
-@lru_cache(maxsize=16)
-def _family_of(name: str, dim: int, symmetric: bool = False) -> PropagatorMatrix:
-    """``PropagatorMatrix.family``, built once per name, dimension and
-    symmetry and then reused: the matrix is immutable."""
-    return PropagatorMatrix.family(name, dim, symmetric=symmetric)
-
-
 def _family_matrix(args) -> PropagatorMatrix:
-    return _family_of(args.family, args.dim, args.family in args.sym)
+    return PropagatorMatrix.family(args.family, args.dim, symmetric=args.family in args.sym)
 
 
 def _parse_exprs(args, dim: int) -> list[Poly]:
@@ -160,11 +153,11 @@ def _cmd_poisson(args) -> str:
 
 
 def _cmd_wick_power(args) -> str:
-    return str(wick_power(args.index, args.power, _family_of(args.family, args.dim)))
+    return str(wick_power(args.index, args.power, PropagatorMatrix.family(args.family, args.dim)))
 
 
 def _cmd_wick_invert(args) -> str:
-    terms = wick_unpower(args.index, args.power, _family_of(args.family, args.dim))
+    terms = wick_unpower(args.index, args.power, PropagatorMatrix.family(args.family, args.dim))
     if args.json:
         return json.dumps(
             [{"degree": deg, "coeff": str(coeff)} for coeff, deg in terms]
@@ -174,8 +167,8 @@ def _cmd_wick_invert(args) -> str:
 
 def _cmd_expect_oracle(args) -> str:
     d = len(args.n)
-    spec = WickMonomialSpec(args.n, PropagatorMatrix.zero(d), _family_of(args.family, d))
-    return str(expectation_oracle(spec))
+    K = PropagatorMatrix.family(args.family, d)
+    return str(expectation_oracle(WickMonomialSpec(args.n, PropagatorMatrix.zero(d), K)))
 
 
 def _cmd_enum_adj(args) -> str:

@@ -38,12 +38,13 @@ That walk and :func:`starwick.wick.expectation_formula` share one packed
 format, :class:`_Packing`, whose one sizing rule is that the products of
 ``polys`` with ``k`` entries have no exponent above the sum of each
 poly's total degree or widest coefficient plus ``k`` times one more than
-the widest entry.  One decoder reads packed keys back.  Values, the
-``Poly`` of a product and the ``CoeffElement`` of a sum, go through
-:meth:`_Packing.unpack` and :meth:`_Packing.coeff_element`; text goes
-through the one writer, :meth:`_Packing.text`, which writes a packed sum
-as canonical text with no value built, its terms grouped by variable
-monomial in :meth:`Poly.sorted_terms`'s order.  The ``star`` command
+the widest entry.  One reader, :meth:`_Packing._fields`, reads a packed
+key's nonzero fields, lowest first.  Values, the ``Poly`` of a product
+and the ``CoeffElement`` of a sum, go through :meth:`_Packing.unpack` and
+:meth:`_Packing.coeff_element`; text goes through the one writer,
+:meth:`_Packing.text`, which writes a packed sum as canonical text with
+no value built, its terms grouped by variable monomial in
+:meth:`Poly.sorted_terms`'s order.  The ``star`` command
 prints :func:`_star_text`, which writes the fold's product with that
 writer, so no product of the fold is decoded.
 :func:`starwick.wick.expectation_oracle` decodes only the constant
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (
     CoeffElement,
@@ -109,7 +110,10 @@ class PropagatorMatrix(_Value):
         (min, max)-indexed symbol, so equal-by-symmetry entries are equal
         on the nose.  With ``parse(..., symmetric_families)`` this is where
         symmetry changes a symbol; the matrix itself carries no such label.
+        A family of more than 10^6 entries is refused before any is built.
         """
+        if dim > 1000:
+            raise ValueError(f"a {dim}x{dim} family exceeds the budget of 1000000 entries")
         rows = []
         for i in range(1, dim + 1):
             row = []
@@ -226,11 +230,11 @@ class _Packing:
     multiplies their monomials and subtracting one unit lowers an
     exponent, with no carry or borrow between fields.  Coefficients are
     integer numerators over one denominator, and :meth:`product` is the
-    one multiply-and-collect loop on such terms.  :meth:`_decode` is the
-    one decoder of packed fields, read a chunk at a time.  :meth:`unpack`
-    and :meth:`coeff_element` build values from it, for callers that need
-    values; :meth:`text` is the one writer, which writes a packed sum as
-    canonical text with no value built.
+    one multiply-and-collect loop on such terms.  :meth:`_fields` is the
+    one reader of packed fields, a key's nonzero fields by shift and mask.
+    :meth:`unpack` and :meth:`coeff_element` build values from it, for
+    callers that need values; :meth:`text` is the one writer, which writes
+    a packed sum as canonical text with no value built.
 
     The order rule for coefficients: keys of one degree and hbar sort
     lexicographically over their symbol fields, first symbol first, each
@@ -242,8 +246,6 @@ class _Packing:
     fields lexicographically, first variable first, each exponent read as
     itself and the larger first.
     """
-
-    _CHUNK = 4  # fields that _decode reads, and memoizes, as one
 
     def __init__(self, entries: Sequence[CoeffElement], k: int, polys: Sequence[Poly] = ()):
         def widest(elements) -> int:
@@ -261,7 +263,6 @@ class _Packing:
         self.var_shift = {v: self.coeff_bits + width * n for n, v in enumerate(self.variables)}
         self._coeff_keys: dict[CoeffMonomial, int] = {}
         self._monomials: dict[int, CoeffMonomial] = {}
-        self._chunks: dict[int, tuple] = {}  # _decode's memo for symbol fields
 
     def coeff_key(self, m: CoeffMonomial) -> int:
         key = self._coeff_keys.get(m)
@@ -329,9 +330,10 @@ class _Packing:
     def unpack(self, terms: Iterable[tuple[int, int]], den: int, dim: int) -> Poly:
         """The polynomial ``sum key * numerator / den`` as a value;
         :meth:`text` writes the same sum's text without it."""
-        grouped = self._grouped(terms)
-        return Poly._raw(dim, {VarMonomial._raw(sum(fields, ())): ce for fields, ce in zip(
-            self._decode(list(grouped), {}, self.variables), self._elements(grouped.values(), den))})
+        grouped, variables = self._grouped(terms), self.variables
+        return Poly._raw(dim, {
+            VarMonomial._raw(tuple([(variables[n], e) for n, e in self._fields(group)])): ce
+            for group, ce in zip(grouped, self._elements(grouped.values(), den))})
 
     def _grouped(self, terms: Iterable[tuple[int, int]]) -> dict[int, list]:
         """The nonzero terms as ``(coefficient key, numerator)`` lists, keyed
@@ -351,12 +353,11 @@ class _Packing:
         return self._elements([[(key, num) for key, num in terms if num]], den)[0]
 
     def _elements(self, groups: Iterable[list[tuple[int, int]]], den: int) -> list[CoeffElement]:
-        """:meth:`coeff_element` of each group of nonzero terms, decoding new keys as one batch."""
-        monos, width = self._monomials, self.width
-        if new := list({key for terms in groups for key, _ in terms if key not in monos}):
-            decoded = self._decode([key >> width for key in new], self._chunks, self.symbols)
-            for key, fields in zip(new, decoded):
-                monos[key] = CoeffMonomial._raw(key & self.mask, sum(fields, ()))
+        """:meth:`coeff_element` of each group of nonzero terms, each new key read once."""
+        monos, symbols = self._monomials, self.symbols
+        for key in {key for terms in groups for key, _ in terms if key not in monos}:
+            monos[key] = CoeffMonomial._raw(key & self.mask, tuple(
+                [(symbols[n], e) for n, e in self._fields(key >> self.width)]))
         return [CoeffElement._raw({monos[key]: num // den if num % den == 0 else Fraction(num, den)
                                    for key, num in terms}) for terms in groups]
 
@@ -371,72 +372,54 @@ class _Packing:
         fields lexicographically, first variable first, larger exponent
         first.  Coefficient keys sort by degree, hbar and the order rule,
         which is :meth:`CoeffMonomial.sort_key` because keys of one degree
-        and hbar have equal symbol totals.  :meth:`_decode` reads each
-        distinct chunk once, as its rank and its text.  Each distinct
-        coefficient key is ranked once, and each group sorts its rows on
-        that integer rank."""
-        width, mask, size = self.width, self.mask, self._CHUNK
+        and hbar have equal symbol totals.  Each distinct coefficient key
+        and variable group is read once by :meth:`_fields`, as its rank and
+        its text, and each group sorts its rows on the coefficient keys'
+        positions."""
+        width, mask = self.width, self.mask
         groups = self._grouped(terms)
 
-        def ranked(keys: list[int], fields: Iterable[str], base: int, offset: int) -> list[tuple]:
-            """``(degree, field 0, chunk readings, key)`` per key, sorted.
-            A chunk reads as its rank, ``base`` plus ``e - offset`` per field
-            ``e``, first field most significant, and its text over the field
-            names ``fields``.  The degree, the sum of the fields, is at most
-            mask: it is key modulo mask, read as mask when that is 0 and key
-            is not."""
-            names = [(width * (size - 1 - f % size), name) for f, name in enumerate(fields)]
+        def write(key: int, names: Sequence[str], rank: int, offset: int) -> tuple[int, str]:
+            """``key``'s rank, ``rank`` plus ``e - offset`` at the place of each
+            nonzero field ``e``, first field most significant, and its text
+            over the field names ``names``."""
+            top, body = width * len(names), ""
+            for n, e in self._fields(key):
+                rank += e - offset << top - width * (n + 1)
+                body += f"*{names[n]}" if e == 1 else f"*{names[n]}^{e}"
+            return rank, body
 
-            def read(pairs: list) -> tuple[int, str]:
-                rank, body = base, ""
-                for (shift, name), e in pairs:
-                    rank += e - offset << shift
-                    body += f"*{name}" if e == 1 else f"*{name}^{e}"
-                return rank, body
-
-            return sorted(zip([(key - 1) % mask + 1 if key else 0 for key in keys],
-                              [key & mask for key in keys],
-                              self._decode(keys, {}, names, read), keys))
-
-        # A coefficient field ``e`` ranks as ``(e - 1) & mask``: every field
-        # zero reads as mask, and a nonzero field takes ``mask + 1 - e`` off it.
-        order_of = ranked(list({key for rows in groups.values() for key, _ in rows}),
-                          ["hbar", *(s.text() for s in self.symbols)],
-                          (1 << width * size) - 1, mask + 1)
-        rank = {key: n for n, (*_, key) in enumerate(order_of)}
-        texts = ["".join([text for _, text in chunks]) for *_, chunks, _ in order_of]
-        # A variable field ranks as its exponent, so that read from the end
-        # the groups sort descending.
-        variables = (f"x{i}" if b == 0 else f"x{i}@{b}" for b, i in self.variables)
+        # The degree, the sum of the fields, is at most mask: it is key
+        # modulo mask, read as mask when that is 0 and key is not.  A
+        # coefficient field ``e`` ranks as ``(e - 1) & mask``: every field
+        # zero reads as mask, and a nonzero one takes ``mask + 1 - e`` off it.
+        # Each key sorts as ``(degree, hbar, rank, text, key)``.
+        names = ["hbar", *(s.text() for s in self.symbols)]
+        coeffs = sorted(((key - 1) % mask + 1 if key else 0, key & mask,
+                         *write(key, names, (1 << width * len(names)) - 1, mask + 1), key)
+                        for key in {key for rows in groups.values() for key, _ in rows})
+        position = {key: n for n, (*_, key) in enumerate(coeffs)}
+        # A variable field ranks as its exponent, and the groups sort descending.
+        variables = [f"x{i}" if b == 0 else f"x{i}@{b}" for b, i in self.variables]
         entries = []
-        for *_, chunks, group in reversed(ranked(list(groups), variables, 0, 0)):
-            vtext = "".join([text for _, text in chunks])
-            for n, num in sorted([(rank[key], num) for key, num in groups[group]]):
+        for *_, vtext, group in sorted((((group - 1) % mask + 1 if group else 0,
+                                         *write(group, variables, 0, 0), group)
+                                        for group in groups), reverse=True):
+            for n, num in sorted([(position[key], num) for key, num in groups[group]]):
                 g = math.gcd(num, den)
-                entries.append((num // g, den // g, (texts[n] + vtext)[1:]))
+                entries.append((num // g, den // g, (coeffs[n][3] + vtext)[1:]))
         return _render_terms(entries)
 
-    def _decode(self, packed: list[int], memo: dict, names: Sequence, read=tuple) -> Iterator:
-        """Per key of ``packed``, ``read(pairs)`` of each chunk of ``_CHUNK``
-        fields up to the last one any key uses, ``pairs`` being the nonzero
-        fields as ``(names[field], exponent)``.  Keys are cut a chunk column
-        at a time, and ``memo`` keeps the chunks read with these arguments."""
-        width, mask, size = self.width, self.mask, self._CHUNK
-        step = width * size
-        low, top, columns = (1 << step) - 1, max(packed, default=0), []
-        while not columns or top >> step * len(columns):
-            shift, tag = step * len(columns), len(columns) << step
-            keys = [key >> shift & low | tag for key in packed]
-            for key in set(keys).difference(memo):
-                pairs, chunk, field = [], key & low, (key >> step) * size
-                while chunk:
-                    if chunk & mask:
-                        pairs.append((names[field], chunk & mask))
-                    chunk >>= width
-                    field += 1
-                memo[key] = read(pairs)
-            columns.append(map(memo.__getitem__, keys))
-        return zip(*columns)
+    def _fields(self, key: int) -> list[tuple[int, int]]:
+        """The nonzero fields of ``key`` as ``(index, exponent)`` pairs,
+        lowest field first."""
+        width, mask, pairs, n = self.width, self.mask, [], 0
+        while key:
+            if key & mask:
+                pairs.append((n, key & mask))
+            key >>= width
+            n += 1
+        return pairs
 
 
 def _live_cells(held: Sequence[set[int]], degrees: Sequence[int], K: PropagatorMatrix):

@@ -187,7 +187,7 @@ class TestWickCommands:
         monkeypatch.setattr("starwick.wick.expectation_formula", refuse)
         monkeypatch.setattr("starwick.star._Packing.__init__", refuse)
         monkeypatch.setattr("starwick.star._Packing.text", refuse)
-        monkeypatch.setattr("starwick.cli._family_of", refuse)
+        monkeypatch.setattr("starwick.star.PropagatorMatrix.family", refuse)
         monkeypatch.setattr("starwick.star.PropagatorMatrix.zero", refuse)
         assert run(capsys, "expect", "--n", ",".join(map(str, n))) == (0, expected, "")
 
@@ -873,12 +873,17 @@ def _run_cli(argv, timeout=10):
      (["expect", "--n", ",".join(["3"] * 10)],
       "error: 103050570 terms exceed the matrix budget of 200000\n"),
      (["star", "--dim", "3", "(x1+x2+x3)^12", "(x1+x2+x3)^12"],
-      "error: star product exceeds the budget of 1000000 terms\n")],
-    ids=["enum-adj-deg", "expect-6x12", "enum-adj-3x10", "expect-3x10", "star-dense-12"],
+      "error: star product exceeds the budget of 1000000 terms\n"),
+     (["wick-power", "--dim", "2000", "1", "2"],
+      "error: a 2000x2000 family exceeds the budget of 1000000 entries\n")],
+    ids=["enum-adj-deg", "expect-6x12", "enum-adj-3x10", "expect-3x10", "star-dense-12",
+         "wick-power-dim-2000"],
 )
 def test_runaway_tables_refused_by_the_budgets(argv, message):
     # Without the budgets each runs for minutes or grows past 5 GB; the
-    # dense star product's total would reach 3.47 million terms.
+    # dense star product's total would reach 3.47 million terms.  The
+    # 2000x2000 family took 34 s and a 3.1 GB peak to build, for a Wick
+    # power that reads one entry; refused, it exits in about 0.2 s.
     proc = _run_cli(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 

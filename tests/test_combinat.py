@@ -109,6 +109,12 @@ class TestEnumerateByDegree:
         with pytest.raises(ValueError, match="row_caps must be non-negative"):
             enumerate_adjacency_by_degree(3, 2, row_caps=caps)
 
+    @pytest.mark.parametrize("caps", [[1, 1], [1, 1, 1, 1], []])
+    def test_row_caps_of_the_wrong_length_rejected(self, caps):
+        with pytest.raises(ValueError) as refused:
+            enumerate_adjacency_by_degree(3, 2, row_caps=caps)
+        assert str(refused.value) == "row_caps length must match the matrix size"
+
     @pytest.mark.parametrize(
         "d, degree, caps",
         [(2, 2.0, None), (2.0, 2, None), (2, 4, [1.5, 2]), (2, 2, [True, True]), (2, 2, ["1", 1])],
@@ -355,6 +361,20 @@ def test_memos_stay_within_their_caps(monkeypatch):
     with pytest.raises(ValueError, match="budget of 1 partial rows"):
         starwick.combinat._row_states((3,) * 8)
     assert (len(memo), memo.size) == (0, 0)
+
+
+@pytest.mark.parametrize("objects", [[tuple(range(200))], [(1,) * 60, (2,) * 60, (3,) * 60]],
+                         ids=["one-object", "several-objects"])
+def test_memo_refuses_an_entry_over_its_cap(objects):
+    """An entry larger than the whole cap is refused: nothing is counted
+    and the entries already held stay."""
+    memo = starwick.combinat._Memo(1000)
+    assert memo.reserve([(1, 2)])
+    memo[1] = (1, 2)
+    size = memo.size
+    assert sum(map(sys.getsizeof, objects)) > memo.cap
+    assert memo.reserve(objects) is False
+    assert (dict(memo), memo.size) == ({1: (1, 2)}, size)
 
 
 def test_row_states_list_moves_in_canonical_order():

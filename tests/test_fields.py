@@ -357,6 +357,30 @@ class TestFieldWickPower:
                         assert abs(value - he[power]) <= 1e-12 * scale[power]
 
 
+def _two_points():
+    return grid2([[0, 1], [1, 0]], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: KernelGrid.make(["a", "b"], [[0, 1], [1, 0]], [1], 1),
+      "one field value per sample point is required"),
+     (lambda: KernelGrid.make(["a", "b"], [[0, 1], [1, 0]], [1, 2, 3], 1),
+      "one field value per sample point is required"),
+     (lambda: specialize(x(3, 3), _two_points()), "variable x3 exceeds the 2-point grid"),
+     (lambda: specialize(Poly.variable(3, 3, block=1), _two_points()),
+      "variable x3 exceeds the 2-point grid"),
+     (lambda: field_wick_power(0, 2, _two_points()), "point index 0 out of range 1..2"),
+     (lambda: field_wick_power(3, 2, _two_points()), "point index 3 out of range 1..2")],
+    ids=["field-too-short", "field-too-long", "variable-past-grid", "block-variable-past-grid",
+         "wick-index-0", "wick-index-past-grid"],
+)
+def test_grid_shapes_refused(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 class TestFieldExpectation:
     def test_three_matchings(self):
         d = 4

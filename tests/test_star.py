@@ -656,12 +656,11 @@ class TestScalarRuleOnPackedTerms:
 
 @st.composite
 def packed_sums(draw):
-    """A packing over up to twelve symbols of one or two families, that is
-    up to three chunks of ``_Packing._CHUNK`` fields, with row and column
-    indices up to 12, and ``(terms, den)`` on keys within its bound:
-    numerators of either sign, zeros (cancelled terms), mixed hbar degrees,
-    keys with an all-zero chunk between nonzero ones, and denominators that
-    leave some coefficients non-integral."""
+    """A packing over up to twelve symbols of one or two families, with row
+    and column indices up to 12, and ``(terms, den)`` on keys within its
+    bound: numerators of either sign, zeros (cancelled terms), mixed hbar
+    degrees, keys with seven or more zero fields between nonzero ones,
+    and denominators that leave some coefficients non-integral."""
     families = draw(st.sampled_from([("K",), ("K", "P")]))
     symbols = draw(st.lists(st.builds(PropagatorSymbol, st.sampled_from(families),
                                       st.integers(1, 12), st.integers(1, 12)),
@@ -671,9 +670,9 @@ def packed_sums(draw):
     # Each of the k entries has degree 1, if any, and may carry one more hbar.
     factors = st.lists(st.integers(-1, len(symbols) - 1), max_size=k * (1 + bool(symbols)))
     picks = draw(st.lists(factors, max_size=12))
-    if len(symbols) > 2 * _Packing._CHUNK:
-        # The first and last symbol in packing order sit in the first and
-        # the third or a later chunk, so every chunk between them is zero.
+    if len(symbols) > 2 * 4:
+        # The first and last symbol in packing order are at least eight
+        # fields apart, and every field between them is zero.
         ends = [symbols.index(packing.symbols[0]), symbols.index(packing.symbols[-1])]
         picks += [ends + [-1] * hbar for hbar in range(2 * k - 1)]
     terms = {}
@@ -684,12 +683,51 @@ def packed_sums(draw):
     return packing, list(terms.items()), draw(st.integers(1, 12))
 
 
+@st.composite
+def packed_polys(draw):
+    """A packing over up to nine block-tagged variables, that is more than
+    eight variable fields, and up to six symbols, with ``(terms, den)``: the
+    packed terms of a drawn polynomial, whose monomials mix hbar and symbol
+    fields with sparse variable fields, some numerators zeroed (cancelled
+    terms), over a denominator that leaves some coefficients non-integral."""
+    count = draw(st.sampled_from(range(1, 10)))
+    d = draw(st.integers(-(-count // 3), 9))
+    variables = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, d)),
+                              min_size=count, max_size=count, unique=True))
+    symbols = draw(st.lists(st.builds(PropagatorSymbol, st.sampled_from(["K", "P"]),
+                                      st.integers(1, d), st.integers(1, d)),
+                            max_size=6, unique=True))
+    exponents = st.integers(1, 3)
+    monomials = st.dictionaries(st.sampled_from(variables), exponents, max_size=4)
+    coeffs = st.builds(CoeffMonomial.make, st.integers(0, 2),
+                       st.dictionaries(st.sampled_from(symbols), exponents, max_size=3)
+                       if symbols else st.just({}))
+    p = Poly.zero(d)
+    for vm, cm, num in draw(st.lists(st.tuples(monomials, coeffs, st.integers(-40, 40)),
+                                     min_size=1, max_size=12)):
+        p = p + Poly(d, {VarMonomial.make(vm): CoeffElement({cm: num})})
+    # Every drawn variable takes a field, whether p holds it or not.
+    every = Poly(d, {VarMonomial.make({v: 1}): CoeffElement.one() for v in variables})
+    packing = _Packing([CoeffElement.from_symbol(s) for s in symbols], draw(st.integers(0, 2)),
+                       [p, every])
+    terms, _ = packing.pack(p)
+    zeroed = draw(st.sets(st.integers(0, max(len(terms) - 1, 0)), max_size=len(terms) // 2))
+    return packing, d, [(key, 0 if n in zeroed else num) for n, (key, num) in enumerate(terms)], \
+        draw(st.integers(1, 12))
+
+
 class TestPackedText:
     @settings(max_examples=300, deadline=None)
     @given(packed_sums())
     def test_matches_the_decoded_element(self, case):
         packing, terms, den = case
         assert packing.text(terms, den) == str(packing.coeff_element(terms, den))
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_polys())
+    def test_variable_groups_match_the_unpacked_sum(self, case):
+        packing, d, terms, den = case
+        assert packing.text(terms, den) == str(packing.unpack(terms, den, d))
 
     def test_indices_sort_as_numbers(self):
         low, high = PropagatorSymbol("K", 1, 2), PropagatorSymbol("K", 1, 10)
@@ -699,9 +737,9 @@ class TestPackedText:
 
     @pytest.mark.parametrize("last", [2, 4], ids=["same-chunk", "next-chunk"])
     def test_mixed_product_sorts_before_either_square(self, last):
-        """``s1*s2 < s1^2 < s2^2`` for ``s1 < s2``, whether ``s2`` is in the
-        chunk of ``s1`` or the next one; no integer order of the packed keys
-        gives it."""
+        """``s1*s2 < s1^2 < s2^2`` for ``s1 < s2``, whether ``s2`` is two or
+        four fields after ``s1``; no integer order of the packed keys gives
+        it."""
         symbols = [PropagatorSymbol("K", 1, j) for j in range(2, 2 + 8)]
         s1, s2 = symbols[0], symbols[last]
         packing = _Packing([CoeffElement.from_symbol(s) for s in symbols], 1)
@@ -718,9 +756,8 @@ class TestPackedText:
 
 
 def star_text_case(rng):
-    """1-3 factors from ``rand_poly`` at ``d`` from 1 to 5 (five variables
-    cross a ``_Packing._CHUNK`` boundary), a rational, hbar-carrying or
-    symbol matrix, and ``order`` ``None`` or 0-3."""
+    """1-3 factors from ``rand_poly`` at ``d`` from 1 to 5, a rational,
+    hbar-carrying or symbol matrix, and ``order`` ``None`` or 0-3."""
     d = rng.randint(1, 5)
     factors = [rand_poly(rng, d, max_degree=rng.randint(0, 3), terms=rng.randint(1, 3))
                for _ in range(rng.randint(1, 3))]
@@ -773,8 +810,8 @@ class TestStarText:
         assert _star_text(factors, K) == expected
 
     def test_variables_sort_across_a_chunk_boundary(self):
-        """Groups whose first difference is in the second chunk of
-        variable fields, x5 against x6, still sort by the variable order."""
+        """Groups whose first difference is past the fourth variable field,
+        x5 against x6, still sort by the variable order."""
         d = 6
         f, g = x(4, d) + x(5, d) * x(6, d), x(5, d) * x(6, d) + x(6, d) ** 2 + x(1, d) ** 2
         K = PropagatorMatrix.family("K", d)

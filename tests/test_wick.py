@@ -615,3 +615,30 @@ class TestWickTheoremExpand:
         terms = wick_theorem_expand(factors, K, K)
         with pytest.raises(ValueError, match="non-negative"):
             reexpand_wick(terms, factors, K, order=-1)
+
+
+def _family(dim, name="K"):
+    return PropagatorMatrix.family(name, dim)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: change_propagator([x(1, 2)], _family(2), _family(3, "P")),
+      "propagator matrices must share a dimension"),
+     (lambda: wick_theorem_expand([x(1, 2), x(2, 2)], _family(2), _family(3, "P")),
+      "propagator matrices must share a dimension"),
+     (lambda: wick_theorem_expand([x(1, 2)], _family(2), _family(2, "P")),
+      "expected one factor per matrix dimension (2), got 1"),
+     (lambda: wick_theorem_expand([x(1, 2), x(2, 2), x(1, 2)], _family(2), _family(2, "P")),
+      "expected one factor per matrix dimension (2), got 3"),
+     (lambda: WickMonomialSpec((1, 1, 2), PropagatorMatrix.zero(3), _family(2)),
+      "propagator dimensions must match the power count"),
+     (lambda: WickMonomialSpec((1, 1), PropagatorMatrix.zero(3), _family(3)),
+      "propagator dimensions must match the power count")],
+    ids=["change-propagator-dims", "wick-expand-dims", "wick-expand-too-few",
+         "wick-expand-too-many", "spec-product-dim", "spec-power-count"],
+)
+def test_mismatched_dimensions_refused(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
