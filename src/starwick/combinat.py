@@ -6,12 +6,14 @@ and a zero main diagonal; entry ``m_ij`` counts edges between vertices
 
 The matrices with given row sums are the paths through row states
 (:func:`_row_states`), each state's moves in canonical order, zero last:
-the order of the ``expect`` monomials.  A state's row values depend on
-the state alone, so they are grown once and then read from a memo keyed
-by the state and kept across calls, their growth still charged to the
-budget.  One fold, :func:`_fold`, walks the states from the last row
-back with a step per state, so a value shared by the completions of many
-prefixes is computed once.  It has four steps:
+the order of the ``expect`` monomials.  A state's moves, each row with
+the state it leaves, depend on the state alone, so they are grown once
+and then handed out as stored by a memo keyed by the state and kept
+across calls, their growth still charged to the budget.  The states one
+call grows leave equal rests as one object, the next layer's key.  One
+fold, :func:`_fold`, walks the states from the last row back with a step
+per state, so a value shared by the completions of many prefixes is
+computed once.  It has four steps:
 :func:`_count_paths` counts the matrices, :func:`_matrices` builds them
 as flat cell tuples, sorted once into ascending row-major order, for
 both enumerators and ``enum-adj``,
@@ -32,7 +34,7 @@ import math
 import sys
 from itertools import combinations
 from operator import itemgetter, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import _Value
 
@@ -146,7 +148,7 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
 
 
 # The most partial rows :func:`_row_states` grows, over all its states and
-# columns, before it refuses with ``ValueError``.  A state whose rows come
+# columns, before it refuses with ``ValueError``.  A state whose moves come
 # from the state memo is charged the partial rows their growth took,
 # so a table is refused at the same state, with the same message, whether
 # the memo is warm or cold.  The table is built in full before it is read,
@@ -182,10 +184,9 @@ class _Memo(dict):
         super().clear()
         self.size = 0
 
-    def reserve(self, objects: Iterable[object]) -> bool:
-        """Count an entry made of ``objects``, clearing the memo first if it
+    def reserve(self, size: int) -> bool:
+        """Count an entry of ``size`` bytes, clearing the memo first if it
         would pass the cap; False, and nothing counted, if it alone would."""
-        size = sum(map(sys.getsizeof, objects))
         if size > self.cap:
             return False
         if self.size + size > self.cap:
@@ -194,11 +195,13 @@ class _Memo(dict):
         return True
 
 
-# Each state's row values across calls, ``(need, *caps) -> (rows, partial
-# rows grown)``: they depend on the state alone.  An entry counts the bytes
-# of its state, its tuples and every row.  The 318 benchmark pool sequences
-# need 1,564,976 and ``(3,) * 10`` alone 17,271,688.
-_MAX_COMPOSITION_BYTES = 1 << 21
+# Each state's moves across calls, ``(need, *caps) -> (moves, partial rows
+# grown)``: they depend on the state alone.  An entry counts the bytes of
+# its state, itself, its moves tuple and, per move, a pair, a row and a
+# rest, a rest counted in every entry that holds it.  The 318 benchmark
+# pool sequences need 3,411,504 in 1,941 entries, and ``(3,) * 10`` alone
+# 40,846,528, clearing the memo on the way.
+_MAX_COMPOSITION_BYTES = 1 << 22
 _COMPOSITIONS = _Memo(_MAX_COMPOSITION_BYTES)
 
 
@@ -206,7 +209,7 @@ def _over_budget() -> ValueError:
     return ValueError(f"row-state table exceeds the budget of {_MAX_PARTIAL_ROWS} partial rows")
 
 
-def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence, IntSequence]]]]:
+def _row_states(n: IntSequence) -> list[dict[IntSequence, tuple[tuple[IntSequence, IntSequence], ...]]]:
     """The adjacency matrices with row sums ``n`` as paths through row states.
 
     ``layers[i]`` maps each state reachable at row ``i`` (the row sums rows
@@ -218,10 +221,13 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
     kept (none negative, even total, no entry above half of it).  For
     loopless multigraphs that is sufficient, so every kept state completes
     and every path from ``n`` to the empty state is one matrix.  No layers
-    when ``n`` is not admissible.  A state's row values depend on the state
-    alone, so they are grown once and then read from ``_COMPOSITIONS``, kept
-    across calls; only the states they leave are computed on each call.
-    Growing more than ``_MAX_PARTIAL_ROWS`` partial rows raises
+    when ``n`` is not admissible.  A state's moves depend on the state
+    alone, so they are grown once and kept across calls in
+    ``_COMPOSITIONS``, whose tuple a later call hands to its layer as it is.
+    A state grown on the call takes each rest it leaves from the next
+    layer's states met so far (``after``), so equal rests of one call are
+    one object, the key the next layer grows and stores, and the fold's
+    lookups find it by identity.  Growing more than ``_MAX_PARTIAL_ROWS`` partial rows raises
     ``ValueError``: a memoized state is charged the partial rows its growth
     took, and a growth refused part way stores nothing.
     """
@@ -235,13 +241,14 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
         for state in states:
             need, caps = state[0], state[1:]
             if not need:
-                layer[state] = [((0,) * len(caps), caps)]
-                after[caps] = None
+                layer[state] = (((0,) * len(caps), after.setdefault(caps, caps)),)
                 continue
             if entry := _COMPOSITIONS.get(state):
-                rows = entry[0]
+                layer[state] = moves = entry[0]
                 if (partial := partial + entry[1]) > _MAX_PARTIAL_ROWS:
                     raise _over_budget()
+                for _, rest in moves:
+                    after.setdefault(rest, rest)
             else:
                 # What is left sums to ``2 * half`` and none of it may exceed
                 # ``half``, which bounds each value of the row from both sides.
@@ -272,15 +279,15 @@ def _row_states(n: IntSequence) -> list[dict[IntSequence, list[tuple[IntSequence
                             raise _over_budget()
                     rows = grown
                     partial += len(grown)
-                rows = tuple([row for row, _ in rows])
-                entry = (rows, partial - start)
-                if _COMPOSITIONS.reserve((state, entry, rows, *rows)):
+                # Equal rests of the states this call grows are one object, the next layer's key.
+                layer[state] = moves = tuple([
+                    (row, after.setdefault(rest := tuple(map(sub, caps, row)), rest))
+                    for row, _ in rows])
+                entry = (moves, partial - start)
+                # Every pair, row and rest of a state has the size of the first.
+                size = len(moves) * sum(map(sys.getsizeof, (moves[0], *moves[0])))
+                if _COMPOSITIONS.reserve(size + sum(map(sys.getsizeof, (state, entry, moves)))):
                     _COMPOSITIONS[state] = entry
-            layer[state] = moves = []
-            for row in rows:
-                rest = tuple(map(sub, caps, row))
-                moves.append((row, rest))
-                after[rest] = None
         layers.append(layer)
         states = list(after)
     return layers
@@ -297,7 +304,7 @@ def _fold(layers: list[dict], leaf, step):
     return below.popitem()[1]
 
 
-def _count_paths(i: int, state: IntSequence, moves: list, below: dict[IntSequence, int]) -> int:
+def _count_paths(i: int, state: IntSequence, moves: tuple, below: dict[IntSequence, int]) -> int:
     """:func:`_fold` step: the number of paths from ``state`` to the end."""
     return sum(below[rest] for _, rest in moves)
 

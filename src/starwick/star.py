@@ -516,7 +516,8 @@ _MAX_PRODUCT_TERMS = 10**6
 
 
 def _moyal_fold(packing: _Packing, factors: Sequence[tuple[list, int]], K: PropagatorMatrix,
-                order: int | None) -> tuple[_Packing, list[tuple[int, int]], int]:
+                order: int | None, rooms: Sequence[int] | None = None,
+                ) -> tuple[_Packing, list[tuple[int, int]], int]:
     """The star product of ``factors``, each ``(terms, den)`` on ``packing``,
     as ``(packing, terms, den)``: the closed-form product of two block
     groups folded left, the product carried packed from the first factor to
@@ -527,10 +528,14 @@ def _moyal_fold(packing: _Packing, factors: Sequence[tuple[list, int]], K: Propa
     of ``K``, where ``r`` and ``c`` are the row and column sums of ``M`` and
     ``D_i`` is the derivative in ``x_i`` summed over one side's blocks.  The
     first factor and each step's product are cut above ``hbar^order``,
-    which is exact because a product never lowers an hbar degree; nothing
-    else in the fold or its decoders cuts.  Each step's kept numerators and
-    denominator are divided by their common factor, so the carried
-    denominator does not grow as the product of every step's.  More
+    which is exact because a product never lowers an hbar degree.  Given
+    ``rooms``, one int per step, step ``k`` then also drops each term whose
+    variable degree exceeds ``rooms[k]``: a caller that reads only the
+    constant term passes the total degree of the factors after the step,
+    since each contraction with a later factor takes one degree from each
+    side.  Nothing else in the fold or its decoders cuts.  Each step's kept
+    numerators and denominator are divided by their common factor, so the
+    carried denominator does not grow as the product of every step's.  More
     than ``_MAX_PRODUCT_TERMS`` terms in one step's partial sums or total
     raise ``ValueError``; the packing bounds every key a step reaches
     before its cut (:func:`_packed`).
@@ -540,8 +545,9 @@ def _moyal_fold(packing: _Packing, factors: Sequence[tuple[list, int]], K: Propa
             raise ValueError(f"star product exceeds the budget of {_MAX_PRODUCT_TERMS} terms")
 
     (terms, den), *rest = factors
-    terms = [(key, num) for key, num in terms if order is None or key & packing.mask <= order]
-    for right in rest:
+    bits, mask = packing.coeff_bits, packing.mask
+    terms = [(key, num) for key, num in terms if order is None or key & mask <= order]
+    for k, right in enumerate(rest):
         _, (left_at, right_at), weights, weight_den = _moyal_weights(
             packing, ((terms, den), right), K, order)
         # Sum over r first, A_c = sum_r W(r, c) * D^r left, then add A_c * D^c right.
@@ -555,7 +561,11 @@ def _moyal_fold(packing: _Packing, factors: Sequence[tuple[list, int]], K: Propa
         for cs in list(absorbed):  # each block freed once it is added
             check(len(packing.product(absorbed.pop(cs).items(), right_at(cs), total)))
         if order is not None:
-            for key in [key for key in total if key & packing.mask > order]:
+            for key in [key for key in total if key & mask > order]:
+                del total[key]
+        if rooms is not None:  # the variable degree, read as _Packing.derivatives reads it
+            for key in [key for key in total
+                        if key >> bits and ((key >> bits) - 1) % mask + 1 > rooms[k]]:
                 del total[key]
         den *= right[1] * weight_den
         g = math.gcd(den, *total.values())

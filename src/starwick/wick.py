@@ -32,8 +32,9 @@ order, with no packed term, value or sort; the packed sum is its oracle
 in the tests.  The ground truth for every identity in this module is the
 star-product engine itself:
 :func:`expectation_oracle` reads the expectation off the star product of
-the Wick powers, folded packed (:func:`starwick.star._moyal_fold`), as
-the packed keys with no variable and ``hbar^m``, without decoding the
+the Wick powers, folded packed (:func:`starwick.star._moyal_fold`) with
+the terms too far from the constant dropped after each factor, as the
+packed keys with no variable and ``hbar^m``, without decoding the
 product; the tests add Kan's moment formula (``kan_moment``) as a third,
 enumeration-free route.  The closed forms are checked against them
 rather than trusted.
@@ -42,6 +43,7 @@ rather than trusted.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -261,7 +263,7 @@ def _expectation_text(n: Sequence[int], family: str) -> str:
                 pair = (math.prod(map(math.factorial, row)), "".join(
                     f"*{PropagatorSymbol(family, i + 1, j).text()}" + (f"^{v}" if v > 1 else "")
                     for j, v in enumerate(row, i + 2) if v))
-                if _ROW_TEXTS.reserve((key, family, row, pair, *pair)):
+                if _ROW_TEXTS.reserve(sum(map(sys.getsizeof, (key, family, row, pair, *pair)))):
                     _ROW_TEXTS[key] = pair
             weight, text = pair
             below_weights, below_texts = below[rest]
@@ -282,11 +284,14 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
     (:func:`starwick.star._moyal_fold`) cut at ``hbar^m``, ``m`` half the
     total power, and the coefficient is read off the packed keys that have
     no variable field and hbar field ``m``; the rest of the product is
-    never decoded.  Requires the ordering propagator to have a zero
-    diagonal; otherwise the constant top coefficient also picks up
-    diagonal terms from the Wick powers themselves and no longer matches
-    the combinatorial sum.
-    An odd total power gives zero.  Before any Wick power is built, the
+    never decoded.  Each contraction takes one degree from each side, so
+    after factor ``k + 1`` is folded in, a term of higher degree than the
+    factors after it hold in total cannot reach the constant: the fold
+    drops it (its ``rooms``).  That keeps six 5s inside the term budget.
+    Requires the ordering propagator to have a zero diagonal; otherwise the
+    constant top coefficient also picks up diagonal terms from the Wick
+    powers themselves and no longer matches the combinatorial sum.  An odd
+    total power gives zero.  Before any Wick power is built, the
     Hermite cap refuses an entry, as :func:`wick_power` would, and the
     expectation cap a total power, as :func:`expectation_formula` does.
     """
@@ -300,7 +305,8 @@ def expectation_oracle(spec: WickMonomialSpec) -> CoeffElement:
         _check_cap("power // 2", power // 2, "Hermite")
     _check_cap("total power sum(n) // 2", m, "expectation")
     factors = [wick_power(i + 1, p, spec.ordering) for i, p in enumerate(spec.powers)]
-    packing, terms, den = _moyal_fold(*_packed(factors, spec.product, m), spec.product, m)
+    rooms = [sum(spec.powers[k + 2:]) for k in range(len(spec.powers) - 1)]
+    packing, terms, den = _moyal_fold(*_packed(factors, spec.product, m), spec.product, m, rooms)
     return packing.coeff_element([(key - m, num) for key, num in terms
                                   if key < 1 << packing.coeff_bits and key & packing.mask == m], den)
 

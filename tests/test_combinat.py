@@ -330,6 +330,33 @@ def test_row_state_memo_is_keyed_by_state():
     assert (set(memo), memo.size) == (states, size)
 
 
+def test_row_states_hand_out_the_stored_moves():
+    """Every layer's moves are a tuple, and a warm call's layers hold the
+    memo's own moves tuples.  On a cleared memo each move's rest is the
+    very key of the next layer, so equal rests of one call are one object;
+    a warm call hands out the stored rests as they are."""
+    rng = random.Random(3333)
+    cases = [(0,), (0, 2, 0, 2), (2, 0, 2), (1, 2, 3, 2)] + [
+        tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 7))) for _ in range(60)]
+    memo = starwick.combinat._COMPOSITIONS
+    stored = no_need = 0
+    for n in cases:
+        memo.clear()
+        for warm in (False, True):
+            layers = starwick.combinat._row_states(n)
+            for layer, below in zip(layers, [*layers[1:], {(): None}]):
+                keys = {state: state for state in below}
+                for state, moves in layer.items():
+                    assert type(moves) is tuple, (n, state)
+                    if not warm:
+                        assert all(keys[rest] is rest for _, rest in moves), (n, state)
+                    elif state[0]:
+                        assert moves is memo[state][0], (n, state)
+                        stored += 1
+                    no_need += not state[0]
+    assert stored > 200 and no_need > 20
+
+
 def test_memos_stay_within_their_caps(monkeypatch):
     """Each memo counts the bytes of its entries and is cleared whole before
     it passes its cap, even when one table needs more, and a growth the
@@ -341,7 +368,10 @@ def test_memos_stay_within_their_caps(monkeypatch):
         with pytest.raises(ValueError, match="exceed the matrix budget"):
             _expectation_text(n, "K")  # refused once its table is built
         assert 0 < memo.size <= memo.cap
-        assert memo.size == sum(sum(map(sys.getsizeof, (state, entry, entry[0], *entry[0])))
+        # An entry holds its state, itself, its moves, their pairs, and each
+        # pair's row and rest.
+        assert memo.size == sum(sum(map(sys.getsizeof, (state, entry, entry[0], *entry[0],
+                                                         *itertools.chain.from_iterable(entry[0]))))
                                 for state, entry in memo.items())
     # Each row of a long run of zeros holds its zeros, so the texts of one
     # call pass their cap: the memo is cleared on the way and keeps a tail.
@@ -369,11 +399,11 @@ def test_memo_refuses_an_entry_over_its_cap(objects):
     """An entry larger than the whole cap is refused: nothing is counted
     and the entries already held stay."""
     memo = starwick.combinat._Memo(1000)
-    assert memo.reserve([(1, 2)])
+    assert memo.reserve(sys.getsizeof((1, 2)))
     memo[1] = (1, 2)
     size = memo.size
-    assert sum(map(sys.getsizeof, objects)) > memo.cap
-    assert memo.reserve(objects) is False
+    assert (entry := sum(map(sys.getsizeof, objects))) > memo.cap
+    assert memo.reserve(entry) is False
     assert (dict(memo), memo.size) == ({1: (1, 2)}, size)
 
 

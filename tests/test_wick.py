@@ -419,14 +419,16 @@ class TestExpectationByMatrices:
 
 
 def engine_scale_sequences(count=3):
-    """``(4,) * 6`` and ``count`` seeded admissible sequences of 5-6 entries
-    in 1..4 with a total of at least 16, twice the largest other bridge test's."""
+    """``(4,) * 6``, ``count`` seeded admissible sequences of 5-6 entries
+    in 1..4 with a total of at least 16, twice the largest other bridge
+    test's, and ``(5,) * 6``, which the oracle answers only with its degree
+    cut (the term budget refused it after 3-5 s and 717 MB without)."""
     rng, out = random.Random(4600), [(4,) * 6]
     while len(out) <= count:
         n = tuple(rng.randint(1, 4) for _ in range(rng.randint(5, 6)))
         if is_admissible(n) and sum(n) >= 16 and n not in out:
             out.append(n)
-    return out
+    return out + [(5,) * 6]
 
 
 ENGINE_SCALE = engine_scale_sequences()
@@ -457,7 +459,7 @@ class TestExpectationOracle:
     def test_bridge_at_engine_scale(self, n):
         """The oracle's constant ``hbar^m`` coefficient, read off the keys of
         the packed fold, on products far past ``test_bridge_scaling``'s
-        total of 8: six 4s and seeded sequences of 5-6 entries in 1..4."""
+        total of 8: six 4s, six 5s and seeded sequences of 5-6 entries in 1..4."""
         scale = math.prod(math.factorial(v) for v in n)
         assert expectation_oracle(spec_for(n)) == expectation_formula(spec_for(n)) * scale
 
